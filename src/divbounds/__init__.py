@@ -10,7 +10,6 @@ from .simplex import (
     validate,
 )
 from .divergences import (
-    DivergenceValue,
     SymmetricId,
     ag_mean_divergence,
     bhattacharyya,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Distribution", "DistributionPair", "RatioBounds",
     "validate", "ratio_bounds", "random_pair",
-    "DivergenceValue", "SymmetricId",
+    "SymmetricId",
     "chi_squared", "relative_information", "relative_j_divergence",
     "relative_js_divergence", "relative_ag_divergence",
     "triangular_discrimination", "bhattacharyya", "hellinger",

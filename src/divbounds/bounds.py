@@ -60,6 +60,9 @@ _TV_CHAIN_NOTE = (
     "ceiling, which holds termwise, is checked for the absolute moment."
 )
 
+#: The notes every report carries, in report order.
+REPORT_NOTES = (_ORIENTATION_NOTE, _TV_CHAIN_NOTE)
+
 
 class SOutOfRange(ValueError):
     """Parameter below -1 where the third-derivative machinery needs
@@ -430,4 +433,4 @@ def verify_all(pair: DistributionPair, s_values, *,
     entries.sort(key=_sort_key)
     skipped.sort(key=_sort_key)
     return BoundReport(tuple(entries), tuple(skipped), violation_tolerance,
-                       (_ORIENTATION_NOTE, _TV_CHAIN_NOTE))
+                       REPORT_NOTES)

@@ -17,13 +17,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
 from . import divergences as div
 from .csiszar import GapTarget
-from .divergences import DivergenceValue
 from .simplex import (
     DistributionPair,
     SimplexError,
@@ -32,9 +33,16 @@ from .simplex import (
     validate,
 )
 from .type_s import SParameter, omega_s, phi_s
-from .bounds import theorem42_bounds, verify_all
+from .bounds import REPORT_NOTES, theorem42_bounds, verify_all
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+#: Most points a sweep grid may have; checked before the grid is built.
+MAX_GRID_POINTS = 10**6
+
+#: One encoder for every JSONL line: ``json.dumps`` builds a new encoder on
+#: each call that passes ``separators``.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 _SIMPLE_MEASURES: dict[str, Callable[[DistributionPair], float]] = {
     "chi2": div.chi_squared,
@@ -77,9 +85,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _s_key(s: float | None):
+    # pair-level rows (no s) come before the per-s rows
+    return (0, 0.0) if s is None else (1, s)
+
+
 def _parse_s_list(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(SParameter.from_value(tok).s
+                       for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise CliInputError(f"bad s-list {text!r}: {exc}") from None
     if not values:
@@ -100,8 +114,11 @@ def _load_json_pairs(text: str, renormalize: bool):
             raise CliInputError(f"pairs[{i}] is not an object")
         pid = str(rec.get("id", f"pair-{i}"))
         try:
-            p = validate(rec["p"], renormalize=renormalize)
-            q = validate(rec["q"], renormalize=renormalize)
+            raw = rec["p"], rec["q"]
+            if any(isinstance(v, bool) for part in raw
+                   if isinstance(part, list) for v in part):
+                raise TypeError("components must be numbers, not booleans")
+            p, q = (validate(part, renormalize=renormalize) for part in raw)
             out.append((pid, DistributionPair(p, q)))
         except KeyError as exc:
             raise CliInputError(f"pair {pid}: missing field {exc}") from None
@@ -191,10 +208,10 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             if base not in _PARAMETRIC_MEASURES:
                 raise CliInputError(f"unknown parametric measure {base!r}")
             try:
-                param = float(arg)
-            except ValueError:
+                param = SParameter.from_value(arg).s
+            except ValueError as exc:
                 raise CliInputError(
-                    f"bad parameter in measure {token!r}") from None
+                    f"bad parameter in measure {token!r}: {exc}") from None
             fn = _PARAMETRIC_MEASURES[base]
             resolved.append((f"{base}:{param:g}", param,
                              lambda pair, f=fn, v=param: f(pair, v)))
@@ -212,6 +229,16 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
     return resolved
 
 
+def _groups(pairs, *always: str):
+    """(pair_id, pairs) in sorted id order.  Input order is kept within a
+    group, since JSON input may repeat an id; every id in ``always`` gets a
+    group even when no pair carries it."""
+    groups: dict[str, list[DistributionPair]] = {pid: [] for pid in always}
+    for pid, pair in pairs:
+        groups.setdefault(pid, []).append(pair)
+    return sorted(groups.items())
+
+
 def _write_records(records, columns, args) -> None:
     out = sys.stdout if args.output == "-" else open(
         args.output, "w", encoding="utf-8", newline="")
@@ -219,12 +246,11 @@ def _write_records(records, columns, args) -> None:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(columns)
-            for rec in records:
-                writer.writerow([_fmt(rec.get(col)) for col in columns])
+            writer.writerows([_fmt(value) for value in row] for row in records)
         else:
-            for rec in records:
-                line = {col: rec.get(col) for col in columns}
-                out.write(json.dumps(line, separators=(",", ":")) + "\n")
+            encode = _JSON.encode
+            out.writelines(encode(dict(zip(columns, row))) + "\n"
+                           for row in records)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -233,28 +259,32 @@ def _write_records(records, columns, args) -> None:
 def _cmd_compute(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
     s_list = _parse_s_list(args.s_list) if args.s_list else DEFAULT_S_LIST
-    measures = resolve_measures(args.measures.split(","), s_list)
+    measures = [((_s_key(param), measure_id), measure_id, fn)
+                for measure_id, param, fn in resolve_measures(
+                    args.measures.split(","), s_list)]
     records = []
-    for pid, pair in pairs:
-        for measure_id, param, fn in measures:
-            result = DivergenceValue(measure_id, fn(pair))
-            records.append({
-                "pair_id": pid,
-                "measure": result.measure_id,
-                "value": result.value,
-                "_sort": ((0, 0.0) if param is None else (1, param)),
-            })
-    records.sort(key=lambda rec: (rec["pair_id"], rec["_sort"],
-                                  rec["measure"]))
+    for pid, group in _groups(pairs):
+        keyed = [(key, (pid, measure_id, fn(pair)))
+                 for pair in group for key, measure_id, fn in measures]
+        keyed.sort(key=itemgetter(0))
+        records.extend(row for _, row in keyed)
     _write_records(records, ("pair_id", "measure", "value"), args)
     return 0
 
 
 def _sweep_grid(s_min: float, s_max: float, s_step: float):
+    for name, value in (("s_min", s_min), ("s_max", s_max),
+                        ("s_step", s_step)):
+        if not math.isfinite(value):
+            raise CliInputError(f"{name} must be finite, got {value!r}")
     if not (s_min < s_max):
         raise CliInputError(f"empty grid: s_min={s_min!r} >= s_max={s_max!r}")
     if not s_step > 0.0:
         raise CliInputError(f"s_step must be positive, got {s_step!r}")
+    points = (s_max - s_min) / s_step + 1.0
+    if not points <= MAX_GRID_POINTS:
+        raise CliInputError(f"grid of {points:.3g} points exceeds the limit "
+                            f"of {MAX_GRID_POINTS}")
     values = []
     k = 0
     while True:
@@ -270,31 +300,28 @@ def _cmd_sweep(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
     grid = _sweep_grid(args.s_min, args.s_max, args.s_step)
     records = []
-    for pid, pair in pairs:
-        rb = ratio_bounds(pair)
-        degenerate = rb.r == rb.R
-        for s in grid:
-            sp = SParameter.from_value(s)
-            rec = {
-                "pair_id": pid,
-                "s": s,
-                "regime": sp.regime.value,
-                "omega": omega_s(pair, sp),
-                "e": bounds_mod.e_omega(pair, sp),
-                "e_star": bounds_mod.e_star_omega(pair, sp),
-                "a": None, "b": None,
-                "gap_half_e_bound": None, "gap_e_star_bound": None,
-            }
-            if not degenerate:
-                rec["a"] = bounds_mod.a_omega(rb, sp)
-                rec["b"] = bounds_mod.b_omega(rb, sp)
-                if sp.s >= -1.0:
-                    rec["gap_half_e_bound"] = theorem42_bounds(
-                        pair, rb, sp, GapTarget.HALF_E).minimum
-                    rec["gap_e_star_bound"] = theorem42_bounds(
-                        pair, rb, sp, GapTarget.E_STAR).minimum
-            records.append(rec)
-    records.sort(key=lambda rec: (rec["pair_id"], rec["s"]))
+    for pid, group in _groups(pairs):
+        rows = []
+        for pair in group:
+            rb = ratio_bounds(pair)
+            degenerate = rb.r == rb.R
+            for s in grid:
+                sp = SParameter.from_value(s)
+                a = b = gap_half_e = gap_e_star = None
+                if not degenerate:
+                    a = bounds_mod.a_omega(rb, sp)
+                    b = bounds_mod.b_omega(rb, sp)
+                    if sp.s >= -1.0:
+                        gap_half_e = theorem42_bounds(
+                            pair, rb, sp, GapTarget.HALF_E).minimum
+                        gap_e_star = theorem42_bounds(
+                            pair, rb, sp, GapTarget.E_STAR).minimum
+                rows.append((pid, s, sp.regime.value, omega_s(pair, sp),
+                             bounds_mod.e_omega(pair, sp),
+                             bounds_mod.e_star_omega(pair, sp),
+                             a, b, gap_half_e, gap_e_star))
+        rows.sort(key=itemgetter(1))
+        records.extend(rows)
     _write_records(records, ("pair_id", "s", "regime", "omega", "e", "e_star",
                              "a", "b", "gap_half_e_bound",
                              "gap_e_star_bound"), args)
@@ -306,48 +333,33 @@ def _cmd_verify(args) -> int:
     s_list = _parse_s_list(args.s_list) if args.s_list else DEFAULT_S_LIST
     tolerance = args.tolerance if args.tolerance is not None else (
         bounds_mod.VIOLATION_TOLERANCE)
+    # Self-test of the failure path: corrupt the first checked entry of
+    # the first pair read.
+    corrupt = pairs[0][1] if args.inject_violation else None
     records = []
-    notes_emitted = False
-    any_fail = False
-    for pid, pair in pairs:
-        report = verify_all(pair, s_list, violation_tolerance=tolerance,
-                            pair_id=pid)
-        if not notes_emitted:
-            for note in report.notes:
-                records.append({"pair_id": "*", "s": None,
-                                "inequality_id": "note", "lhs": None,
-                                "rhs": None, "slack": None,
-                                "verdict": "info", "reason": note})
-            notes_emitted = True
-        for entry in report.entries:
-            records.append({
-                "pair_id": pid, "s": entry.context.s,
-                "inequality_id": entry.inequality_id,
-                "lhs": entry.lhs, "rhs": entry.rhs, "slack": entry.slack,
-                "verdict": entry.verdict, "reason": None,
-            })
-        for item in report.skipped:
-            records.append({
-                "pair_id": pid, "s": item.context.s,
-                "inequality_id": item.inequality_id,
-                "lhs": None, "rhs": None, "slack": None,
-                "verdict": "skip", "reason": item.reason,
-            })
-    if args.inject_violation and records:
-        # Self-test of the failure path: corrupt the first checked entry.
-        for rec in records:
-            if rec["verdict"] in ("pass", "fail"):
-                rec["lhs"] = rec["lhs"] + 1.0
-                rec["slack"] = rec["rhs"] - rec["lhs"]
-                rec["verdict"] = ("pass" if rec["slack"] >= -tolerance
-                                  else "fail")
-                break
-    any_fail = any(rec["verdict"] == "fail" for rec in records)
-    # stable sort: note records ("*") lead, then pair-level before per-s
-    records.sort(key=lambda rec: (
-        rec["pair_id"],
-        (0, 0.0) if rec["s"] is None else (1, rec["s"]),
-        rec["inequality_id"]))
+    # Within a pair_id: pair-level rows before per-s rows, then by
+    # inequality id; the note rows head the "*" group.
+    for pid, group in _groups(pairs, "*"):
+        rows = [(pid, None, "note", None, None, None, "info", note)
+                for note in (REPORT_NOTES if pid == "*" else ())]
+        for pair in group:
+            report = verify_all(pair, s_list, violation_tolerance=tolerance,
+                                pair_id=pid)
+            checked = [(pid, e.context.s, e.inequality_id, e.lhs, e.rhs,
+                        e.slack, e.verdict, None) for e in report.entries]
+            if pair is corrupt:
+                _, s, inequality_id, lhs, rhs, _, _, _ = checked[0]
+                lhs += 1.0
+                slack = rhs - lhs
+                checked[0] = (pid, s, inequality_id, lhs, rhs, slack,
+                              "pass" if slack >= -tolerance else "fail", None)
+            rows.extend(checked)
+            rows.extend((pid, item.context.s, item.inequality_id, None, None,
+                         None, "skip", item.reason)
+                        for item in report.skipped)
+        rows.sort(key=lambda row: (_s_key(row[1]), row[2]))
+        records.extend(rows)
+    any_fail = any(row[6] == "fail" for row in records)
     _write_records(records, ("pair_id", "s", "inequality_id", "lhs", "rhs",
                              "slack", "verdict", "reason"), args)
     return 2 if any_fail else 0

@@ -10,7 +10,6 @@ zero to the difference-weighted sums and are skipped outright.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import fsum, log, sqrt
 
 from .simplex import DistributionPair
@@ -18,14 +17,6 @@ from .simplex import DistributionPair
 
 class MOutOfRange(ValueError):
     """Exponent below one passed to the absolute-moment divergence."""
-
-
-@dataclass(frozen=True)
-class DivergenceValue:
-    """A computed measure value tagged with its registry name."""
-
-    measure_id: str
-    value: float
 
 
 def _items(pair: DistributionPair):

@@ -36,6 +36,10 @@ class NonPositiveArgument(ValueError):
     """Generator argument outside (0, inf)."""
 
 
+class NonFiniteParameter(ValueError):
+    """Family parameter s that is NaN or infinite."""
+
+
 class Regime(enum.Enum):
     GENERIC = "generic"
     LIMIT_AT_ZERO = "limit_at_zero"
@@ -52,6 +56,8 @@ class SParameter:
     @classmethod
     def from_value(cls, s: float) -> "SParameter":
         s = float(s)
+        if not math.isfinite(s):
+            raise NonFiniteParameter(f"s must be finite, got {s!r}")
         if abs(s) <= S_SWITCH:
             return cls(s, Regime.LIMIT_AT_ZERO)
         if abs(s - 1.0) <= S_SWITCH:

@@ -34,6 +34,7 @@ from divbounds.bounds import (
     e_star_omega_closed_form,
 )
 from divbounds.csiszar import DegenerateInterval, IntervalNotStraddlingOne
+from divbounds.type_s import NonFiniteParameter
 from divbounds.simplex import RatioBounds
 
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -290,6 +291,10 @@ class TestVerifyAll:
         assert first == second
         svals = [e.context.s for e in first.entries]
         assert svals == sorted(svals, key=lambda s: (s is not None, s or 0.0))
+
+    def test_non_finite_s_rejected(self, std_pair):
+        with pytest.raises(NonFiniteParameter):
+            verify_all(std_pair, (0.5, math.nan))
 
     def test_binary_tightness(self):
         """Two-point pairs attain the chord bound and the first interval

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
-from divbounds.cli import main
+from divbounds import cli
+from divbounds.cli import CliInputError, _sweep_grid, main
 
 STD_CSV = """pair_id,role,v1,v2
 std,P,0.5,0.5
@@ -10,6 +13,47 @@ std,Q,0.25,0.75
 """
 
 STD_JSON = '{"pairs": [{"id": "std", "p": [0.5, 0.5], "q": [0.25, 0.75]}]}'
+
+# Ids out of order, a repeated id, the id "*" that note rows also use, an
+# id sorting before "*", and a P = Q pair.
+EDGE_JSON = json.dumps({"pairs": [
+    {"id": "b", "p": [0.2, 0.3, 0.5], "q": [0.25, 0.25, 0.5]},
+    {"id": "a", "p": [0.5, 0.5], "q": [0.25, 0.75]},
+    {"id": "b", "p": [0.1, 0.9], "q": [0.6, 0.4]},
+    {"id": "*", "p": [0.3, 0.7], "q": [0.4, 0.6]},
+    {"id": "same", "p": [0.5, 0.5], "q": [0.5, 0.5]},
+    {"id": "!", "p": [0.05, 0.15, 0.8], "q": [0.3, 0.3, 0.4]},
+]})
+
+EDGE_COMMANDS = {
+    "compute": ("compute", "--measures", "omega,kl,vajda:3,chi2,phi:0.5,bhat",
+                "--s-list=2,-1,0,1"),
+    "sweep": ("sweep", "--s-min=-1", "--s-max", "1.5", "--s-step", "0.5"),
+    "verify": ("verify", "--s-list=1,-1.5,0,2"),
+    "inject": ("verify", "--s-list=1,-1.5,0,2", "--inject-violation"),
+}
+
+# SHA-256 of each output file, frozen from the implementation that built
+# one dict per record and sorted all records globally; the output bytes
+# must not depend on how the records are assembled.
+EDGE_DIGESTS = {
+    ("compute", "jsonl"):
+        "612a1a3f98a80c3bde196f092e9118ab9a6e00a5b8581a75029b879efa990560",
+    ("compute", "csv"):
+        "8e8940050bcc446f26d1c1575069308a4e5cc9b06e7e3f9348a67030fb41db62",
+    ("inject", "jsonl"):
+        "b026c9c24768993de8658ecbc7950768bb6fbb9ce2fd918aa5cbce5da50ffc6a",
+    ("inject", "csv"):
+        "533dcafc24a5d05ae636cafb06a787da02813f42dbc40442bc1a10e22c1d59b1",
+    ("sweep", "jsonl"):
+        "54cf10c7fa6ae531ad9e861c8e3c4983ee0142c95fcf1b1e027fd794bf741bbf",
+    ("sweep", "csv"):
+        "3050600d85bfea4a2325beff43c3b01257d44475d9688517bcb9805734c6cfc4",
+    ("verify", "jsonl"):
+        "9bb374705a1cff3466470780ffc9840e8588c9edf8bc45087fb2f071791ea267",
+    ("verify", "csv"):
+        "7f1e23425c7c177b57fb148bca28a251b96ea5ca2a160be8dca40b6b0cb68157",
+}
 
 
 @pytest.fixture
@@ -27,6 +71,12 @@ def run(capsys, *argv):
 
 def jsonl(out):
     return [json.loads(line) for line in out.splitlines() if line]
+
+
+def assert_input_error(code, out, err, *words):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(word in err for word in words), err
 
 
 class TestCompute:
@@ -107,6 +157,25 @@ class TestCompute:
         assert code == 0
         assert abs(jsonl(out)[0]["value"] - (0.0625 / 0.75 + 0.0625 / 1.25)) < 1e-12
 
+    @pytest.mark.parametrize("measure", ["omega:nan", "phi:inf", "omega:-inf",
+                                         "vajda:inf"])
+    def test_non_finite_parameter(self, std_csv, capsys, measure):
+        assert_input_error(*run(capsys, "compute", "--input", std_csv,
+                                "--measures", measure), measure, "finite")
+
+    def test_non_finite_s_list(self, std_csv, capsys):
+        assert_input_error(*run(capsys, "compute", "--input", std_csv,
+                                "--measures", "omega", "--s-list", "0,inf"),
+                           "finite")
+
+    def test_json_boolean_component(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"pairs": [{"id": "t", "p": [true, 1e-7], '
+                        '"q": [0.5, 0.5]}]}')
+        assert_input_error(*run(capsys, "compute", "--input", str(path),
+                                "--measures", "kl", "--renormalize"),
+                           "pair t", "boolean")
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "compute", "--input",
                            str(tmp_path / "nope.csv"), "--measures", "kl")
@@ -151,6 +220,34 @@ class TestSweep:
                          "--s-min", "0", "--s-max", "1", "--s-step", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--s-min", "nan"), ("--s-max", "inf"), ("--s-min", "-inf"),
+        ("--s-step", "inf"), ("--s-step", "nan")])
+    def test_non_finite_grid(self, std_csv, capsys, flag, value):
+        grid = {"--s-min": "0", "--s-max": "1", "--s-step": "0.5",
+                flag: value}
+        argv = [f"{k}={v}" for k, v in grid.items()]
+        assert_input_error(*run(capsys, "sweep", "--input", std_csv, *argv),
+                           "finite")
+
+    @pytest.mark.parametrize("s_min, s_max, s_step", [
+        (0.0, 1.0, 1e-12), (-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)])
+    def test_grid_size_checked_before_building(self, s_min, s_max, s_step):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CliInputError, match="exceeds"):
+                _sweep_grid(s_min, s_max, s_step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_grid_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
+        assert len(_sweep_grid(0.0, 1.0, 0.1)) == 11
+        with pytest.raises(CliInputError, match="exceeds"):
+            _sweep_grid(0.0, 1.0, 0.099)
+
 
 class TestVerify:
     def test_standard_pair_passes(self, std_csv, capsys):
@@ -183,12 +280,29 @@ class TestVerify:
                          "--s-list", "0", "--tolerance", "1e-6")
         assert code == 0
 
+    def test_non_finite_s_list(self, std_csv, capsys):
+        assert_input_error(*run(capsys, "verify", "--input", std_csv,
+                                "--s-list", "nan"), "s-list", "finite")
+
     def test_csv_format(self, std_csv, capsys):
         code, out, _ = run(capsys, "verify", "--input", std_csv,
                            "--s-list", "0", "--format", "csv")
         assert code == 0
         header = out.splitlines()[0]
         assert header == "pair_id,s,inequality_id,lhs,rhs,slack,verdict,reason"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("name", sorted(EDGE_COMMANDS))
+def test_edge_output_bytes_pinned(tmp_path, name, fmt):
+    src = tmp_path / "edge.json"
+    src.write_text(EDGE_JSON)
+    out = tmp_path / f"out.{fmt}"
+    code = main([*EDGE_COMMANDS[name], "--input", str(src),
+                 "--output", str(out), "--format", fmt])
+    assert code == (2 if name == "inject" else 0)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == EDGE_DIGESTS[name, fmt]
 
 
 class TestGen:

@@ -23,7 +23,7 @@ from divbounds import (
     relative_js_divergence,
     validate,
 )
-from divbounds.type_s import NonPositiveArgument
+from divbounds.type_s import NonFiniteParameter, NonPositiveArgument
 
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -50,6 +50,13 @@ class TestSParameter:
         assert SParameter.from_value(1e-6).canonical == 0.0
         assert SParameter.from_value(1.0 - 1e-6).canonical == 1.0
         assert SParameter.from_value(0.5).canonical == 0.5
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, "nan"])
+    def test_non_finite_rejected(self, s, std_pair):
+        with pytest.raises(NonFiniteParameter):
+            SParameter.from_value(s)
+        with pytest.raises(NonFiniteParameter):
+            omega_s(std_pair, s)
 
 
 class TestPhi:
