@@ -55,6 +55,7 @@ from .type_s import (
 from .bounds import (
     BoundEntry,
     BoundReport,
+    PairMoments,
     a_omega,
     b_omega,
     delta_omega,
@@ -83,7 +84,7 @@ __all__ = [
     "bound_a", "bound_b", "theorem33_bounds", "builtin_generators",
     "Regime", "SParameter", "phi_s", "omega_s", "psi_s",
     "psi_s_d1", "psi_s_d2", "psi_s_d3", "generator", "omega_special_cases",
-    "BoundEntry", "BoundReport",
+    "BoundEntry", "BoundReport", "PairMoments",
     "e_omega", "e_star_omega", "a_omega", "b_omega",
     "delta_omega", "psi3_sup", "theorem42_bounds", "verify_all",
 ]

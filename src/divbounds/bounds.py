@@ -69,6 +69,22 @@ class SOutOfRange(ValueError):
     s >= -1."""
 
 
+@dataclass(frozen=True)
+class PairMoments:
+    """The pair-level sums the gap bounds read: chi-square, the cubic
+    absolute moment |chi|^3 and the total variation V.  They do not depend
+    on s, so a caller checking many s-values builds them once per pair."""
+
+    chi2: float
+    abs_chi3: float
+    variation: float
+
+    @classmethod
+    def of(cls, pair: DistributionPair) -> "PairMoments":
+        return cls(chi_squared(pair), vajda_abs_chi(pair, 3.0),
+                   vajda_abs_chi(pair, 1.0))
+
+
 def e_omega(pair: DistributionPair, s: float | SParameter) -> float:
     """Directed first-derivative functional of the family at s; the
     generic engine evaluation is authoritative."""
@@ -194,12 +210,18 @@ def psi3_sup(rb: RatioBounds, s: float | SParameter) -> float:
 
 
 def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
-                     s: float | SParameter, target: GapTarget) -> GapBounds:
+                     s: float | SParameter, target: GapTarget, *,
+                     moments: PairMoments | None = None,
+                     omega: float | None = None) -> GapBounds:
     """Third-derivative gap bounds specialized to the family generator.
 
     The curvature sign is -1 without sampling: psi'' is monotonically
     decreasing for every s >= -1 (psi''' <= 0 there), so the curvature
     candidate is the positive spread delta/8 times chi-square.
+
+    A caller that already holds ``PairMoments.of(pair)`` or
+    ``omega_s(pair, s)`` may pass it as ``moments`` or ``omega``; each is
+    computed here when omitted.
     """
     target = GapTarget(target)
     sp = _sparam(s)
@@ -212,10 +234,9 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     spread = delta_omega(rb, sp)
     sup3 = psi3_sup(rb, sp)
     d1_spread = psi_s_d1(R, sp) - psi_s_d1(r, sp)
-    chi2 = chi_squared(pair)
-    abs_chi3 = vajda_abs_chi(pair, 3.0)
-    variation = vajda_abs_chi(pair, 1.0)
-    value = omega_s(pair, sp)
+    if moments is None:
+        moments = PairMoments.of(pair)
+    value = omega_s(pair, sp) if omega is None else omega
     if target is GapTarget.HALF_E:
         observed = abs(value - 0.5 * e_omega(pair, sp))
         third_factor, first_factor = 1.0 / 12.0, 1.0
@@ -223,9 +244,9 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
         observed = abs(value - e_star_omega(pair, sp))
         third_factor, first_factor = 1.0 / 24.0, 0.5
     candidates = (
-        spread * chi2 / 8.0,
-        third_factor * sup3 * abs_chi3,
-        first_factor * d1_spread * variation,
+        spread * moments.chi2 / 8.0,
+        third_factor * sup3 * moments.abs_chi3,
+        first_factor * d1_spread * moments.variation,
     )
     width = R - r
     caps = (
@@ -341,15 +362,18 @@ def verify_all(pair: DistributionPair, s_values, *,
     entries.append(_entry("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap,
                           pair_ctx, violation_tolerance))
 
-    # Absolute-moment chains for m in {1, 2, 3}.
+    # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
+    # chi-square: the same nonzero terms, so fsum returns the same value.
+    moments = None if degenerate else PairMoments.of(pair)
     for m in (1.0, 2.0, 3.0):
         prefix = f"abs_chi[m={m:g}]"
-        if degenerate:
+        if moments is None:
             skip(prefix, "ratio interval degenerate (P = Q)", pair_ctx)
             continue
-        moment = vajda_abs_chi(pair, m)
+        variation = moments.variation
+        moment = {1.0: variation, 2.0: moments.chi2,
+                  3.0: moments.abs_chi3}[m]
         power_diff = power_difference_divergence(pair, m)
-        variation = moment if m == 1.0 else vajda_abs_chi(pair, 1.0)
         interval = ((1.0 - r) * (R - 1.0) / (R - r)) * (
             (1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
         cap = (0.5 * (R - r)) ** m
@@ -421,7 +445,8 @@ def verify_all(pair: DistributionPair, s_values, *,
             continue
         for target, tag in ((GapTarget.HALF_E, "gap_half_e"),
                             (GapTarget.E_STAR, "gap_e_star")):
-            bundle = theorem42_bounds(pair, rb, sp, target)
+            bundle = theorem42_bounds(pair, rb, sp, target, moments=moments,
+                                      omega=value)
             entries.append(_entry(f"{tag}_le_min", bundle.observed,
                                   bundle.minimum, ctx, violation_tolerance))
             for name, data_term, cap_term in zip(

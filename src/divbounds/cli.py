@@ -33,7 +33,7 @@ from .simplex import (
     validate,
 )
 from .type_s import SParameter, omega_s, phi_s
-from .bounds import REPORT_NOTES, theorem42_bounds, verify_all
+from .bounds import REPORT_NOTES, PairMoments, theorem42_bounds, verify_all
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -208,22 +208,26 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             if base not in _PARAMETRIC_MEASURES:
                 raise CliInputError(f"unknown parametric measure {base!r}")
             try:
-                param = SParameter.from_value(arg).s
+                params = (SParameter.from_value(arg).s,)
             except ValueError as exc:
                 raise CliInputError(
                     f"bad parameter in measure {token!r}: {exc}") from None
-            fn = _PARAMETRIC_MEASURES[base]
-            resolved.append((f"{base}:{param:g}", param,
-                             lambda pair, f=fn, v=param: f(pair, v)))
         elif token in _PARAMETRIC_MEASURES:
-            fn = _PARAMETRIC_MEASURES[token]
-            for param in s_list:
-                resolved.append((f"{token}:{param:g}", param,
-                                 lambda pair, f=fn, v=param: f(pair, v)))
+            base, params = token, s_list
         elif token in _SIMPLE_MEASURES:
             resolved.append((token, None, _SIMPLE_MEASURES[token]))
+            continue
         else:
             raise CliInputError(f"unknown measure {token!r}")
+        fn = _PARAMETRIC_MEASURES[base]
+        for param in params:
+            measure_id = f"{base}:{param:g}"
+            if base == "vajda" and not param >= 1.0:
+                raise CliInputError(f"bad parameter in measure "
+                                    f"{measure_id!r}: exponent must "
+                                    f"satisfy m >= 1")
+            resolved.append((measure_id, param,
+                             lambda pair, f=fn, v=param: f(pair, v)))
     if not resolved:
         raise CliInputError("no measures requested")
     return resolved
@@ -304,19 +308,22 @@ def _cmd_sweep(args) -> int:
         rows = []
         for pair in group:
             rb = ratio_bounds(pair)
-            degenerate = rb.r == rb.R
+            moments = None if rb.r == rb.R else PairMoments.of(pair)
             for s in grid:
                 sp = SParameter.from_value(s)
+                value = omega_s(pair, sp)
                 a = b = gap_half_e = gap_e_star = None
-                if not degenerate:
+                if moments is not None:
                     a = bounds_mod.a_omega(rb, sp)
                     b = bounds_mod.b_omega(rb, sp)
                     if sp.s >= -1.0:
-                        gap_half_e = theorem42_bounds(
-                            pair, rb, sp, GapTarget.HALF_E).minimum
-                        gap_e_star = theorem42_bounds(
-                            pair, rb, sp, GapTarget.E_STAR).minimum
-                rows.append((pid, s, sp.regime.value, omega_s(pair, sp),
+                        gap_half_e, gap_e_star = (
+                            theorem42_bounds(pair, rb, sp, target,
+                                             moments=moments,
+                                             omega=value).minimum
+                            for target in (GapTarget.HALF_E,
+                                           GapTarget.E_STAR))
+                rows.append((pid, s, sp.regime.value, value,
                              bounds_mod.e_omega(pair, sp),
                              bounds_mod.e_star_omega(pair, sp),
                              a, b, gap_half_e, gap_e_star))
@@ -464,7 +471,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except CliInputError as exc:
+    # Every domain error of the library is a ValueError subclass raised
+    # before any record is written; it is an input error like the others.
+    except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

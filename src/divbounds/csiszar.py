@@ -114,13 +114,15 @@ def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
 
 def dragomir_e(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """First-derivative upper functional: sum of (p - q) f'(p/q)."""
-    return fsum((p - q) * gen.d1(p / q)
+    d1 = gen.d1
+    return fsum((p - q) * d1(p / q)
                 for p, q in zip(pair.p.values, pair.q.values) if p != q)
 
 
 def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """Midpoint-argument variant: sum of (p - q) f'((p + q)/(2q))."""
-    return fsum((p - q) * gen.d1((p + q) / (2.0 * q))
+    d1 = gen.d1
+    return fsum((p - q) * d1((p + q) / (2.0 * q))
                 for p, q in zip(pair.p.values, pair.q.values) if p != q)
 
 

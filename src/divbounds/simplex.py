@@ -49,6 +49,17 @@ class InvalidRatioBounds(SimplexError):
     """Ratio bounds violating 0 < r <= 1 <= R."""
 
 
+def _check_components(values: tuple[float, ...]) -> None:
+    if len(values) < 2:
+        raise DimensionTooSmall(
+            f"need at least 2 components, got {len(values)}")
+    for i, v in enumerate(values):
+        if not (math.isfinite(v) and v > 0.0):
+            raise NonPositiveComponent(
+                f"component {i} is {v!r}; every component must be a "
+                "strictly positive finite real")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A validated point of the open probability simplex."""
@@ -56,14 +67,7 @@ class Distribution:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise DimensionTooSmall(
-                f"need at least 2 components, got {len(self.values)}")
-        for i, v in enumerate(self.values):
-            if not (math.isfinite(v) and v > 0.0):
-                raise NonPositiveComponent(
-                    f"component {i} is {v!r}; every component must be a "
-                    "strictly positive finite real")
+        _check_components(self.values)
         total = math.fsum(self.values)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumOutOfTolerance(
@@ -121,15 +125,10 @@ def validate(raw: Sequence[float] | Iterable[float],
     ``SUM_TOLERANCE`` of one.  Strict positivity is required either way.
     """
     values = tuple(float(v) for v in raw)
-    if len(values) < 2:
-        raise DimensionTooSmall(
-            f"need at least 2 components, got {len(values)}")
-    for i, v in enumerate(values):
-        if not (math.isfinite(v) and v > 0.0):
-            raise NonPositiveComponent(
-                f"component {i} is {v!r}; every component must be a "
-                "strictly positive finite real")
     if renormalize:
+        # Dividing by a negative sum would make all-negative components
+        # positive, so the raw values are checked first.
+        _check_components(values)
         total = math.fsum(values)
         values = tuple(v / total for v in values)
     return Distribution(values)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from math import expm1, fsum, log, log1p
+from math import exp, expm1, fsum, isfinite, log, log1p
+from typing import Callable
 
 from .csiszar import GeneratorFunction
 from .divergences import (
@@ -149,19 +150,40 @@ def psi_s(x: float, s: float | SParameter) -> float:
     return (x * math.pow(u, sv) - x - sv * 0.5 * (1.0 - x)) / (sv * (sv - 1.0))
 
 
+def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
+    """psi_s' for one parameter as a closure: the regime is resolved and s,
+    s - 1 are bound once, since the generic engine calls it per component.
+    The argument check is inlined for the same reason; it must raise
+    exactly as _check_positive does."""
+    if sp.regime is Regime.LIMIT_AT_ZERO:
+        def d1(x: float) -> float:
+            if not (isfinite(x) and x > 0.0):
+                raise NonPositiveArgument(
+                    f"argument must be in (0, inf), got {x!r}")
+            return 0.5 * (1.0 - x) / (1.0 + x) - log((x + 1.0) / (2.0 * x))
+    elif sp.regime is Regime.LIMIT_AT_ONE:
+        def d1(x: float) -> float:
+            if not (isfinite(x) and x > 0.0):
+                raise NonPositiveArgument(
+                    f"argument must be in (0, inf), got {x!r}")
+            return 0.5 * (1.0 - 1.0 / x + log((x + 1.0) / (2.0 * x)))
+    else:
+        sv = sp.s
+        sv_m1 = sv - 1.0
+
+        def d1(x: float) -> float:
+            if not (isfinite(x) and x > 0.0):
+                raise NonPositiveArgument(
+                    f"argument must be in (0, inf), got {x!r}")
+            lu = log((x + 1.0) / (2.0 * x))
+            power_term = expm1(sv * lu) / sv  # (u^s - 1)/s
+            return (power_term + 0.5 * (1.0 - exp(sv_m1 * lu) / x)) / sv_m1
+    return d1
+
+
 def psi_s_d1(x: float, s: float | SParameter) -> float:
     """First derivative of psi_s."""
-    _check_positive(x)
-    sp = _sparam(s)
-    u = (x + 1.0) / (2.0 * x)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
-        return 0.5 * (1.0 - x) / (1.0 + x) - log(u)
-    if sp.regime is Regime.LIMIT_AT_ONE:
-        return 0.5 * (1.0 - 1.0 / x + log(u))
-    sv = sp.s
-    lu = log(u)
-    power_term = expm1(sv * lu) / sv  # (u^s - 1)/s
-    return (power_term + 0.5 * (1.0 - math.exp((sv - 1.0) * lu) / x)) / (sv - 1.0)
+    return _psi_d1_kernel(_sparam(s))(x)
 
 
 def psi_s_d2(x: float, s: float | SParameter) -> float:
@@ -192,7 +214,7 @@ def generator(s: float | SParameter) -> GeneratorFunction:
     sp = _sparam(s)
     return GeneratorFunction(
         fn=lambda x: psi_s(x, sp),
-        d1=lambda x: psi_s_d1(x, sp),
+        d1=_psi_d1_kernel(sp),
         d2=lambda x: psi_s_d2(x, sp),
         d3=lambda x: psi_s_d3(x, sp),
         label=f"unified_ag_js[s={sp.s:g}]",

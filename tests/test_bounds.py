@@ -6,6 +6,7 @@ import pytest
 from divbounds import (
     DistributionPair,
     GapTarget,
+    PairMoments,
     a_omega,
     b_omega,
     bound_a,
@@ -223,6 +224,33 @@ class TestGapBundles:
                     for data_term, cap_term in zip(bundle.candidates,
                                                    bundle.cap_candidates):
                         assert data_term <= cap_term + 1e-10
+
+
+    def test_precomputed_inputs_change_nothing(self, make_pairs):
+        """Passing the pair's moments and omega_s, as verify_all and the
+        sweep command do, gives the plain call's bundle field for field."""
+        for pair in make_pairs(70, seed=75):
+            rb = ratio_bounds(pair)
+            if rb.r == rb.R:
+                continue
+            moments = PairMoments.of(pair)
+            for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                for target in GapTarget:
+                    plain = theorem42_bounds(pair, rb, s, target)
+                    given = theorem42_bounds(pair, rb, s, target,
+                                             moments=moments,
+                                             omega=omega_s(pair, s))
+                    assert given == plain
+
+    def test_pair_moments(self, make_pairs):
+        """The m = 2 absolute moment is the chi-square to the last bit,
+        which lets verify_all's moment chain read it from PairMoments."""
+        for pair in make_pairs(70, seed=77):
+            moments = PairMoments.of(pair)
+            assert moments == PairMoments(chi_squared(pair),
+                                          vajda_abs_chi(pair, 3.0),
+                                          vajda_abs_chi(pair, 1.0))
+            assert vajda_abs_chi(pair, 2.0) == moments.chi2
 
 
 class TestAbsoluteMomentChains:

@@ -168,6 +168,14 @@ class TestCompute:
                                 "--measures", "omega", "--s-list", "0,inf"),
                            "finite")
 
+    @pytest.mark.parametrize("measures, s_list", [("vajda:0.5", "1"),
+                                                  ("vajda", "2,0.5")])
+    def test_vajda_exponent_below_one(self, std_csv, capsys, measures,
+                                      s_list):
+        assert_input_error(*run(capsys, "compute", "--input", std_csv,
+                                "--measures", measures, "--s-list", s_list),
+                           "vajda:0.5", "m >= 1")
+
     def test_json_boolean_component(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text('{"pairs": [{"id": "t", "p": [true, 1e-7], '
@@ -283,6 +291,14 @@ class TestVerify:
     def test_non_finite_s_list(self, std_csv, capsys):
         assert_input_error(*run(capsys, "verify", "--input", std_csv,
                                 "--s-list", "nan"), "s-list", "finite")
+
+    def test_library_domain_error_is_input_error(self, tmp_path, capsys):
+        # 0.5 / 1e-320 overflows, so the ratio bounds are rejected
+        path = tmp_path / "overflow.json"
+        path.write_text('{"pairs": [{"id": "o", "p": [0.5, 0.5], '
+                        '"q": [1e-320, 1.0]}]}')
+        assert_input_error(*run(capsys, "verify", "--input", str(path)),
+                           "R=inf")
 
     def test_csv_format(self, std_csv, capsys):
         code, out, _ = run(capsys, "verify", "--input", std_csv,

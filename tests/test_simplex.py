@@ -40,6 +40,11 @@ class TestValidate:
         with pytest.raises(NonPositiveComponent):
             validate((1.5, -0.5))
 
+    def test_negative_rejected_before_renormalizing(self):
+        # dividing by the negative sum would make both components positive
+        with pytest.raises(NonPositiveComponent, match="component 0 is -1.0"):
+            validate((-1.0, -3.0), renormalize=True)
+
     def test_nan_rejected(self):
         with pytest.raises(NonPositiveComponent):
             validate((0.5, float("nan")))

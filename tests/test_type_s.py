@@ -200,3 +200,51 @@ class TestPsi:
         assert gen.label == "unified_ag_js[s=0.5]"
         assert close(csiszar_divergence(std_pair, gen),
                      omega_s(std_pair, 0.5))
+
+
+def _psi_d1_reference(x, s):
+    """psi_s' written out per call, as the generator evaluated it before
+    the per-parameter kernel: the fast path must match it bit for bit."""
+    sp = SParameter.from_value(s)
+    u = (x + 1.0) / (2.0 * x)
+    if sp.regime is Regime.LIMIT_AT_ZERO:
+        return 0.5 * (1.0 - x) / (1.0 + x) - math.log(u)
+    if sp.regime is Regime.LIMIT_AT_ONE:
+        return 0.5 * (1.0 - 1.0 / x + math.log(u))
+    sv = sp.s
+    lu = math.log(u)
+    power_term = math.expm1(sv * lu) / sv
+    return (power_term + 0.5 * (1.0 - math.exp((sv - 1.0) * lu) / x)) / (sv - 1.0)
+
+
+class TestFastD1:
+    # Every regime, including parameters just inside and outside the limit
+    # switch, and ratios at both extremes and on either side of one.
+    S_VALUES = (-3.0, -1.0, -0.5, -1e-5, 0.0, 2e-6, 2e-5, 0.5, 1.0 - 2e-5,
+                1.0, 1.0 + 1e-5, 2.0, 7.5)
+    X_VALUES = (1e-300, 1e-200, 1e-12, 0.01, 0.5, 1.0 - 1e-12, 1.0,
+                1.0 + 2.2e-16, 1.0 + 1e-9, 1.5, 100.0, 1e12, 1e200, 1e300)
+
+    @staticmethod
+    def outcome(fn, *args):
+        # repr tells -0.0 from 0.0 and makes NaN equal to itself; an
+        # overflow must happen on both paths alike.
+        try:
+            return repr(fn(*args))
+        except ArithmeticError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    def test_generator_d1_matches_reference(self, s):
+        d1 = generator(s).d1
+        for x in self.X_VALUES:
+            expected = self.outcome(_psi_d1_reference, x, s)
+            assert self.outcome(d1, x) == expected, (s, x)
+            assert self.outcome(psi_s_d1, x, s) == expected, (s, x)
+
+    @pytest.mark.parametrize("s", (-0.5, 0.0, 1.0))
+    @pytest.mark.parametrize("x", (0.0, -1.0, math.inf, math.nan))
+    def test_generator_d1_rejects_nonpositive(self, s, x):
+        with pytest.raises(NonPositiveArgument,
+                           match=r"argument must be in \(0, inf\)"):
+            generator(s).d1(x)
