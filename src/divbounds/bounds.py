@@ -16,21 +16,22 @@ from math import fsum, log
 
 from . import csiszar
 from .csiszar import (
-    DegenerateInterval,
     GapBounds,
     GapTarget,
-    IntervalNotStraddlingOne,
+    PairMoments,
+    _gap_bounds,
+    _require_distinct,
+    _require_straddle,
 )
 from .divergences import (
     chi_squared,
     power_difference_divergence,
     relative_j_divergence,
     triangular_discrimination,
-    vajda_abs_chi,
 )
 from .means import lp_power
 from .simplex import DistributionPair, RatioBounds, ratio_bounds
-from .type_s import Regime, SParameter, _sparam, generator, omega_s, psi_s_d1
+from .type_s import Regime, SParameter, _sparam, generator, omega_s, psi_s_d3
 
 #: An inequality entry passes when slack = rhs - lhs >= -VIOLATION_TOLERANCE.
 #: An order of magnitude above worst observed rounding slack in double
@@ -69,20 +70,11 @@ class SOutOfRange(ValueError):
     s >= -1."""
 
 
-@dataclass(frozen=True)
-class PairMoments:
-    """The pair-level sums the gap bounds read: chi-square, the cubic
-    absolute moment |chi|^3 and the total variation V.  They do not depend
-    on s, so a caller checking many s-values builds them once per pair."""
-
-    chi2: float
-    abs_chi3: float
-    variation: float
-
-    @classmethod
-    def of(cls, pair: DistributionPair) -> "PairMoments":
-        return cls(chi_squared(pair), vajda_abs_chi(pair, 3.0),
-                   vajda_abs_chi(pair, 1.0))
+def _gap_parameter(s: float | SParameter) -> SParameter:
+    sp = _sparam(s)
+    if sp.s < -1.0:
+        raise SOutOfRange(f"requires s >= -1, got {sp.s!r}")
+    return sp
 
 
 def e_omega(pair: DistributionPair, s: float | SParameter) -> float:
@@ -142,8 +134,7 @@ def a_omega(rb: RatioBounds, s: float | SParameter) -> float:
 
     Equals the generic bound_a with the family generator.
     """
-    if rb.r == rb.R:
-        raise DegenerateInterval("bound requires r < R")
+    _require_distinct(rb)
     sc = _sparam(s).canonical
     r, R = rb.r, rb.R
     end_a, end_b = (r + 1.0) / r, (R + 1.0) / R
@@ -160,9 +151,7 @@ def b_omega(rb: RatioBounds, s: float | SParameter) -> float:
 
 def b_omega_closed_form(rb: RatioBounds, s: float | SParameter) -> float:
     """Closed form of b_omega, used as a cross-check."""
-    if not (rb.r < 1.0 < rb.R):
-        raise IntervalNotStraddlingOne(
-            f"bound requires r < 1 < R, got ({rb.r!r}, {rb.R!r})")
+    _require_straddle(rb)
     sp = _sparam(s)
     r, R = rb.r, rb.R
     end_a, end_b = (r + 1.0) / (2.0 * r), (R + 1.0) / (2.0 * R)
@@ -182,11 +171,8 @@ def delta_omega(rb: RatioBounds, s: float | SParameter) -> float:
     """Second-derivative spread of the family generator over the ratio
     interval: psi''(r) - psi''(R).  Positive for r < R and s >= -1 because
     the second derivative is strictly decreasing there."""
-    sp = _sparam(s)
-    if sp.s < -1.0:
-        raise SOutOfRange(f"requires s >= -1, got {sp.s!r}")
-    if rb.r == rb.R:
-        raise DegenerateInterval("requires r < R")
+    sp = _gap_parameter(s)
+    _require_distinct(rb)
     sc = sp.canonical
     r, R = rb.r, rb.R
     return 0.25 * ((1.0 / (r * r * r)) * math.pow((r + 1.0) / (2.0 * r), sc - 2.0)
@@ -197,65 +183,38 @@ def psi3_sup(rb: RatioBounds, s: float | SParameter) -> float:
     """Supremum of |psi'''| over the ratio interval for s >= -1.
 
     |psi'''| is monotonically decreasing there, so the supremum is attained
-    at the left endpoint and has the closed form
+    at the left endpoint and has the closed form |psi'''(r)| =
     (s + 1 + 3r) / (r^2 (r+1)^3) ((r+1)/(2r))^s.
     """
-    sp = _sparam(s)
-    if sp.s < -1.0:
-        raise SOutOfRange(f"requires s >= -1, got {sp.s!r}")
-    r = rb.r
-    one_plus = r + 1.0
-    return ((sp.s + 1.0 + 3.0 * r) / (r * r * one_plus ** 3)
-            * math.pow(one_plus / (2.0 * r), sp.s))
+    return abs(psi_s_d3(rb.r, _gap_parameter(s)))
 
 
 def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
                      s: float | SParameter, target: GapTarget, *,
                      moments: PairMoments | None = None,
                      omega: float | None = None) -> GapBounds:
-    """Third-derivative gap bounds specialized to the family generator.
+    """Third-derivative gap bounds specialized to the family generator:
+    theorem33_bounds for psi_s, fed with the closed forms delta_omega and
+    psi3_sup and the curvature sign -1.
 
-    The curvature sign is -1 without sampling: psi'' is monotonically
-    decreasing for every s >= -1 (psi''' <= 0 there), so the curvature
-    candidate is the positive spread delta/8 times chi-square.
+    The sign needs no sampling: psi'' is monotonically decreasing for every
+    s >= -1 (psi''' <= 0 there), so the curvature candidate is the positive
+    spread delta/8 times chi-square.
 
     A caller that already holds ``PairMoments.of(pair)`` or
     ``omega_s(pair, s)`` may pass it as ``moments`` or ``omega``; each is
     computed here when omitted.
     """
     target = GapTarget(target)
-    sp = _sparam(s)
-    if sp.s < -1.0:
-        raise SOutOfRange(f"requires s >= -1, got {sp.s!r}")
-    r, R = rb.r, rb.R
-    if not (r < 1.0 < R):
-        raise IntervalNotStraddlingOne(
-            f"gap bounds require r < 1 < R, got ({r!r}, {R!r})")
+    sp = _gap_parameter(s)
+    _require_straddle(rb)
     spread = delta_omega(rb, sp)
     sup3 = psi3_sup(rb, sp)
-    d1_spread = psi_s_d1(R, sp) - psi_s_d1(r, sp)
     if moments is None:
         moments = PairMoments.of(pair)
     value = omega_s(pair, sp) if omega is None else omega
-    if target is GapTarget.HALF_E:
-        observed = abs(value - 0.5 * e_omega(pair, sp))
-        third_factor, first_factor = 1.0 / 12.0, 1.0
-    else:
-        observed = abs(value - e_star_omega(pair, sp))
-        third_factor, first_factor = 1.0 / 24.0, 0.5
-    candidates = (
-        spread * moments.chi2 / 8.0,
-        third_factor * sup3 * moments.abs_chi3,
-        first_factor * d1_spread * moments.variation,
-    )
-    width = R - r
-    caps = (
-        spread * (width * width / 4.0) / 8.0,
-        third_factor * sup3 * (width ** 3 / 8.0),
-        first_factor * d1_spread * (width / 2.0),
-    )
-    return GapBounds(target, observed, candidates, min(candidates),
-                     caps, min(caps), -1)
+    return _gap_bounds(pair, rb, generator(sp), target, value, spread, -1,
+                       sup3, moments)
 
 
 @dataclass(frozen=True)
@@ -324,9 +283,13 @@ def _tv_chain_factors(r: float, R: float, m: float) -> tuple[float, float]:
     return lower, upper
 
 
+def _s_key(s: float | None):
+    # pair-level rows (no s) come before the per-s rows
+    return (0, 0.0) if s is None else (1, s)
+
+
 def _sort_key(item):
-    ctx = item.context
-    return ((0, 0.0) if ctx.s is None else (1, ctx.s)), item.inequality_id
+    return _s_key(item.context.s), item.inequality_id
 
 
 def verify_all(pair: DistributionPair, s_values, *,

@@ -14,6 +14,7 @@ inequality violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -33,7 +34,8 @@ from .simplex import (
     validate,
 )
 from .type_s import SParameter, omega_s, phi_s
-from .bounds import REPORT_NOTES, PairMoments, theorem42_bounds, verify_all
+from .bounds import (REPORT_NOTES, PairMoments, _s_key, theorem42_bounds,
+                     verify_all)
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -85,11 +87,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _s_key(s: float | None):
-    # pair-level rows (no s) come before the per-s rows
-    return (0, 0.0) if s is None else (1, s)
-
-
 def _parse_s_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(SParameter.from_value(tok).s
@@ -136,8 +133,8 @@ def _load_csv_pairs(text: str, renormalize: bool):
     if header[:2] != ["pair_id", "role"]:
         raise CliInputError(
             "CSV header must start with pair_id,role followed by components")
+    # dicts keep insertion order: pairs come out in first-seen id order
     staged: dict[str, dict[str, tuple[float, ...]]] = {}
-    order: list[str] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) < 3:
             raise CliInputError(f"line {lineno}: expected at least 3 cells")
@@ -151,14 +148,11 @@ def _load_csv_pairs(text: str, renormalize: bool):
         except ValueError as exc:
             raise CliInputError(f"pair {pid}: bad component: {exc}") from None
         slot = staged.setdefault(pid, {})
-        if pid not in order:
-            order.append(pid)
         if role in slot:
             raise CliInputError(f"pair {pid}: duplicate role {role}")
         slot[role] = values
     out = []
-    for pid in order:
-        slot = staged[pid]
+    for pid, slot in staged.items():
         for role in ("P", "Q"):
             if role not in slot:
                 raise CliInputError(f"pair {pid}: missing role {role}")
@@ -243,10 +237,24 @@ def _groups(pairs, *always: str):
     return sorted(groups.items())
 
 
-def _write_records(records, columns, args) -> None:
-    out = sys.stdout if args.output == "-" else open(
-        args.output, "w", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _output(path: str):
+    """Standard output for "-", else the file at ``path`` opened for
+    writing and closed on exit; a path that cannot be opened is an input
+    error."""
+    if path == "-":
+        yield sys.stdout
+        return
     try:
+        out = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from None
+    with out:
+        yield out
+
+
+def _write_records(records, columns, args) -> None:
+    with _output(args.output) as out:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(columns)
@@ -255,9 +263,6 @@ def _write_records(records, columns, args) -> None:
             encode = _JSON.encode
             out.writelines(encode(dict(zip(columns, row))) + "\n"
                            for row in records)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _cmd_compute(args) -> int:
@@ -378,14 +383,7 @@ def _cmd_gen(args) -> int:
     if args.count < 1:
         raise CliInputError(f"count must be >= 1, got {args.count}")
     width = max(4, len(str(args.count)))
-    out = sys.stdout if args.output == "-" else None
-    try:
-        if out is None:
-            try:
-                out = open(args.output, "w", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise CliInputError(
-                    f"cannot write {args.output}: {exc}") from None
+    with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["pair_id", "role"]
                         + [f"v{i + 1}" for i in range(args.n)])
@@ -394,9 +392,6 @@ def _cmd_gen(args) -> int:
             pid = f"pair-{i:0{width}d}"
             writer.writerow([pid, "P"] + [repr(v) for v in pair.p.values])
             writer.writerow([pid, "Q"] + [repr(v) for v in pair.q.values])
-    finally:
-        if out is not None and out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -475,6 +470,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # before any record is written; it is an input error like the others.
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # Overflow or division by zero at the edge of the simplex, also raised
+    # before any record is written.
+    except ArithmeticError as exc:
+        print(f"error: numeric failure ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return 1
 
 

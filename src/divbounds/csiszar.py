@@ -106,6 +106,34 @@ class GapBounds:
     curvature_sign: int
 
 
+@dataclass(frozen=True)
+class PairMoments:
+    """The pair-level sums the gap bounds read: chi-square, the cubic
+    absolute moment |chi|^3 and the total variation V.  They do not depend
+    on the generator, so a caller checking many generators or s-values
+    builds them once per pair."""
+
+    chi2: float
+    abs_chi3: float
+    variation: float
+
+    @classmethod
+    def of(cls, pair: DistributionPair) -> "PairMoments":
+        return cls(chi_squared(pair), vajda_abs_chi(pair, 3.0),
+                   vajda_abs_chi(pair, 1.0))
+
+
+def _require_distinct(rb: RatioBounds) -> None:
+    if rb.r == rb.R:
+        raise DegenerateInterval("requires r < R")
+
+
+def _require_straddle(rb: RatioBounds) -> None:
+    if not (rb.r < 1.0 < rb.R):
+        raise IntervalNotStraddlingOne(
+            f"requires r < 1 < R, got ({rb.r!r}, {rb.R!r})")
+
+
 def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """sum of q f(p/q); nonnegative for convex normalized f."""
     return fsum(q * gen.fn(p / q)
@@ -128,16 +156,13 @@ def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
 
 def bound_a(rb: RatioBounds, gen: GeneratorFunction) -> float:
     """Ratio-interval bound (R - r)(f'(R) - f'(r))/4, requires r < R."""
-    if rb.r == rb.R:
-        raise DegenerateInterval("bound requires r < R")
+    _require_distinct(rb)
     return 0.25 * (rb.R - rb.r) * (gen.d1(rb.R) - gen.d1(rb.r))
 
 
 def bound_b(rb: RatioBounds, gen: GeneratorFunction) -> float:
     """Chord bound ((R-1) f(r) + (1-r) f(R))/(R - r), requires r < 1 < R."""
-    if not (rb.r < 1.0 < rb.R):
-        raise IntervalNotStraddlingOne(
-            f"bound requires r < 1 < R, got ({rb.r!r}, {rb.R!r})")
+    _require_straddle(rb)
     return ((rb.R - 1.0) * gen.fn(rb.r)
             + (1.0 - rb.r) * gen.fn(rb.R)) / (rb.R - rb.r)
 
@@ -199,6 +224,35 @@ def d3_sup(gen: GeneratorFunction, rb: RatioBounds) -> float:
     return max(best_val, refined)
 
 
+def _gap_bounds(pair: DistributionPair, rb: RatioBounds,
+                gen: GeneratorFunction, target: GapTarget, div: float,
+                curvature: float, k: int, sup3: float,
+                moments: PairMoments) -> GapBounds:
+    # The one body of the gap bounds.  The generator-specific inputs come
+    # from the caller: the divergence, the signed curvature spread
+    # k (f''(R) - f''(r)) with its sign k, and the sup of |f'''| on [r, R].
+    if target is GapTarget.HALF_E:
+        observed = abs(div - 0.5 * dragomir_e(pair, gen))
+        third_factor, first_factor = 1.0 / 12.0, 1.0
+    else:
+        observed = abs(div - dragomir_e_star(pair, gen))
+        third_factor, first_factor = 1.0 / 24.0, 0.5
+    d1_spread = gen.d1(rb.R) - gen.d1(rb.r)
+    candidates = (
+        curvature * moments.chi2 / 8.0,
+        third_factor * sup3 * moments.abs_chi3,
+        first_factor * d1_spread * moments.variation,
+    )
+    width = rb.R - rb.r
+    caps = (
+        curvature * (width * width / 4.0) / 8.0,
+        third_factor * sup3 * (width ** 3 / 8.0),
+        first_factor * d1_spread * (width / 2.0),
+    )
+    return GapBounds(target, observed, candidates, min(candidates),
+                     caps, min(caps), k)
+
+
 def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
                      gen: GeneratorFunction, target: GapTarget) -> GapBounds:
     """Third-derivative bounds on the gap between the divergence and its
@@ -210,37 +264,13 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
     bound candidates, their minimum, and the ratio-interval-only caps.
     """
     target = GapTarget(target)
+    _require_straddle(rb)
     r, R = rb.r, rb.R
-    if not (r < 1.0 < R):
-        raise IntervalNotStraddlingOne(
-            f"gap bounds require r < 1 < R, got ({r!r}, {R!r})")
     k = _curvature_trend(gen, r, R)
     sup3 = d3_sup(gen, rb)
-    chi2 = chi_squared(pair)
-    abs_chi3 = vajda_abs_chi(pair, 3.0)
-    variation = vajda_abs_chi(pair, 1.0)
-    div = csiszar_divergence(pair, gen)
-    if target is GapTarget.HALF_E:
-        observed = abs(div - 0.5 * dragomir_e(pair, gen))
-        third_factor, first_factor = 1.0 / 12.0, 1.0
-    else:
-        observed = abs(div - dragomir_e_star(pair, gen))
-        third_factor, first_factor = 1.0 / 24.0, 0.5
-    curvature = k * (gen.d2(R) - gen.d2(r))
-    d1_spread = gen.d1(R) - gen.d1(r)
-    candidates = (
-        curvature * chi2 / 8.0,
-        third_factor * sup3 * abs_chi3,
-        first_factor * d1_spread * variation,
-    )
-    width = R - r
-    caps = (
-        curvature * (width * width / 4.0) / 8.0,
-        third_factor * sup3 * (width ** 3 / 8.0),
-        first_factor * d1_spread * (width / 2.0),
-    )
-    return GapBounds(target, observed, candidates, min(candidates),
-                     caps, min(caps), k)
+    moments = PairMoments.of(pair)
+    return _gap_bounds(pair, rb, gen, target, csiszar_divergence(pair, gen),
+                       k * (gen.d2(R) - gen.d2(r)), k, sup3, moments)
 
 
 def kl_generator() -> GeneratorFunction:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -34,7 +36,12 @@ from divbounds.bounds import (
     e_omega_closed_form,
     e_star_omega_closed_form,
 )
-from divbounds.csiszar import DegenerateInterval, IntervalNotStraddlingOne
+from divbounds.csiszar import (
+    DegenerateInterval,
+    IntervalNotStraddlingOne,
+    hellinger_generator,
+    kl_generator,
+)
 from divbounds.type_s import NonFiniteParameter
 from divbounds.simplex import RatioBounds
 
@@ -251,6 +258,46 @@ class TestGapBundles:
                                           vajda_abs_chi(pair, 3.0),
                                           vajda_abs_chi(pair, 1.0))
             assert vajda_abs_chi(pair, 2.0) == moments.chi2
+
+
+def digest(values):
+    h = hashlib.sha256()
+    for value in values:
+        h.update(repr(value).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestPinnedBits:
+    """SHA-256 over the repr of every value, frozen from the implementation
+    in which theorem42_bounds and theorem33_bounds each had their own gap
+    bound body and psi3_sup its own formula.  The other tests compare to
+    1e-11; these catch a drift in the last bit."""
+
+    def test_theorem42_bundles(self, make_pairs):
+        bundles = (dataclasses.astuple(theorem42_bounds(pair, rb, s, target))
+                   for pair in make_pairs(126, seed=83)
+                   for rb in (ratio_bounds(pair),)
+                   for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+                   for target in GapTarget)
+        assert digest(bundles) == (
+            "82fca46ee93a02e7cd6fceee3a881741fd046e96768063d068c2235631c4f622")
+
+    def test_theorem33_bundles(self, make_pairs):
+        gens = [kl_generator(), hellinger_generator(), generator(-0.5),
+                generator(2.0)]
+        bundles = (dataclasses.astuple(theorem33_bounds(pair, rb, gen, target))
+                   for pair in make_pairs(63, seed=41)
+                   for rb in (ratio_bounds(pair),)
+                   for gen in gens
+                   for target in GapTarget)
+        assert digest(bundles) == (
+            "75c8ac7d0d8cd28642e6c262a6338e36f8c09db719a16fb2dd3f699e97823f51")
+
+    def test_psi3_sup(self):
+        sups = (psi3_sup(rb, s) for rb in random_intervals(1000, seed=31)
+                for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0))
+        assert digest(sups) == (
+            "715b2a4950ca884eee68fb3247519d370f652fe65c7c5017d84f5de667f6e040")
 
 
 class TestAbsoluteMomentChains:

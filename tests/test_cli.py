@@ -308,6 +308,50 @@ class TestVerify:
         assert header == "pair_id,s,inequality_id,lhs,rhs,slack,verdict,reason"
 
 
+# r = 2e-300: r^3 underflows to zero in delta_omega (verify), and
+# ((p + q)/(2p))^2 overflows in omega_s (compute omega:2).
+@pytest.mark.parametrize("argv", [("verify",),
+                                  ("compute", "--measures", "omega:2")])
+def test_arithmetic_error_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "tiny.json"
+    path.write_text('{"pairs": [{"id": "z", "p": [1e-300, 1.0], '
+                    '"q": [0.5, 0.5]}]}')
+    assert_input_error(*run(capsys, *argv, "--input", str(path)),
+                       "numeric failure")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--input", None),
+    ("compute", "--measures", "kl", "--input", None),
+    ("sweep", "--s-min", "0", "--s-max", "1", "--s-step", "1", "--input",
+     None),
+    ("gen", "--n", "2", "--count", "1"),
+])
+def test_unwritable_output_is_input_error(std_csv, tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "out")
+    argv = [std_csv if arg is None else arg for arg in argv]
+    assert_input_error(*run(capsys, *argv, "--output", target),
+                       "cannot write", target)
+
+
+class TestLoadPairs:
+    def test_csv_pairs_in_first_seen_order(self, tmp_path):
+        path = tmp_path / "interleaved.csv"
+        path.write_text("pair_id,role,v1,v2\n"
+                        "b,Q,0.25,0.75\n"
+                        "a,P,0.5,0.5\n"
+                        "c,P,0.9,0.1\n"
+                        "b,P,0.1,0.9\n"
+                        "a,Q,0.6,0.4\n"
+                        "c,Q,0.3,0.7\n")
+        pairs = cli.load_pairs(str(path), renormalize=False)
+        assert [(pid, pair.p.values, pair.q.values) for pid, pair in pairs] == [
+            ("b", (0.1, 0.9), (0.25, 0.75)),
+            ("a", (0.5, 0.5), (0.6, 0.4)),
+            ("c", (0.9, 0.1), (0.3, 0.7)),
+        ]
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("name", sorted(EDGE_COMMANDS))
 def test_edge_output_bytes_pinned(tmp_path, name, fmt):
