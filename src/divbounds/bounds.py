@@ -70,6 +70,10 @@ class SOutOfRange(ValueError):
     s >= -1."""
 
 
+class InvalidTolerance(ValueError):
+    """Violation tolerance that is NaN, infinite or negative."""
+
+
 def _gap_parameter(s: float | SParameter) -> SParameter:
     sp = _sparam(s)
     if sp.s < -1.0:
@@ -273,6 +277,13 @@ def _entry(inequality_id: str, lhs: float, rhs: float,
     return BoundEntry(inequality_id, lhs, rhs, slack, verdict, context)
 
 
+def _agreement(inequality_id: str, closed: float, generic: float,
+               context: CheckContext, tolerance: float) -> BoundEntry:
+    # relative to the authoritative generic value, absolute near zero
+    return _entry(inequality_id, abs(generic - closed),
+                  CROSS_CHECK_REL * (1.0 + abs(generic)), context, tolerance)
+
+
 def _tv_chain_factors(r: float, R: float, m: float) -> tuple[float, float]:
     # (1 - r^m)/(1 - r) and (R^m - 1)/(R - 1); both tend to m as the
     # endpoint tends to 1, the value used inside the guard band.
@@ -304,8 +315,12 @@ def verify_all(pair: DistributionPair, s_values, *,
     bounds (the latter only for s >= -1; other s are skipped, not
     extrapolated).  Degenerate pairs (P = Q, so r = R = 1) skip every
     interval-dependent entry with a recorded reason.  Entries are ordered
-    by (s, inequality_id); pair-level entries sort first.
+    by (s, inequality_id); pair-level entries sort first.  The violation
+    tolerance must be finite and nonnegative.
     """
+    if not (math.isfinite(violation_tolerance) and violation_tolerance >= 0.0):
+        raise InvalidTolerance(f"violation tolerance must be finite and >= 0, "
+                               f"got {violation_tolerance!r}")
     rb = ratio_bounds(pair)
     r, R = rb.r, rb.R
     degenerate = r == R
@@ -367,13 +382,10 @@ def verify_all(pair: DistributionPair, s_values, *,
                               violation_tolerance))
         entries.append(_entry("omega_le_e", value, e_val, ctx,
                               violation_tolerance))
-        entries.append(_entry(
-            "e_closed_form_agrees", abs(e_val - e_closed),
-            CROSS_CHECK_REL * (1.0 + abs(e_val)), ctx, violation_tolerance))
-        entries.append(_entry(
-            "e_star_closed_form_agrees", abs(e_star_val - e_star_closed),
-            CROSS_CHECK_REL * (1.0 + abs(e_star_val)), ctx,
-            violation_tolerance))
+        entries.append(_agreement("e_closed_form_agrees", e_closed, e_val,
+                                  ctx, violation_tolerance))
+        entries.append(_agreement("e_star_closed_form_agrees", e_star_closed,
+                                  e_star_val, ctx, violation_tolerance))
         if degenerate:
             skip("interval_bounds", "ratio interval degenerate (P = Q)", ctx)
             skip("gap_bounds", "ratio interval degenerate (P = Q)", ctx)
@@ -395,13 +407,10 @@ def verify_all(pair: DistributionPair, s_values, *,
                               violation_tolerance))
         entries.append(_entry("b_gap_le_a", b_val - value, a_val, ctx,
                               violation_tolerance))
-        entries.append(_entry(
-            "a_closed_form_agrees", abs(a_val - a_generic),
-            CROSS_CHECK_REL * (1.0 + abs(a_generic)), ctx,
-            violation_tolerance))
-        entries.append(_entry(
-            "b_closed_form_agrees", abs(b_val - b_closed),
-            CROSS_CHECK_REL * (1.0 + abs(b_val)), ctx, violation_tolerance))
+        entries.append(_agreement("a_closed_form_agrees", a_val, a_generic,
+                                  ctx, violation_tolerance))
+        entries.append(_agreement("b_closed_form_agrees", b_closed, b_val,
+                                  ctx, violation_tolerance))
         if sp.s < -1.0:
             skip("gap_bounds",
                  "third-derivative bounds restricted to s >= -1", ctx)

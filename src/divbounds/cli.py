@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -28,7 +29,6 @@ from . import divergences as div
 from .csiszar import GapTarget
 from .simplex import (
     DistributionPair,
-    SimplexError,
     random_pair,
     ratio_bounds,
     validate,
@@ -98,6 +98,18 @@ def _parse_s_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _pair(pid: str, raw, renormalize: bool):
+    """(pid, pair) from the raw P and Q components, or an input error."""
+    try:
+        if any(isinstance(v, bool) for part in raw
+               if isinstance(part, list) for v in part):
+            raise TypeError("components must be numbers, not booleans")
+        return pid, DistributionPair(*(validate(part, renormalize=renormalize)
+                                       for part in raw))
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f"pair {pid}: {exc}") from None
+
+
 def _load_json_pairs(text: str, renormalize: bool):
     try:
         doc = json.loads(text)
@@ -112,15 +124,9 @@ def _load_json_pairs(text: str, renormalize: bool):
         pid = str(rec.get("id", f"pair-{i}"))
         try:
             raw = rec["p"], rec["q"]
-            if any(isinstance(v, bool) for part in raw
-                   if isinstance(part, list) for v in part):
-                raise TypeError("components must be numbers, not booleans")
-            p, q = (validate(part, renormalize=renormalize) for part in raw)
-            out.append((pid, DistributionPair(p, q)))
         except KeyError as exc:
             raise CliInputError(f"pair {pid}: missing field {exc}") from None
-        except (SimplexError, TypeError, ValueError) as exc:
-            raise CliInputError(f"pair {pid}: {exc}") from None
+        out.append(_pair(pid, raw, renormalize))
     return out
 
 
@@ -156,16 +162,7 @@ def _load_csv_pairs(text: str, renormalize: bool):
         for role in ("P", "Q"):
             if role not in slot:
                 raise CliInputError(f"pair {pid}: missing role {role}")
-        if len(slot["P"]) != len(slot["Q"]):
-            raise CliInputError(
-                f"pair {pid}: P has {len(slot['P'])} components, "
-                f"Q has {len(slot['Q'])}")
-        try:
-            pair = DistributionPair(validate(slot["P"], renormalize=renormalize),
-                                    validate(slot["Q"], renormalize=renormalize))
-        except SimplexError as exc:
-            raise CliInputError(f"pair {pid}: {exc}") from None
-        out.append((pid, pair))
+        out.append(_pair(pid, (slot["P"], slot["Q"]), renormalize))
     return out
 
 
@@ -201,26 +198,24 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             base, _, arg = token.partition(":")
             if base not in _PARAMETRIC_MEASURES:
                 raise CliInputError(f"unknown parametric measure {base!r}")
-            try:
-                params = (SParameter.from_value(arg).s,)
-            except ValueError as exc:
-                raise CliInputError(
-                    f"bad parameter in measure {token!r}: {exc}") from None
+            params = ((token, arg),)
         elif token in _PARAMETRIC_MEASURES:
-            base, params = token, s_list
+            base, params = token, ((f"{token}:{s:g}", s) for s in s_list)
         elif token in _SIMPLE_MEASURES:
             resolved.append((token, None, _SIMPLE_MEASURES[token]))
             continue
         else:
             raise CliInputError(f"unknown measure {token!r}")
         fn = _PARAMETRIC_MEASURES[base]
-        for param in params:
-            measure_id = f"{base}:{param:g}"
-            if base == "vajda" and not param >= 1.0:
-                raise CliInputError(f"bad parameter in measure "
-                                    f"{measure_id!r}: exponent must "
-                                    f"satisfy m >= 1")
-            resolved.append((measure_id, param,
+        for label, arg in params:
+            try:
+                param = SParameter.from_value(arg).s
+                if base == "vajda":
+                    div._check_exponent(param)
+            except ValueError as exc:
+                raise CliInputError(
+                    f"bad parameter in measure {label!r}: {exc}") from None
+            resolved.append((f"{base}:{param:g}", param,
                              lambda pair, f=fn, v=param: f(pair, v)))
     if not resolved:
         raise CliInputError("no measures requested")
@@ -240,17 +235,26 @@ def _groups(pairs, *always: str):
 @contextlib.contextmanager
 def _output(path: str):
     """Standard output for "-", else the file at ``path`` opened for
-    writing and closed on exit; a path that cannot be opened is an input
-    error."""
-    if path == "-":
-        yield sys.stdout
-        return
+    writing and closed on exit.  A path that cannot be opened and a write
+    that fails (a full device, a reader that closed the pipe) are input
+    errors."""
+    to_stdout = path == "-"
     try:
-        out = open(path, "w", encoding="utf-8", newline="")
+        with (contextlib.nullcontext(sys.stdout) if to_stdout
+              else open(path, "w", encoding="utf-8", newline="")) as out:
+            yield out
+            out.flush()
     except OSError as exc:
-        raise CliInputError(f"cannot write {path}: {exc}") from None
-    with out:
-        yield out
+        if to_stdout:
+            # The interpreter flushes standard output again at exit; point
+            # it at the null device so that flush cannot fail a second time.
+            with contextlib.suppress(OSError, ValueError):
+                fd = sys.stdout.fileno()
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+        name = "standard output" if to_stdout else path
+        raise CliInputError(f"cannot write {name}: {exc}") from None
 
 
 def _write_records(records, columns, args) -> None:
@@ -343,8 +347,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
     s_list = _parse_s_list(args.s_list) if args.s_list else DEFAULT_S_LIST
-    tolerance = args.tolerance if args.tolerance is not None else (
-        bounds_mod.VIOLATION_TOLERANCE)
     # Self-test of the failure path: corrupt the first checked entry of
     # the first pair read.
     corrupt = pairs[0][1] if args.inject_violation else None
@@ -355,17 +357,16 @@ def _cmd_verify(args) -> int:
         rows = [(pid, None, "note", None, None, None, "info", note)
                 for note in (REPORT_NOTES if pid == "*" else ())]
         for pair in group:
-            report = verify_all(pair, s_list, violation_tolerance=tolerance,
-                                pair_id=pid)
-            checked = [(pid, e.context.s, e.inequality_id, e.lhs, e.rhs,
-                        e.slack, e.verdict, None) for e in report.entries]
+            report = verify_all(pair, s_list, pair_id=pid,
+                                violation_tolerance=args.tolerance)
+            entries = report.entries
             if pair is corrupt:
-                _, s, inequality_id, lhs, rhs, _, _, _ = checked[0]
-                lhs += 1.0
-                slack = rhs - lhs
-                checked[0] = (pid, s, inequality_id, lhs, rhs, slack,
-                              "pass" if slack >= -tolerance else "fail", None)
-            rows.extend(checked)
+                first = entries[0]
+                entries = (bounds_mod._entry(
+                    first.inequality_id, first.lhs + 1.0, first.rhs,
+                    first.context, args.tolerance),) + entries[1:]
+            rows.extend((pid, e.context.s, e.inequality_id, e.lhs, e.rhs,
+                         e.slack, e.verdict, None) for e in entries)
             rows.extend((pid, item.context.s, item.inequality_id, None, None,
                          None, "skip", item.reason)
                         for item in report.skipped)
@@ -441,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--s-list", default=None,
                           help="comma-separated family parameters "
                                "(default: -1,-0.5,0,0.5,1,2)")
-    p_verify.add_argument("--tolerance", type=float, default=None,
+    p_verify.add_argument("--tolerance", type=float,
+                          default=bounds_mod.VIOLATION_TOLERANCE,
                           help="violation tolerance override (absolute)")
     p_verify.add_argument("--inject-violation", action="store_true",
                           help="self-test: corrupt one entry to exercise "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Callable
 
-from .divergences import chi_squared, vajda_abs_chi
+from .divergences import chi_squared, total_variation, vajda_abs_chi
 from .simplex import DistributionPair, RatioBounds
 
 #: Points where convexity of a new generator is probed at construction.
@@ -120,7 +120,7 @@ class PairMoments:
     @classmethod
     def of(cls, pair: DistributionPair) -> "PairMoments":
         return cls(chi_squared(pair), vajda_abs_chi(pair, 3.0),
-                   vajda_abs_chi(pair, 1.0))
+                   total_variation(pair))
 
 
 def _require_distinct(rb: RatioBounds) -> None:

@@ -71,29 +71,26 @@ def total_variation(pair: DistributionPair) -> float:
     return fsum(abs(p - q) for p, q in _items(pair))
 
 
+def _check_exponent(m: float) -> None:
+    if not m >= 1.0:
+        raise MOutOfRange(f"exponent must satisfy m >= 1, got {m!r}")
+
+
 def vajda_abs_chi(pair: DistributionPair, m: float) -> float:
     """Absolute-moment divergence: sum of |p - q|^m / q^(m-1), m >= 1.
 
     m = 1 is total variation, m = 2 the Pearson chi-square, m = 3 the cubic
     absolute moment used by the third-derivative bounds.
     """
-    if not m >= 1.0:
-        raise MOutOfRange(f"exponent must satisfy m >= 1, got {m!r}")
-    terms = []
-    for p, q in _items(pair):
-        d = p - q
-        if d == 0.0:
-            continue
-        if m == 1.0:
-            terms.append(abs(d))
-        elif m == 2.0:
-            terms.append(d * d / q)
-        elif m == 3.0:
-            ad = abs(d)
-            terms.append(ad * ad * ad / (q * q))
-        else:
-            terms.append(abs(d) ** m / q ** (m - 1.0))
-    return fsum(terms)
+    _check_exponent(m)
+    if m == 1.0:
+        return total_variation(pair)
+    if m == 2.0:
+        return chi_squared(pair)
+    diffs = [(abs(p - q), q) for p, q in _items(pair) if p != q]
+    if m == 3.0:
+        return fsum(ad * ad * ad / (q * q) for ad, q in diffs)
+    return fsum(ad ** m / q ** (m - 1.0) for ad, q in diffs)
 
 
 def power_difference_divergence(pair: DistributionPair, m: float) -> float:
@@ -103,21 +100,15 @@ def power_difference_divergence(pair: DistributionPair, m: float) -> float:
     ((1 - r^m)/(1 - r)) V and ((R^m - 1)/(R - 1)) V: termwise,
     |x^m - 1|/|x - 1| is increasing in x.  m = 1 is total variation.
     """
-    if not m >= 1.0:
-        raise MOutOfRange(f"exponent must satisfy m >= 1, got {m!r}")
-    terms = []
-    for p, q in _items(pair):
-        if p == q:
-            continue
-        if m == 1.0:
-            terms.append(abs(p - q))
-        elif m == 2.0:
-            terms.append(abs(p * p - q * q) / q)
-        elif m == 3.0:
-            terms.append(abs(p * p * p - q * q * q) / (q * q))
-        else:
-            terms.append(abs(p ** m - q ** m) / q ** (m - 1.0))
-    return fsum(terms)
+    _check_exponent(m)
+    if m == 1.0:
+        return total_variation(pair)
+    items = [(p, q) for p, q in _items(pair) if p != q]
+    if m == 2.0:
+        return fsum(abs(p * p - q * q) / q for p, q in items)
+    if m == 3.0:
+        return fsum(abs(p * p * p - q * q * q) / (q * q) for p, q in items)
+    return fsum(abs(p ** m - q ** m) / q ** (m - 1.0) for p, q in items)
 
 
 class SymmetricId(enum.Enum):

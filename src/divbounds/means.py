@@ -72,5 +72,4 @@ def lp_mean(p: float, a: float, b: float) -> float:
         return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
     if abs(p + 1.0) < BRANCH_SWITCH:
         return (b - a) / (math.log(b) - math.log(a))
-    core = (_pow(b, p + 1.0) - _pow(a, p + 1.0)) / ((p + 1.0) * (b - a))
-    return _pow(core, 1.0 / p)
+    return _pow(lp_power(p, a, b), 1.0 / p)

@@ -153,19 +153,17 @@ def psi_s(x: float, s: float | SParameter) -> float:
 def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
     """psi_s' for one parameter as a closure: the regime is resolved and s,
     s - 1 are bound once, since the generic engine calls it per component.
-    The argument check is inlined for the same reason; it must raise
-    exactly as _check_positive does."""
+    The argument test is inlined for the same reason; only a bad argument
+    goes on to _check_positive, which raises."""
     if sp.regime is Regime.LIMIT_AT_ZERO:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
-                raise NonPositiveArgument(
-                    f"argument must be in (0, inf), got {x!r}")
+                _check_positive(x)
             return 0.5 * (1.0 - x) / (1.0 + x) - log((x + 1.0) / (2.0 * x))
     elif sp.regime is Regime.LIMIT_AT_ONE:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
-                raise NonPositiveArgument(
-                    f"argument must be in (0, inf), got {x!r}")
+                _check_positive(x)
             return 0.5 * (1.0 - 1.0 / x + log((x + 1.0) / (2.0 * x)))
     else:
         sv = sp.s
@@ -173,8 +171,7 @@ def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
 
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
-                raise NonPositiveArgument(
-                    f"argument must be in (0, inf), got {x!r}")
+                _check_positive(x)
             lu = log((x + 1.0) / (2.0 * x))
             power_term = expm1(sv * lu) / sv  # (u^s - 1)/s
             return (power_term + 0.5 * (1.0 - exp(sv_m1 * lu) / x)) / sv_m1

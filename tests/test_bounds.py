@@ -17,6 +17,7 @@ from divbounds import (
     e_omega,
     e_star_omega,
     generator,
+    lp_mean,
     lp_power,
     omega_s,
     psi3_sup,
@@ -31,6 +32,7 @@ from divbounds import (
     verify_all,
 )
 from divbounds.bounds import (
+    InvalidTolerance,
     SOutOfRange,
     b_omega_closed_form,
     e_omega_closed_form,
@@ -42,6 +44,7 @@ from divbounds.csiszar import (
     hellinger_generator,
     kl_generator,
 )
+from divbounds.divergences import power_difference_divergence
 from divbounds.type_s import NonFiniteParameter
 from divbounds.simplex import RatioBounds
 
@@ -137,6 +140,16 @@ class TestDomainErrors:
             b_omega(rb, 1.0)
         with pytest.raises(IntervalNotStraddlingOne):
             theorem42_bounds(std_pair, rb, 1.0, GapTarget.HALF_E)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf,
+                                           -1.0, -1e-300])
+    def test_bad_violation_tolerance(self, std_pair, tolerance):
+        with pytest.raises(InvalidTolerance):
+            verify_all(std_pair, (0.0,), violation_tolerance=tolerance)
+
+    def test_zero_violation_tolerance(self, std_pair):
+        report = verify_all(std_pair, (0.0,), violation_tolerance=0.0)
+        assert report.violation_tolerance == 0.0
 
 
 class TestClosedFormAgreement:
@@ -298,6 +311,27 @@ class TestPinnedBits:
                 for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0))
         assert digest(sups) == (
             "715b2a4950ca884eee68fb3247519d370f652fe65c7c5017d84f5de667f6e040")
+
+    def test_moment_sums_and_lp_mean(self, make_pairs):
+        """Frozen from the implementation that wrote the m = 1 and m = 2
+        sums out inside vajda_abs_chi and power_difference_divergence and
+        the L_p difference quotient out inside lp_mean."""
+        pairs = list(make_pairs(126, seed=89))
+        pairs += [DistributionPair(pair.p, pair.p) for pair in pairs[:12]]
+        moments = ([f(pair, m) for f in (vajda_abs_chi,
+                                         power_difference_divergence)
+                    for m in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)]
+                   + [PairMoments.of(pair)] for pair in pairs)
+        rng = random.Random(53)
+        means = (lp_mean(p, rng.uniform(0.01, 10.0), rng.uniform(0.01, 10.0))
+                 for p in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0,
+                           3.0, 4.0)
+                 + tuple(rng.uniform(-5.0, 5.0) for _ in range(40))
+                 for _ in range(25))
+        assert digest(moments) == (
+            "f91f13bd3268b44a4f2f8895626221be3e53f3885a12bbd2aa502f163c46afeb")
+        assert digest(means) == (
+            "2310e3ecc9c1f06c1fdbda9a5f11fdfa6cfe7ca6dc1ded4548db016331ec7eff")
 
 
 class TestAbsoluteMomentChains:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 
+import divbounds
 from divbounds import cli
 from divbounds.cli import CliInputError, _sweep_grid, main
 
@@ -135,10 +140,9 @@ class TestCompute:
         path.write_text("pair_id,role,v1,v2,v3\n"
                         "p7,P,0.2,0.3,0.5\n"
                         "p7,Q,0.5,0.5,\n")
-        code, _, err = run(capsys, "compute", "--input", str(path),
-                           "--measures", "kl")
-        assert code == 1
-        assert "p7" in err
+        assert_input_error(*run(capsys, "compute", "--input", str(path),
+                                "--measures", "kl"),
+                           "pair p7", "P has dimension 3, Q has dimension 2")
 
     def test_unknown_measure(self, std_csv, capsys):
         code, _, err = run(capsys, "compute", "--input", std_csv,
@@ -278,10 +282,16 @@ class TestVerify:
                    for r in records)
 
     def test_injected_violation_fails(self, std_csv, capsys):
-        code, out, _ = run(capsys, "verify", "--input", std_csv,
-                           "--s-list", "0,1", "--inject-violation")
+        argv = ("verify", "--input", std_csv, "--s-list", "0,1")
+        code, out, _ = run(capsys, *argv, "--inject-violation")
         assert code == 2
-        assert any(r["verdict"] == "fail" for r in jsonl(out))
+        (bad,) = [r for r in jsonl(out) if r["verdict"] == "fail"]
+        # the corrupted entry is the checked one with lhs raised by one
+        _, plain, _ = run(capsys, *argv)
+        key = itemgetter("pair_id", "s", "inequality_id")
+        (good,) = [r for r in jsonl(plain) if key(r) == key(bad)]
+        assert (bad["lhs"], bad["rhs"]) == (good["lhs"] + 1.0, good["rhs"])
+        assert bad["slack"] == bad["rhs"] - bad["lhs"]
 
     def test_tolerance_override(self, std_csv, capsys):
         code, _, _ = run(capsys, "verify", "--input", std_csv,
@@ -291,6 +301,12 @@ class TestVerify:
     def test_non_finite_s_list(self, std_csv, capsys):
         assert_input_error(*run(capsys, "verify", "--input", std_csv,
                                 "--s-list", "nan"), "s-list", "finite")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance(self, std_csv, capsys, tolerance):
+        assert_input_error(*run(capsys, "verify", "--input", std_csv,
+                                f"--tolerance={tolerance}"),
+                           "tolerance", tolerance)
 
     def test_library_domain_error_is_input_error(self, tmp_path, capsys):
         # 0.5 / 1e-320 overflows, so the ratio bounds are rejected
@@ -332,6 +348,43 @@ def test_unwritable_output_is_input_error(std_csv, tmp_path, capsys, argv):
     argv = [std_csv if arg is None else arg for arg in argv]
     assert_input_error(*run(capsys, *argv, "--output", target),
                        "cannot write", target)
+
+
+def cli_process(*argv, stdout):
+    src = os.path.dirname(os.path.dirname(divbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "divbounds.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def assert_write_error(proc, *words):
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 1
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert all(word in err for word in words), err
+
+
+def test_reader_closing_pipe_is_input_error(tmp_path):
+    # 40 pairs print about 1 MB, more than a pipe holds
+    pairs = tmp_path / "pairs.csv"
+    assert main(["gen", "--n", "2", "--count", "40", "--output",
+                 str(pairs)]) == 0
+    proc = cli_process("verify", "--input", str(pairs),
+                       stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    assert_write_error(proc, "standard output", "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_full_device_is_input_error(std_csv, capsys):
+    assert_input_error(*run(capsys, "verify", "--input", std_csv,
+                            "--output", "/dev/full"),
+                       "cannot write /dev/full", "No space left")
+    with open("/dev/full", "wb") as full:
+        proc = cli_process("gen", "--n", "3", "--count", "3", stdout=full)
+    assert_write_error(proc, "standard output", "No space left")
 
 
 class TestLoadPairs:
