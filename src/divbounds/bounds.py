@@ -221,6 +221,26 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
                        sup3, moments)
 
 
+def _family_at(pair: DistributionPair, rb: RatioBounds,
+               moments: PairMoments | None, sp: SParameter):
+    """(omega, e, e_star, a, b, gaps) of the family at sp for one pair.
+
+    a, b and gaps are None when ``moments`` is None (P = Q, no ratio
+    interval); gaps is also None for s < -1.  Otherwise gaps holds the
+    theorem42_bounds bundles for HALF_E and E_STAR, in that order.
+    """
+    omega = omega_s(pair, sp)
+    e = e_omega(pair, sp)
+    e_star = e_star_omega(pair, sp)
+    if moments is None:
+        return omega, e, e_star, None, None, None
+    a, b = a_omega(rb, sp), b_omega(rb, sp)
+    gaps = None if sp.s < -1.0 else tuple(
+        theorem42_bounds(pair, rb, sp, target, moments=moments, omega=omega)
+        for target in (GapTarget.HALF_E, GapTarget.E_STAR))
+    return omega, e, e_star, a, b, gaps
+
+
 @dataclass(frozen=True)
 class CheckContext:
     """Where an inequality entry was evaluated."""
@@ -373,28 +393,22 @@ def verify_all(pair: DistributionPair, s_values, *,
     for s in sorted({float(s) for s in s_values}):
         sp = SParameter.from_value(s)
         ctx = CheckContext(pair_id, s, r, R)
-        value = omega_s(pair, sp)
-        e_val = e_omega(pair, sp)
-        e_closed = e_omega_closed_form(pair, sp)
-        e_star_val = e_star_omega(pair, sp)
-        e_star_closed = e_star_omega_closed_form(pair, sp)
+        value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
+            pair, rb, moments, sp)
         entries.append(_entry("omega_nonneg", 0.0, value, ctx,
                               violation_tolerance))
         entries.append(_entry("omega_le_e", value, e_val, ctx,
                               violation_tolerance))
-        entries.append(_agreement("e_closed_form_agrees", e_closed, e_val,
+        entries.append(_agreement("e_closed_form_agrees",
+                                  e_omega_closed_form(pair, sp), e_val,
                                   ctx, violation_tolerance))
-        entries.append(_agreement("e_star_closed_form_agrees", e_star_closed,
+        entries.append(_agreement("e_star_closed_form_agrees",
+                                  e_star_omega_closed_form(pair, sp),
                                   e_star_val, ctx, violation_tolerance))
         if degenerate:
             skip("interval_bounds", "ratio interval degenerate (P = Q)", ctx)
             skip("gap_bounds", "ratio interval degenerate (P = Q)", ctx)
             continue
-        gen = generator(sp)
-        a_val = a_omega(rb, sp)
-        a_generic = csiszar.bound_a(rb, gen)
-        b_val = b_omega(rb, sp)
-        b_closed = b_omega_closed_form(rb, sp)
         entries.append(_entry("e_le_a", e_val, a_val, ctx,
                               violation_tolerance))
         entries.append(_entry("omega_le_a", value, a_val, ctx,
@@ -407,18 +421,17 @@ def verify_all(pair: DistributionPair, s_values, *,
                               violation_tolerance))
         entries.append(_entry("b_gap_le_a", b_val - value, a_val, ctx,
                               violation_tolerance))
-        entries.append(_agreement("a_closed_form_agrees", a_val, a_generic,
+        entries.append(_agreement("a_closed_form_agrees", a_val,
+                                  csiszar.bound_a(rb, generator(sp)),
                                   ctx, violation_tolerance))
-        entries.append(_agreement("b_closed_form_agrees", b_closed, b_val,
+        entries.append(_agreement("b_closed_form_agrees",
+                                  b_omega_closed_form(rb, sp), b_val,
                                   ctx, violation_tolerance))
-        if sp.s < -1.0:
+        if gaps is None:
             skip("gap_bounds",
                  "third-derivative bounds restricted to s >= -1", ctx)
             continue
-        for target, tag in ((GapTarget.HALF_E, "gap_half_e"),
-                            (GapTarget.E_STAR, "gap_e_star")):
-            bundle = theorem42_bounds(pair, rb, sp, target, moments=moments,
-                                      omega=value)
+        for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
             entries.append(_entry(f"{tag}_le_min", bundle.observed,
                                   bundle.minimum, ctx, violation_tolerance))
             for name, data_term, cap_term in zip(

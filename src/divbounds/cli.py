@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
 from . import divergences as div
-from .csiszar import GapTarget
 from .simplex import (
     DistributionPair,
     random_pair,
@@ -34,8 +33,7 @@ from .simplex import (
     validate,
 )
 from .type_s import SParameter, omega_s, phi_s
-from .bounds import (REPORT_NOTES, PairMoments, _s_key, theorem42_bounds,
-                     verify_all)
+from .bounds import REPORT_NOTES, PairMoments, _s_key, verify_all
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -79,14 +77,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _parse_s_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(SParameter.from_value(tok).s
@@ -101,12 +91,9 @@ def _parse_s_list(text: str) -> tuple[float, ...]:
 def _pair(pid: str, raw, renormalize: bool):
     """(pid, pair) from the raw P and Q components, or an input error."""
     try:
-        if any(isinstance(v, bool) for part in raw
-               if isinstance(part, list) for v in part):
-            raise TypeError("components must be numbers, not booleans")
         return pid, DistributionPair(*(validate(part, renormalize=renormalize)
                                        for part in raw))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliInputError(f"pair {pid}: {exc}") from None
 
 
@@ -126,6 +113,11 @@ def _load_json_pairs(text: str, renormalize: bool):
             raw = rec["p"], rec["q"]
         except KeyError as exc:
             raise CliInputError(f"pair {pid}: missing field {exc}") from None
+        # bool is an int subclass, so the types are compared exactly
+        if not all(isinstance(part, list)
+                   and all(type(v) in (int, float) for v in part)
+                   for part in raw):
+            raise CliInputError(f"pair {pid}: components must be numbers")
         out.append(_pair(pid, raw, renormalize))
     return out
 
@@ -262,7 +254,7 @@ def _write_records(records, columns, args) -> None:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows([_fmt(value) for value in row] for row in records)
+            writer.writerows(records)
         else:
             encode = _JSON.encode
             out.writelines(encode(dict(zip(columns, row))) + "\n"
@@ -320,22 +312,10 @@ def _cmd_sweep(args) -> int:
             moments = None if rb.r == rb.R else PairMoments.of(pair)
             for s in grid:
                 sp = SParameter.from_value(s)
-                value = omega_s(pair, sp)
-                a = b = gap_half_e = gap_e_star = None
-                if moments is not None:
-                    a = bounds_mod.a_omega(rb, sp)
-                    b = bounds_mod.b_omega(rb, sp)
-                    if sp.s >= -1.0:
-                        gap_half_e, gap_e_star = (
-                            theorem42_bounds(pair, rb, sp, target,
-                                             moments=moments,
-                                             omega=value).minimum
-                            for target in (GapTarget.HALF_E,
-                                           GapTarget.E_STAR))
-                rows.append((pid, s, sp.regime.value, value,
-                             bounds_mod.e_omega(pair, sp),
-                             bounds_mod.e_star_omega(pair, sp),
-                             a, b, gap_half_e, gap_e_star))
+                *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)
+                minima = ((None, None) if gaps is None
+                          else (gap.minimum for gap in gaps))
+                rows.append((pid, s, sp.regime.value, *family, *minima))
         rows.sort(key=itemgetter(1))
         records.extend(rows)
     _write_records(records, ("pair_id", "s", "regime", "omega", "e", "e_star",
@@ -361,10 +341,13 @@ def _cmd_verify(args) -> int:
                                 violation_tolerance=args.tolerance)
             entries = report.entries
             if pair is corrupt:
+                # lhs past rhs by more than the tolerance and than the
+                # rounding of rhs, however large either is
                 first = entries[0]
+                lhs = first.rhs + 1.0 + 2.0 * (args.tolerance + abs(first.rhs))
                 entries = (bounds_mod._entry(
-                    first.inequality_id, first.lhs + 1.0, first.rhs,
-                    first.context, args.tolerance),) + entries[1:]
+                    first.inequality_id, lhs, first.rhs, first.context,
+                    args.tolerance),) + entries[1:]
             rows.extend((pid, e.context.s, e.inequality_id, e.lhs, e.rhs,
                          e.slack, e.verdict, None) for e in entries)
             rows.extend((pid, item.context.s, item.inequality_id, None, None,
@@ -396,13 +379,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _add_io_flags(sub, needs_input=True):
-    if needs_input:
-        sub.add_argument("--input", required=True,
-                         help="input pairs file (CSV or JSON, sniffed)")
-        sub.add_argument("--renormalize", action="store_true",
-                         help="divide components by their sum before "
-                              "validation")
+def _add_io_flags(sub):
+    sub.add_argument("--input", required=True,
+                     help="input pairs file (CSV or JSON, sniffed)")
+    sub.add_argument("--renormalize", action="store_true",
+                     help="divide components by their sum before "
+                          "validation")
     sub.add_argument("--output", default="-",
                      help="output path (default: standard output)")
     sub.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",

@@ -31,8 +31,6 @@ def _check_endpoints(a: float, b: float) -> None:
 def _pow(x: float, e: float) -> float:
     # Small integral exponents by multiplication; everything else through
     # the library power (exponential of logarithm).
-    if e == 0.0:
-        return 1.0
     if float(e).is_integer() and abs(e) <= 4.0:
         k = int(e)
         y = 1.0
@@ -46,12 +44,10 @@ def lp_power(p: float, a: float, b: float) -> float:
     """L_p^p(a, b): (b^(p+1) - a^(p+1)) / ((p+1)(b-a)), with limit branches
     (ln b - ln a)/(b - a) at p = -1 and the constant 1 at p = 0."""
     _check_endpoints(a, b)
-    if abs(b - a) <= ENDPOINT_SWITCH * max(a, b):
-        if abs(p) < BRANCH_SWITCH:
-            return 1.0
-        return _pow(0.5 * (a + b), p)
     if abs(p) < BRANCH_SWITCH:
         return 1.0
+    if abs(b - a) <= ENDPOINT_SWITCH * max(a, b):
+        return _pow(0.5 * (a + b), p)
     if abs(p + 1.0) < BRANCH_SWITCH:
         return (math.log(b) - math.log(a)) / (b - a)
     return (_pow(b, p + 1.0) - _pow(a, p + 1.0)) / ((p + 1.0) * (b - a))

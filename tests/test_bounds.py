@@ -45,6 +45,7 @@ from divbounds.csiszar import (
     kl_generator,
 )
 from divbounds.divergences import power_difference_divergence
+from divbounds.means import BRANCH_SWITCH
 from divbounds.type_s import NonFiniteParameter
 from divbounds.simplex import RatioBounds
 
@@ -332,6 +333,24 @@ class TestPinnedBits:
             "f91f13bd3268b44a4f2f8895626221be3e53f3885a12bbd2aa502f163c46afeb")
         assert digest(means) == (
             "2310e3ecc9c1f06c1fdbda9a5f11fdfa6cfe7ca6dc1ded4548db016331ec7eff")
+
+    def test_lp_power(self):
+        """Frozen from the implementation that tested |p| < BRANCH_SWITCH
+        on both sides of the equal-endpoint branch: every branch of
+        lp_power, on distinct, equal and nearly equal endpoints."""
+        rng = random.Random(59)
+        near = 0.5 * BRANCH_SWITCH
+        exponents = ((-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.5,
+                      near, -near, -1.0 + near, -1.0 - near,
+                      2.0 * BRANCH_SWITCH, -1.0 - 2.0 * BRANCH_SWITCH)
+                     + tuple(rng.uniform(-5.0, 5.0) for _ in range(24)))
+        endpoints = []
+        for _ in range(30):
+            a, b = rng.uniform(0.01, 10.0), rng.uniform(0.01, 10.0)
+            endpoints += [(a, b), (a, a), (a, a * (1.0 + 1e-13))]
+        powers = (lp_power(p, a, b) for p in exponents for a, b in endpoints)
+        assert digest(powers) == (
+            "cc3049afeff3da54a9dbda8b2aee4214b3026a03e15143df2e95e224ee3e17a0")
 
 
 class TestAbsoluteMomentChains:

@@ -10,6 +10,7 @@ import pytest
 
 import divbounds
 from divbounds import cli
+from divbounds.bounds import VIOLATION_TOLERANCE
 from divbounds.cli import CliInputError, _sweep_grid, main
 
 STD_CSV = """pair_id,role,v1,v2
@@ -34,26 +35,34 @@ EDGE_COMMANDS = {
     "compute": ("compute", "--measures", "omega,kl,vajda:3,chi2,phi:0.5,bhat",
                 "--s-list=2,-1,0,1"),
     "sweep": ("sweep", "--s-min=-1", "--s-max", "1.5", "--s-step", "0.5"),
+    # rows below s = -1 carry a and b but no gap bounds
+    "sweep_wide": ("sweep", "--s-min=-3", "--s-max", "3", "--s-step", "0.75"),
     "verify": ("verify", "--s-list=1,-1.5,0,2"),
     "inject": ("verify", "--s-list=1,-1.5,0,2", "--inject-violation"),
 }
 
 # SHA-256 of each output file, frozen from the implementation that built
 # one dict per record and sorted all records globally; the output bytes
-# must not depend on how the records are assembled.
+# must not depend on how the records are assembled.  The inject digests
+# were frozen again when the injected lhs became relative to the entry
+# (rhs + 1 + 2(tolerance + |rhs|) instead of lhs + 1).
 EDGE_DIGESTS = {
     ("compute", "jsonl"):
         "612a1a3f98a80c3bde196f092e9118ab9a6e00a5b8581a75029b879efa990560",
     ("compute", "csv"):
         "8e8940050bcc446f26d1c1575069308a4e5cc9b06e7e3f9348a67030fb41db62",
     ("inject", "jsonl"):
-        "b026c9c24768993de8658ecbc7950768bb6fbb9ce2fd918aa5cbce5da50ffc6a",
+        "df9bf33b60653b2d116c5e997f551809180d0d574b47fef86597bec8a8753991",
     ("inject", "csv"):
-        "533dcafc24a5d05ae636cafb06a787da02813f42dbc40442bc1a10e22c1d59b1",
+        "b8b18ccb1db4995de91c16258fc7e5e4fe5d6bab1db7dfd383cd060dfda7cdd4",
     ("sweep", "jsonl"):
         "54cf10c7fa6ae531ad9e861c8e3c4983ee0142c95fcf1b1e027fd794bf741bbf",
     ("sweep", "csv"):
         "3050600d85bfea4a2325beff43c3b01257d44475d9688517bcb9805734c6cfc4",
+    ("sweep_wide", "jsonl"):
+        "060dd0d60d5e6225ed727da1ca38a14b22ce3e48dcdcb0c14d3f36b67bac3ae8",
+    ("sweep_wide", "csv"):
+        "323214b6f5f3ddfd6a3efd579984234d0af362f5b287acdf04299cabdc65a2ce",
     ("verify", "jsonl"):
         "9bb374705a1cff3466470780ffc9840e8588c9edf8bc45087fb2f071791ea267",
     ("verify", "csv"):
@@ -186,7 +195,7 @@ class TestCompute:
                         '"q": [0.5, 0.5]}]}')
         assert_input_error(*run(capsys, "compute", "--input", str(path),
                                 "--measures", "kl", "--renormalize"),
-                           "pair t", "boolean")
+                           "pair t", "components must be numbers")
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "compute", "--input",
@@ -286,12 +295,31 @@ class TestVerify:
         code, out, _ = run(capsys, *argv, "--inject-violation")
         assert code == 2
         (bad,) = [r for r in jsonl(out) if r["verdict"] == "fail"]
-        # the corrupted entry is the checked one with lhs raised by one
+        # the corrupted entry is the checked one with lhs moved past rhs
         _, plain, _ = run(capsys, *argv)
         key = itemgetter("pair_id", "s", "inequality_id")
         (good,) = [r for r in jsonl(plain) if key(r) == key(bad)]
-        assert (bad["lhs"], bad["rhs"]) == (good["lhs"] + 1.0, good["rhs"])
+        rhs = good["rhs"]
+        assert (bad["lhs"], bad["rhs"]) == (
+            rhs + 1.0 + 2.0 * (VIOLATION_TOLERANCE + abs(rhs)), rhs)
         assert bad["slack"] == bad["rhs"] - bad["lhs"]
+
+    @pytest.mark.parametrize("gen, tolerance", [
+        # the first checked entry of this pair holds with slack 221
+        (("--n", "64", "--count", "1", "--seed", "7"), VIOLATION_TOLERANCE),
+        (None, 1e6),
+    ], ids=["n64-seed7", "tolerance-1e6"])
+    def test_injected_violation_fails_whatever_the_slack(
+            self, std_csv, tmp_path, capsys, gen, tolerance):
+        path = std_csv
+        if gen is not None:
+            path = str(tmp_path / "pairs.csv")
+            assert main(["gen", *gen, "--output", path]) == 0
+        code, out, _ = run(capsys, "verify", "--input", path,
+                           f"--tolerance={tolerance!r}", "--inject-violation")
+        assert code == 2
+        (bad,) = [r for r in jsonl(out) if r["verdict"] == "fail"]
+        assert bad["slack"] < -tolerance
 
     def test_tolerance_override(self, std_csv, capsys):
         code, _, _ = run(capsys, "verify", "--input", std_csv,
@@ -334,6 +362,73 @@ def test_arithmetic_error_is_input_error(tmp_path, capsys, argv):
                     '"q": [0.5, 0.5]}]}')
     assert_input_error(*run(capsys, *argv, "--input", str(path)),
                        "numeric failure")
+
+
+def json_pair(p, q):
+    return json.dumps({"pairs": [{"id": "x", "p": p, "q": q}]})
+
+
+# (input file text, or None for no --input; arguments; words the one
+# error line must hold)
+INPUT_ERRORS = {
+    "unknown-flag": (STD_CSV, ("verify", "--no-such-flag"),
+                     ("unrecognized", "--no-such-flag")),
+    "missing-command": (None, (), ("command",)),
+    "empty-s-list": (STD_CSV, ("verify", "--s-list", ","), ("s-list",)),
+    "json-parse": ('{"pairs": [', ("verify",), ("JSON parse failure",)),
+    "json-not-pairs": ('{"pairs": 3}', ("verify",), ('{"pairs": [...]}',)),
+    "json-not-object": ('{"pairs": [3]}', ("verify",),
+                        ("pairs[0] is not an object",)),
+    "json-missing-q": ('{"pairs": [{"id": "m", "p": [0.5, 0.5]}]}',
+                       ("verify",), ("pair m", "missing field", "'q'")),
+    "json-no-pairs": ('{"pairs": []}', ("verify",), ("no pairs found",)),
+    "json-string-components": (json_pair(["0.5", "0.5"], [0.25, 0.75]),
+                               ("verify",),
+                               ("pair x", "components must be numbers")),
+    "json-null-component": (json_pair([0.5, 0.5], [None, 1.0]),
+                            ("verify", "--renormalize"),
+                            ("pair x", "components must be numbers")),
+    "json-nested-components": (json_pair([[0.5], [0.5]], [0.25, 0.75]),
+                               ("verify",),
+                               ("pair x", "components must be numbers")),
+    "json-components-not-list": (json_pair("0.5,0.5", [0.25, 0.75]),
+                                 ("verify",),
+                                 ("pair x", "components must be numbers")),
+    "json-components-object": (json_pair([0.5, 0.5], {"0": 1.0}),
+                               ("verify",),
+                               ("pair x", "components must be numbers")),
+    "csv-empty": ("\n \n", ("verify",), ("CSV input is empty",)),
+    "csv-header": ("id,role,v1,v2\nx,P,0.5,0.5\n", ("verify",),
+                   ("header", "pair_id,role")),
+    "csv-short-row": ("pair_id,role,v1\nx,P\n", ("verify",),
+                      ("line 2", "at least 3 cells")),
+    "csv-role": ("pair_id,role,v1,v2\nx,R,0.5,0.5\n", ("verify",),
+                 ("pair x", "role must be P or Q", "'R'")),
+    "csv-component": ("pair_id,role,v1,v2\nx,P,0.5,half\n", ("verify",),
+                      ("pair x", "bad component", "half")),
+    "csv-duplicate-role": ("pair_id,role,v1,v2\nx,P,0.5,0.5\n"
+                           "x,P,0.4,0.6\n", ("verify",),
+                           ("pair x", "duplicate role P")),
+    "csv-missing-role": ("pair_id,role,v1,v2\nx,P,0.5,0.5\n", ("verify",),
+                         ("pair x", "missing role Q")),
+    "unknown-parametric-measure": (STD_CSV, ("compute", "--measures",
+                                             "foo:1"),
+                                   ("unknown parametric measure", "'foo'")),
+    "no-measures": (STD_CSV, ("compute", "--measures", ","),
+                    ("no measures requested",)),
+    "gen-count": (None, ("gen", "--n", "2", "--count", "0"),
+                  ("count must be >= 1", "got 0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_error_table(tmp_path, capsys, name):
+    text, argv, words = INPUT_ERRORS[name]
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = (*argv, "--input", str(path))
+    assert_input_error(*run(capsys, *argv), *words)
 
 
 @pytest.mark.parametrize("argv", [
