@@ -10,7 +10,6 @@ from .simplex import (
     validate,
 )
 from .divergences import (
-    SymmetricId,
     ag_mean_divergence,
     bhattacharyya,
     chi_squared,
@@ -22,7 +21,6 @@ from .divergences import (
     relative_j_divergence,
     relative_js_divergence,
     symmetric_chi_squared,
-    symmetric_divergence,
     total_variation,
     triangular_discrimination,
     vajda_abs_chi,
@@ -71,13 +69,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Distribution", "DistributionPair", "RatioBounds",
     "validate", "ratio_bounds", "random_pair",
-    "SymmetricId",
     "chi_squared", "relative_information", "relative_j_divergence",
     "relative_js_divergence", "relative_ag_divergence",
     "triangular_discrimination", "bhattacharyya", "hellinger",
-    "total_variation", "vajda_abs_chi", "symmetric_divergence",
-    "symmetric_chi_squared", "j_divergence", "jensen_shannon",
-    "ag_mean_divergence",
+    "total_variation", "vajda_abs_chi", "symmetric_chi_squared",
+    "j_divergence", "jensen_shannon", "ag_mean_divergence",
     "lp_mean", "lp_power",
     "GeneratorFunction", "GapBounds", "GapTarget",
     "csiszar_divergence", "dragomir_e", "dragomir_e_star",

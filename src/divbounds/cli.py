@@ -161,7 +161,7 @@ def _load_csv_pairs(text: str, renormalize: bool):
 def load_pairs(path: str, renormalize: bool):
     """Read pairs from a CSV or JSON file (sniffed from the content)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a BOM
             text = fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
@@ -402,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_compute)
     p_compute.add_argument(
         "--measures", required=True,
-        help="comma-separated measure ids: chi2, kl, rel_j, rel_js, rel_ag, "
-             "delta, bhat, hellinger, vajda:M, psi_sym, j, i, t, phi:S, "
-             "omega:S; bare vajda/phi/omega expand over --s-list")
+        help=f"comma-separated measure ids: {', '.join(_SIMPLE_MEASURES)}, "
+             f"and {', '.join(_PARAMETRIC_MEASURES)} with a parameter after "
+             "a colon (vajda:3, omega:-0.5); bare, these expand over --s-list")
     p_compute.add_argument("--s-list", default=None,
                            help="comma-separated parameters used to expand "
                                 "bare parametric measure names")

@@ -317,14 +317,15 @@ def hellinger_generator() -> GeneratorFunction:
     )
 
 
-def builtin_generators(
-    s_values: tuple[float, ...] = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0),
-) -> dict[str, GeneratorFunction]:
+_BUILTIN_S = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+def builtin_generators() -> dict[str, GeneratorFunction]:
     """Registry of the stock generators plus the unified AG/JS family at
-    the given parameter values, keyed by label."""
+    eight parameter values, keyed by label."""
     from .type_s import generator as ag_js_generator
 
     gens = [kl_generator(), reverse_kl_generator(), pearson_chi2_generator(),
             hellinger_generator()]
-    gens.extend(ag_js_generator(s) for s in s_values)
+    gens.extend(ag_js_generator(s) for s in _BUILTIN_S)
     return {g.label: g for g in gens}

@@ -9,7 +9,6 @@ zero to the difference-weighted sums and are skipped outright.
 
 from __future__ import annotations
 
-import enum
 from math import fsum, log, sqrt
 
 from .simplex import DistributionPair
@@ -111,15 +110,6 @@ def power_difference_divergence(pair: DistributionPair, m: float) -> float:
     return fsum(abs(p ** m - q ** m) / q ** (m - 1.0) for p, q in items)
 
 
-class SymmetricId(enum.Enum):
-    """The four symmetric combinations of the directed measures."""
-
-    PSI = "psi"  # chi-square symmetrized
-    J = "j"      # Jeffreys J-divergence
-    I = "i"      # Jensen-Shannon divergence (information radius)
-    T = "t"      # arithmetic-geometric mean divergence
-
-
 def symmetric_chi_squared(pair: DistributionPair) -> float:
     """chi2(P||Q) + chi2(Q||P)."""
     return chi_squared(pair) + chi_squared(pair.swapped())
@@ -142,17 +132,3 @@ def ag_mean_divergence(pair: DistributionPair) -> float:
     return 0.5 * (relative_ag_divergence(pair)
                   + relative_ag_divergence(pair.swapped()))
 
-
-_SYMMETRIC = {
-    SymmetricId.PSI: symmetric_chi_squared,
-    SymmetricId.J: j_divergence,
-    SymmetricId.I: jensen_shannon,
-    SymmetricId.T: ag_mean_divergence,
-}
-
-
-def symmetric_divergence(pair: DistributionPair,
-                         which: SymmetricId | str) -> float:
-    """Dispatch to one of the four symmetric measures by identifier."""
-    key = SymmetricId(which) if not isinstance(which, SymmetricId) else which
-    return _SYMMETRIC[key](pair)

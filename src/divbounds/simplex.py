@@ -60,6 +60,13 @@ def _check_components(values: tuple[float, ...]) -> None:
                 "strictly positive finite real")
 
 
+def _sum(values: tuple[float, ...]) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise SumOutOfTolerance("component sum overflows a float") from None
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A validated point of the open probability simplex."""
@@ -68,7 +75,7 @@ class Distribution:
 
     def __post_init__(self) -> None:
         _check_components(self.values)
-        total = math.fsum(self.values)
+        total = _sum(self.values)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise SumOutOfTolerance(
                 f"components sum to {total!r}, outside 1 +/- {SUM_TOLERANCE}")
@@ -122,14 +129,19 @@ def validate(raw: Sequence[float] | Iterable[float],
 
     With ``renormalize`` set, components are divided by their sum before the
     invariant check; otherwise the sum must already lie within
-    ``SUM_TOLERANCE`` of one.  Strict positivity is required either way.
+    ``SUM_TOLERANCE`` of one.  Strict positivity is required either way,
+    and every failure raises a ``SimplexError``.
     """
-    values = tuple(float(v) for v in raw)
+    try:
+        values = tuple(float(v) for v in raw)
+    except (TypeError, ValueError, OverflowError):
+        # no value in the message: repr of a huge int raises in turn
+        raise NonPositiveComponent("components must be finite reals") from None
     if renormalize:
         # Dividing by a negative sum would make all-negative components
         # positive, so the raw values are checked first.
         _check_components(values)
-        total = math.fsum(values)
+        total = _sum(values)
         values = tuple(v / total for v in values)
     return Distribution(values)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -397,6 +398,9 @@ INPUT_ERRORS = {
     "json-components-object": (json_pair([0.5, 0.5], {"0": 1.0}),
                                ("verify",),
                                ("pair x", "components must be numbers")),
+    "json-huge-int": (json_pair([10**400, 1.0], [0.5, 0.5]),
+                      ("verify", "--renormalize"),
+                      ("pair x", "finite reals")),
     "csv-empty": ("\n \n", ("verify",), ("CSV input is empty",)),
     "csv-header": ("id,role,v1,v2\nx,P,0.5,0.5\n", ("verify",),
                    ("header", "pair_id,role")),
@@ -411,6 +415,9 @@ INPUT_ERRORS = {
                            ("pair x", "duplicate role P")),
     "csv-missing-role": ("pair_id,role,v1,v2\nx,P,0.5,0.5\n", ("verify",),
                          ("pair x", "missing role Q")),
+    "csv-sum-overflow": ("pair_id,role,v1,v2\nx,P,1e308,1e308\n"
+                         "x,Q,0.5,0.5\n", ("verify",),
+                         ("pair x", "overflows")),
     "unknown-parametric-measure": (STD_CSV, ("compute", "--measures",
                                              "foo:1"),
                                    ("unknown parametric measure", "'foo'")),
@@ -498,6 +505,27 @@ class TestLoadPairs:
             ("a", (0.5, 0.5), (0.6, 0.4)),
             ("c", (0.9, 0.1), (0.3, 0.7)),
         ]
+
+    @pytest.mark.parametrize("text", [STD_CSV, STD_JSON])
+    def test_byte_order_mark_ignored(self, tmp_path, text):
+        plain = tmp_path / "plain"
+        marked = tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert (cli.load_pairs(str(marked), renormalize=False)
+                == cli.load_pairs(str(plain), renormalize=False))
+
+
+def test_measures_help_names_every_id(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compute", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    measures_help = out.split("MEASURES", 2)[2].split("--s-list")[0]
+    words = set(re.split(r"[\s,:;()]+", measures_help))
+    for measure_id in [*cli._SIMPLE_MEASURES, *cli._PARAMETRIC_MEASURES]:
+        assert measure_id in words, measure_id
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

@@ -16,13 +16,12 @@ from divbounds import (
     relative_j_divergence,
     relative_js_divergence,
     symmetric_chi_squared,
-    symmetric_divergence,
     total_variation,
     triangular_discrimination,
     validate,
     vajda_abs_chi,
 )
-from divbounds.divergences import MOutOfRange, SymmetricId, power_difference_divergence
+from divbounds.divergences import MOutOfRange, power_difference_divergence
 
 
 def close(a, b, rel=1e-12, abs_=1e-14):
@@ -115,10 +114,9 @@ def test_power_difference_golden(std_pair):
 
 
 def test_symmetric_golden(std_pair):
-    assert close(symmetric_divergence(std_pair, SymmetricId.PSI),
-                 GOLDEN["psi_sym"])
-    assert close(symmetric_divergence(std_pair, "j"), GOLDEN["j_sym"])
-    assert close(symmetric_divergence(std_pair, "t"), GOLDEN["t_sym"])
+    assert close(symmetric_chi_squared(std_pair), GOLDEN["psi_sym"])
+    assert close(j_divergence(std_pair), GOLDEN["j_sym"])
+    assert close(ag_mean_divergence(std_pair), GOLDEN["t_sym"])
 
 
 def test_symmetry_exact(make_pairs):

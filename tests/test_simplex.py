@@ -18,6 +18,7 @@ from divbounds.simplex import (
     InvalidDimension,
     InvalidRatioBounds,
     NonPositiveComponent,
+    SimplexError,
     SumOutOfTolerance,
 )
 
@@ -69,6 +70,39 @@ class TestValidate:
         dist = validate(raw, renormalize=True)
         again = validate(dist.values)
         assert again.values == dist.values
+
+    # repr of 10**5000 raises on Python 3.11 and later, so the message must
+    # not hold the value
+    @pytest.mark.parametrize("raw", [
+        [None, 1.0], ["x", "y"], [10**400, 1.0], [10**5000, 1], [0.5, {}],
+        3, None,
+    ])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_unconvertible_input_rejected(self, raw, renormalize):
+        with pytest.raises(NonPositiveComponent, match="finite reals"):
+            validate(raw, renormalize=renormalize)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_overflowing_sum_rejected(self, renormalize):
+        with pytest.raises(SumOutOfTolerance, match="overflows"):
+            validate([1e308, 1e308], renormalize=renormalize)
+
+    def test_overflowing_sum_rejected_on_construction(self):
+        with pytest.raises(SumOutOfTolerance):
+            Distribution((1e308, 1e308))
+
+    @given(st.lists(st.none() | st.booleans()
+                    | st.integers(min_value=-10**400, max_value=10**400)
+                    | st.floats() | st.text(max_size=8), max_size=6),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_raw_list_gives_distribution_or_simplex_error(
+            self, raw, renormalize):
+        try:
+            dist = validate(raw, renormalize=renormalize)
+        except SimplexError:
+            return
+        assert isinstance(dist, Distribution)
 
 
 class TestPairsAndRatios:
