@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum, log
+from operator import attrgetter
 
 from . import csiszar
 from .csiszar import (
@@ -20,6 +21,7 @@ from .csiszar import (
     GapTarget,
     PairMoments,
     _gap_bounds,
+    _gap_functional,
     _require_distinct,
     _require_straddle,
 )
@@ -100,9 +102,9 @@ def e_omega_closed_form(pair: DistributionPair, s: float | SParameter) -> float:
         return 0.5 * (chi_squared(pair.swapped())
                       - relative_j_divergence(pair.swapped()))
     sv = sp.s
-    core = fsum(((p - q) / (p + q)) * math.pow((p + q) / (2.0 * p), sv)
-                * (p + (1.0 - sv) * q)
-                for p, q in zip(pair.p.values, pair.q.values) if p != q)
+    core = fsum([((p - q) / (p + q)) * math.pow((p + q) / (2.0 * p), sv)
+                 * (p + (1.0 - sv) * q)
+                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
     return core / (sv * (sv - 1.0))
 
 
@@ -126,9 +128,9 @@ def e_star_omega_closed_form(pair: DistributionPair,
                 + 0.5 * fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
                              for p, q in items if p != q))
     sv = sp.s
-    core = fsum((p - q) * math.pow((p + 3.0 * q) / (2.0 * (p + q)), sv)
-                * ((p + (3.0 - 2.0 * sv) * q) / (p + 3.0 * q))
-                for p, q in items if p != q)
+    core = fsum([(p - q) * math.pow((p + 3.0 * q) / (2.0 * (p + q)), sv)
+                 * ((p + (3.0 - 2.0 * sv) * q) / (p + 3.0 * q))
+                 for p, q in items if p != q])
     return core / (sv * (sv - 1.0))
 
 
@@ -196,7 +198,8 @@ def psi3_sup(rb: RatioBounds, s: float | SParameter) -> float:
 def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
                      s: float | SParameter, target: GapTarget, *,
                      moments: PairMoments | None = None,
-                     omega: float | None = None) -> GapBounds:
+                     omega: float | None = None,
+                     functional: float | None = None) -> GapBounds:
     """Third-derivative gap bounds specialized to the family generator:
     theorem33_bounds for psi_s, fed with the closed forms delta_omega and
     psi3_sup and the curvature sign -1.
@@ -205,9 +208,11 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     s >= -1 (psi''' <= 0 there), so the curvature candidate is the positive
     spread delta/8 times chi-square.
 
-    A caller that already holds ``PairMoments.of(pair)`` or
-    ``omega_s(pair, s)`` may pass it as ``moments`` or ``omega``; each is
-    computed here when omitted.
+    A caller that already holds ``PairMoments.of(pair)``,
+    ``omega_s(pair, s)`` or the target's functional (``e_omega(pair, s)``
+    for HALF_E, ``e_star_omega(pair, s)`` for E_STAR) may pass it as
+    ``moments``, ``omega`` or ``functional``; each is computed here when
+    omitted.
     """
     target = GapTarget(target)
     sp = _gap_parameter(s)
@@ -217,8 +222,11 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     if moments is None:
         moments = PairMoments.of(pair)
     value = omega_s(pair, sp) if omega is None else omega
-    return _gap_bounds(pair, rb, generator(sp), target, value, spread, -1,
-                       sup3, moments)
+    gen = generator(sp)
+    if functional is None:
+        functional = _gap_functional(pair, gen, target)
+    return _gap_bounds(rb, gen, target, value, functional, spread, -1, sup3,
+                       moments)
 
 
 def _family_at(pair: DistributionPair, rb: RatioBounds,
@@ -236,8 +244,10 @@ def _family_at(pair: DistributionPair, rb: RatioBounds,
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
     gaps = None if sp.s < -1.0 else tuple(
-        theorem42_bounds(pair, rb, sp, target, moments=moments, omega=omega)
-        for target in (GapTarget.HALF_E, GapTarget.E_STAR))
+        theorem42_bounds(pair, rb, sp, target, moments=moments, omega=omega,
+                         functional=functional)
+        for target, functional in ((GapTarget.HALF_E, e),
+                                   (GapTarget.E_STAR, e_star)))
     return omega, e, e_star, a, b, gaps
 
 
@@ -319,8 +329,59 @@ def _s_key(s: float | None):
     return (0, 0.0) if s is None else (1, s)
 
 
-def _sort_key(item):
-    return _s_key(item.context.s), item.inequality_id
+_by_id = attrgetter("inequality_id")
+
+_DEGENERATE = "ratio interval degenerate (P = Q)"
+
+
+def _family_checks(pair: DistributionPair, rb: RatioBounds,
+                   moments: PairMoments | None, sp: SParameter,
+                   ctx: CheckContext, tolerance: float):
+    """verify_all's entries and skips at one s, each list sorted by
+    inequality id."""
+    value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
+        pair, rb, moments, sp)
+    entries = [
+        _entry("omega_nonneg", 0.0, value, ctx, tolerance),
+        _entry("omega_le_e", value, e_val, ctx, tolerance),
+        _agreement("e_closed_form_agrees", e_omega_closed_form(pair, sp),
+                   e_val, ctx, tolerance),
+        _agreement("e_star_closed_form_agrees",
+                   e_star_omega_closed_form(pair, sp), e_star_val, ctx,
+                   tolerance),
+    ]
+    if moments is None:
+        skipped = [SkippedCheck("gap_bounds", _DEGENERATE, ctx),
+                   SkippedCheck("interval_bounds", _DEGENERATE, ctx)]
+    else:
+        entries += [
+            _entry("e_le_a", e_val, a_val, ctx, tolerance),
+            _entry("omega_le_a", value, a_val, ctx, tolerance),
+            _entry("omega_le_b", value, b_val, ctx, tolerance),
+            _entry("b_le_a", b_val, a_val, ctx, tolerance),
+            _entry("b_gap_nonneg", 0.0, b_val - value, ctx, tolerance),
+            _entry("b_gap_le_a", b_val - value, a_val, ctx, tolerance),
+            _agreement("a_closed_form_agrees", a_val,
+                       csiszar.bound_a(rb, generator(sp)), ctx, tolerance),
+            _agreement("b_closed_form_agrees", b_omega_closed_form(rb, sp),
+                       b_val, ctx, tolerance),
+        ]
+        skipped = []
+        if gaps is None:
+            skipped.append(SkippedCheck(
+                "gap_bounds", "third-derivative bounds restricted to s >= -1",
+                ctx))
+        else:
+            for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
+                entries.append(_entry(f"{tag}_le_min", bundle.observed,
+                                      bundle.minimum, ctx, tolerance))
+                for name, data_term, cap_term in zip(
+                        ("curvature", "third_derivative", "first_derivative"),
+                        bundle.candidates, bundle.cap_candidates):
+                    entries.append(_entry(f"{tag}_{name}_le_cap", data_term,
+                                          cap_term, ctx, tolerance))
+    entries.sort(key=_by_id)
+    return entries, skipped
 
 
 def verify_all(pair: DistributionPair, s_values, *,
@@ -348,9 +409,6 @@ def verify_all(pair: DistributionPair, s_values, *,
     skipped: list[SkippedCheck] = []
     pair_ctx = CheckContext(pair_id, None, r, R)
 
-    def skip(inequality_id: str, reason: str, ctx: CheckContext) -> None:
-        skipped.append(SkippedCheck(inequality_id, reason, ctx))
-
     # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
     half_tri = 0.5 * triangular_discrimination(pair)
     rel_j_swap = relative_j_divergence(pair.swapped())
@@ -366,7 +424,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     for m in (1.0, 2.0, 3.0):
         prefix = f"abs_chi[m={m:g}]"
         if moments is None:
-            skip(prefix, "ratio interval degenerate (P = Q)", pair_ctx)
+            skipped.append(SkippedCheck(prefix, _DEGENERATE, pair_ctx))
             continue
         variation = moments.variation
         moment = {1.0: variation, 2.0: moments.chi2,
@@ -390,57 +448,15 @@ def verify_all(pair: DistributionPair, s_values, *,
                               power_diff, upper_factor * variation,
                               pair_ctx, violation_tolerance))
 
+    # Each block is sorted by inequality id and the blocks come in s order,
+    # so the report is ordered by (s, inequality_id).
+    entries.sort(key=_by_id)
+    skipped.sort(key=_by_id)
     for s in sorted({float(s) for s in s_values}):
-        sp = SParameter.from_value(s)
-        ctx = CheckContext(pair_id, s, r, R)
-        value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
-            pair, rb, moments, sp)
-        entries.append(_entry("omega_nonneg", 0.0, value, ctx,
-                              violation_tolerance))
-        entries.append(_entry("omega_le_e", value, e_val, ctx,
-                              violation_tolerance))
-        entries.append(_agreement("e_closed_form_agrees",
-                                  e_omega_closed_form(pair, sp), e_val,
-                                  ctx, violation_tolerance))
-        entries.append(_agreement("e_star_closed_form_agrees",
-                                  e_star_omega_closed_form(pair, sp),
-                                  e_star_val, ctx, violation_tolerance))
-        if degenerate:
-            skip("interval_bounds", "ratio interval degenerate (P = Q)", ctx)
-            skip("gap_bounds", "ratio interval degenerate (P = Q)", ctx)
-            continue
-        entries.append(_entry("e_le_a", e_val, a_val, ctx,
-                              violation_tolerance))
-        entries.append(_entry("omega_le_a", value, a_val, ctx,
-                              violation_tolerance))
-        entries.append(_entry("omega_le_b", value, b_val, ctx,
-                              violation_tolerance))
-        entries.append(_entry("b_le_a", b_val, a_val, ctx,
-                              violation_tolerance))
-        entries.append(_entry("b_gap_nonneg", 0.0, b_val - value, ctx,
-                              violation_tolerance))
-        entries.append(_entry("b_gap_le_a", b_val - value, a_val, ctx,
-                              violation_tolerance))
-        entries.append(_agreement("a_closed_form_agrees", a_val,
-                                  csiszar.bound_a(rb, generator(sp)),
-                                  ctx, violation_tolerance))
-        entries.append(_agreement("b_closed_form_agrees",
-                                  b_omega_closed_form(rb, sp), b_val,
-                                  ctx, violation_tolerance))
-        if gaps is None:
-            skip("gap_bounds",
-                 "third-derivative bounds restricted to s >= -1", ctx)
-            continue
-        for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
-            entries.append(_entry(f"{tag}_le_min", bundle.observed,
-                                  bundle.minimum, ctx, violation_tolerance))
-            for name, data_term, cap_term in zip(
-                    ("curvature", "third_derivative", "first_derivative"),
-                    bundle.candidates, bundle.cap_candidates):
-                entries.append(_entry(f"{tag}_{name}_le_cap", data_term,
-                                      cap_term, ctx, violation_tolerance))
-
-    entries.sort(key=_sort_key)
-    skipped.sort(key=_sort_key)
+        block, block_skipped = _family_checks(
+            pair, rb, moments, SParameter.from_value(s),
+            CheckContext(pair_id, s, r, R), violation_tolerance)
+        entries += block
+        skipped += block_skipped
     return BoundReport(tuple(entries), tuple(skipped), violation_tolerance,
                        REPORT_NOTES)

@@ -44,6 +44,9 @@ MAX_GRID_POINTS = 10**6
 #: each call that passes ``separators``.
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
+#: JSONL records joined into one string per write.
+_CHUNK_RECORDS = 1024
+
 _SIMPLE_MEASURES: dict[str, Callable[[DistributionPair], float]] = {
     "chi2": div.chi_squared,
     "kl": div.relative_information,
@@ -256,9 +259,36 @@ def _write_records(records, columns, args) -> None:
             writer.writerow(columns)
             writer.writerows(records)
         else:
-            encode = _JSON.encode
-            out.writelines(encode(dict(zip(columns, row))) + "\n"
-                           for row in records)
+            out.writelines(_jsonl_chunks(records, columns))
+
+
+def _jsonl_chunks(records, columns):
+    """The records as JSON lines, each spelled as ``_JSON`` spells
+    ``dict(zip(columns, row))`` (columns distinct), joined in chunks of
+    _CHUNK_RECORDS lines.
+
+    Every line fills one template built from the column names.  A finite
+    float is spelled by ``float.__repr__``, as the encoder spells it; any
+    other value goes through the encoder, once per distinct string or None.
+    """
+    template = "{%s}\n" % ",".join(
+        _JSON.encode(column).replace("%", "%%") + ":%s" for column in columns)
+    encode, texts = _JSON.encode, {}
+    isfinite, float_repr = math.isfinite, float.__repr__
+
+    def text(value):
+        if type(value) is float and isfinite(value):
+            return float_repr(value)
+        if type(value) is not str and value is not None:
+            return encode(value)
+        spelled = texts.get(value)
+        if spelled is None:
+            spelled = texts[value] = encode(value)
+        return spelled
+
+    for start in range(0, len(records), _CHUNK_RECORDS):
+        yield "".join([template % tuple(map(text, row))
+                       for row in records[start:start + _CHUNK_RECORDS]])
 
 
 def _cmd_compute(args) -> int:

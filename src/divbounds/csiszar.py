@@ -74,10 +74,12 @@ class GeneratorFunction:
         if abs(at_one) > NORMALIZATION_TOL:
             raise GeneratorNotNormalized(
                 f"{self.label}: f(1) = {at_one!r}, must vanish")
+        d2 = self.d2
         for x in CONVEXITY_PROBES:
-            if self.d2(x) < 0.0:
+            curvature = d2(x)
+            if curvature < 0.0:
                 raise GeneratorNotConvex(
-                    f"{self.label}: f''({x}) = {self.d2(x)!r} < 0")
+                    f"{self.label}: f''({x}) = {curvature!r} < 0")
 
 
 class GapTarget(enum.Enum):
@@ -143,15 +145,15 @@ def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
 def dragomir_e(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """First-derivative upper functional: sum of (p - q) f'(p/q)."""
     d1 = gen.d1
-    return fsum((p - q) * d1(p / q)
-                for p, q in zip(pair.p.values, pair.q.values) if p != q)
+    return fsum([(p - q) * d1(p / q)
+                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
 
 
 def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """Midpoint-argument variant: sum of (p - q) f'((p + q)/(2q))."""
     d1 = gen.d1
-    return fsum((p - q) * d1((p + q) / (2.0 * q))
-                for p, q in zip(pair.p.values, pair.q.values) if p != q)
+    return fsum([(p - q) * d1((p + q) / (2.0 * q))
+                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
 
 
 def bound_a(rb: RatioBounds, gen: GeneratorFunction) -> float:
@@ -224,18 +226,27 @@ def d3_sup(gen: GeneratorFunction, rb: RatioBounds) -> float:
     return max(best_val, refined)
 
 
-def _gap_bounds(pair: DistributionPair, rb: RatioBounds,
-                gen: GeneratorFunction, target: GapTarget, div: float,
-                curvature: float, k: int, sup3: float,
-                moments: PairMoments) -> GapBounds:
-    # The one body of the gap bounds.  The generator-specific inputs come
-    # from the caller: the divergence, the signed curvature spread
-    # k (f''(R) - f''(r)) with its sign k, and the sup of |f'''| on [r, R].
+def _gap_functional(pair: DistributionPair, gen: GeneratorFunction,
+                    target: GapTarget) -> float:
+    # the functional a target's gap is measured against: E for HALF_E,
+    # E* for E_STAR
     if target is GapTarget.HALF_E:
-        observed = abs(div - 0.5 * dragomir_e(pair, gen))
+        return dragomir_e(pair, gen)
+    return dragomir_e_star(pair, gen)
+
+
+def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
+                div: float, functional: float, curvature: float, k: int,
+                sup3: float, moments: PairMoments) -> GapBounds:
+    # The one body of the gap bounds.  The generator-specific inputs come
+    # from the caller: the divergence, the target's functional (E or E*),
+    # the signed curvature spread k (f''(R) - f''(r)) with its sign k, and
+    # the sup of |f'''| on [r, R].
+    if target is GapTarget.HALF_E:
+        observed = abs(div - 0.5 * functional)
         third_factor, first_factor = 1.0 / 12.0, 1.0
     else:
-        observed = abs(div - dragomir_e_star(pair, gen))
+        observed = abs(div - functional)
         third_factor, first_factor = 1.0 / 24.0, 0.5
     d1_spread = gen.d1(rb.R) - gen.d1(rb.r)
     candidates = (
@@ -269,7 +280,8 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
     k = _curvature_trend(gen, r, R)
     sup3 = d3_sup(gen, rb)
     moments = PairMoments.of(pair)
-    return _gap_bounds(pair, rb, gen, target, csiszar_divergence(pair, gen),
+    return _gap_bounds(rb, gen, target, csiszar_divergence(pair, gen),
+                       _gap_functional(pair, gen, target),
                        k * (gen.d2(R) - gen.d2(r)), k, sup3, moments)
 
 

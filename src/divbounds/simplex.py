@@ -54,7 +54,14 @@ def _check_components(values: tuple[float, ...]) -> None:
         raise DimensionTooSmall(
             f"need at least 2 components, got {len(values)}")
     for i, v in enumerate(values):
-        if not (math.isfinite(v) and v > 0.0):
+        try:
+            valid = math.isfinite(v) and v > 0.0
+        except (TypeError, OverflowError):
+            # not a real, or an int too large for a float: no value in the
+            # message, since repr of a huge int raises in turn
+            raise NonPositiveComponent(
+                "components must be finite reals") from None
+        if not valid:
             raise NonPositiveComponent(
                 f"component {i} is {v!r}; every component must be a "
                 "strictly positive finite real")

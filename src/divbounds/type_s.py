@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from math import exp, expm1, fsum, isfinite, log, log1p
+from math import exp, expm1, fsum, isfinite, log, log1p, pow
 from typing import Callable
 
 from .csiszar import GeneratorFunction
@@ -127,19 +127,23 @@ def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     if sp.regime is Regime.LIMIT_AT_ONE:
         return relative_ag_divergence(pair)
     sv = sp.s
-    core = fsum(p * expm1(sv * _log_mid_over_p(p, q))
-                for p, q in zip(pair.p.values, pair.q.values) if p != q)
+    core = fsum([p * expm1(sv * _log_mid_over_p(p, q))
+                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
     return core / (sv * (sv - 1.0))
 
 
 def _check_positive(x: float) -> None:
-    if not (math.isfinite(x) and x > 0.0):
+    # Raises for an argument outside (0, inf).  The generator maps run once
+    # per component, so each tests its argument inline and calls this only
+    # to raise.
+    if not (isfinite(x) and x > 0.0):
         raise NonPositiveArgument(f"argument must be in (0, inf), got {x!r}")
 
 
 def psi_s(x: float, s: float | SParameter) -> float:
     """Generator of the unified AG/JS family, normalized so psi_s(1) = 0."""
-    _check_positive(x)
+    if not (isfinite(x) and x > 0.0):
+        _check_positive(x)
     sp = _sparam(s)
     u = (x + 1.0) / (2.0 * x)
     if sp.regime is Regime.LIMIT_AT_ZERO:
@@ -147,14 +151,12 @@ def psi_s(x: float, s: float | SParameter) -> float:
     if sp.regime is Regime.LIMIT_AT_ONE:
         return 0.5 * (x - 1.0) + 0.5 * (x + 1.0) * log(u)
     sv = sp.s
-    return (x * math.pow(u, sv) - x - sv * 0.5 * (1.0 - x)) / (sv * (sv - 1.0))
+    return (x * pow(u, sv) - x - sv * 0.5 * (1.0 - x)) / (sv * (sv - 1.0))
 
 
 def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
     """psi_s' for one parameter as a closure: the regime is resolved and s,
-    s - 1 are bound once, since the generic engine calls it per component.
-    The argument test is inlined for the same reason; only a bad argument
-    goes on to _check_positive, which raises."""
+    s - 1 are bound once, since the generic engine calls it per component."""
     if sp.regime is Regime.LIMIT_AT_ZERO:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
@@ -186,24 +188,26 @@ def psi_s_d1(x: float, s: float | SParameter) -> float:
 def psi_s_d2(x: float, s: float | SParameter) -> float:
     """Second derivative of psi_s; strictly positive on (0, inf), which is
     what makes the whole family convex."""
-    _check_positive(x)
+    if not (isfinite(x) and x > 0.0):
+        _check_positive(x)
     sp = _sparam(s)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    regime = sp.regime
+    if regime is Regime.GENERIC:
+        return pow((x + 1.0) / (2.0 * x), sp.s - 2.0) / (4.0 * x * x * x)
+    if regime is Regime.LIMIT_AT_ZERO:
         return 1.0 / (x * (1.0 + x) * (1.0 + x))
-    if sp.regime is Regime.LIMIT_AT_ONE:
-        return 1.0 / (2.0 * x * x * (1.0 + x))
-    u = (x + 1.0) / (2.0 * x)
-    return math.pow(u, sp.s - 2.0) / (4.0 * x * x * x)
+    return 1.0 / (2.0 * x * x * (1.0 + x))
 
 
 def psi_s_d3(x: float, s: float | SParameter) -> float:
     """Third derivative of psi_s.  One formula covers all s (the limit
     regimes are plain evaluations); nonpositive whenever s >= -1."""
-    _check_positive(x)
+    if not (isfinite(x) and x > 0.0):
+        _check_positive(x)
     sp = _sparam(s)
     u = (x + 1.0) / (2.0 * x)
     one_plus = 1.0 + x
-    return -(sp.s + 1.0 + 3.0 * x) / (x * x * one_plus ** 3) * math.pow(u, sp.s)
+    return -(sp.s + 1.0 + 3.0 * x) / (x * x * one_plus ** 3) * pow(u, sp.s)
 
 
 def generator(s: float | SParameter) -> GeneratorFunction:

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbounds import (
     DistributionPair,
@@ -34,6 +36,7 @@ from divbounds import (
 from divbounds.bounds import (
     InvalidTolerance,
     SOutOfRange,
+    _s_key,
     b_omega_closed_form,
     e_omega_closed_form,
     e_star_omega_closed_form,
@@ -248,8 +251,12 @@ class TestGapBundles:
 
 
     def test_precomputed_inputs_change_nothing(self, make_pairs):
-        """Passing the pair's moments and omega_s, as verify_all and the
-        sweep command do, gives the plain call's bundle field for field."""
+        """Passing the pair's moments, omega_s and the target's functional
+        (E for HALF_E, E* for E_STAR), as verify_all and the sweep command
+        do, gives the plain call's bundle field for field, each keyword
+        alone and all three together."""
+        functionals = {GapTarget.HALF_E: e_omega,
+                       GapTarget.E_STAR: e_star_omega}
         for pair in make_pairs(70, seed=75):
             rb = ratio_bounds(pair)
             if rb.r == rb.R:
@@ -258,10 +265,15 @@ class TestGapBundles:
             for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
                 for target in GapTarget:
                     plain = theorem42_bounds(pair, rb, s, target)
-                    given = theorem42_bounds(pair, rb, s, target,
-                                             moments=moments,
-                                             omega=omega_s(pair, s))
-                    assert given == plain
+                    functional = functionals[target](pair, s)
+                    for kwargs in (
+                            dict(moments=moments),
+                            dict(omega=omega_s(pair, s)),
+                            dict(functional=functional),
+                            dict(moments=moments, omega=omega_s(pair, s),
+                                 functional=functional)):
+                        assert theorem42_bounds(pair, rb, s, target,
+                                                **kwargs) == plain, kwargs
 
     def test_pair_moments(self, make_pairs):
         """The m = 2 absolute moment is the chi-square to the last bit,
@@ -423,6 +435,30 @@ class TestVerifyAll:
     def test_non_finite_s_rejected(self, std_pair):
         with pytest.raises(NonFiniteParameter):
             verify_all(std_pair, (0.5, math.nan))
+
+    @given(st.integers(min_value=2, max_value=12),
+           st.integers(min_value=0, max_value=10**6),
+           st.booleans(),
+           st.lists(st.sampled_from((-1.5, -1.0, -0.5, 0.0, -0.0, 1e-6, 0.5,
+                                     1.0, 1.0 + 1e-6, 2.0, 3.0)),
+                    max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_report_sorted_by_s_then_id(self, n, seed, same, s_values):
+        """Entries and skips come out in the order one sort by (s,
+        inequality_id) gives, pair-level rows first: s-lists with
+        duplicates, s = -1.5 (gap bounds skipped), s near 0 and 1 (limit
+        regimes), and P = Q (interval checks skipped)."""
+        pair = random_pair(n, seed)
+        if same:
+            pair = DistributionPair(pair.p, pair.p)
+        report = verify_all(pair, s_values, pair_id="x")
+
+        def key(item):
+            return _s_key(item.context.s), item.inequality_id
+
+        assert list(report.entries) == sorted(report.entries, key=key)
+        assert list(report.skipped) == sorted(report.skipped, key=key)
+        assert len({key(e) for e in report.entries}) == len(report.entries)
 
     def test_binary_tightness(self):
         """Two-point pairs attain the chord bound and the first interval

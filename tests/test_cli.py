@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,6 +11,8 @@ import tracemalloc
 from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divbounds
 from divbounds import cli
@@ -526,6 +531,59 @@ def test_measures_help_names_every_id(capsys):
     words = set(re.split(r"[\s,:;()]+", measures_help))
     for measure_id in [*cli._SIMPLE_MEASURES, *cli._PARAMETRIC_MEASURES]:
         assert measure_id in words, measure_id
+
+
+def write_jsonl(records, columns):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_records(records, columns,
+                           argparse.Namespace(output="-", format="jsonl"))
+    return out.getvalue()
+
+
+def assert_json_dumps_lines(records, columns):
+    # each line as json.dumps spells the record's dict, compact separators
+    lines = write_jsonl(records, columns).split("\n")
+    assert lines.pop() == ""
+    assert lines == [json.dumps(dict(zip(columns, row)), separators=(",", ":"))
+                     for row in records]
+
+
+class TestJsonlSpelling:
+    COLUMNS = ("pair_id", "s", "lhs", "reason")
+    ROWS = [
+        ("nan", None, float("nan"), None),
+        ("inf", 1.0, float("inf"), "x"),
+        ("-inf", -1.0, float("-inf"), "x"),
+        ("zero", 0.0, -0.0, ""),
+        ("tiny", 5e-324, -5e-324, "\u00e9"),
+        ("huge", 1.7976931348623157e308, -1.7976931348623157e308, "\u2028"),
+        ("tenth", 0.1, 1e16, "quote \" and back\\slash"),
+        ("pct", 1e-7, 123456789.0, "100% of %s and %%s %(x)s"),
+        ("caf\u00e9 \U0001f600", 2.5e-10, -1e22, "tab\tnew\nline\x00"),
+    ]
+
+    def test_edge_values(self):
+        assert_json_dumps_lines(self.ROWS, self.COLUMNS)
+
+    def test_escaped_column_names(self):
+        columns = ("a%s", 'b"\\', "\u00e9", "%")
+        assert_json_dumps_lines(self.ROWS, columns)
+
+    def test_many_records(self):
+        # more records than one written chunk, with repeated strings
+        rows = [(f"pair-{i // 137}", i * 0.25, i / 7.0, None if i % 3 else "r")
+                for i in range(3000)]
+        assert_json_dumps_lines(rows, self.COLUMNS)
+
+    def test_no_records(self):
+        assert write_jsonl([], self.COLUMNS) == ""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_float_row(self, row):
+        columns = tuple(f"c{i}" for i in range(len(row)))
+        assert_json_dumps_lines([tuple(row)], columns)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

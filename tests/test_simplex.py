@@ -91,6 +91,24 @@ class TestValidate:
         with pytest.raises(SumOutOfTolerance):
             Distribution((1e308, 1e308))
 
+    @pytest.mark.parametrize("values", [
+        ("a", "b"), (None, 1.0), (10**400, 1), (0.5, 10**5000), (0.5, 0.5j),
+    ])
+    def test_unconvertible_components_rejected_on_construction(self, values):
+        with pytest.raises(NonPositiveComponent, match="finite reals"):
+            Distribution(values)
+
+    @given(st.lists(st.none() | st.booleans()
+                    | st.integers(min_value=-10**400, max_value=10**400)
+                    | st.floats() | st.text(max_size=8), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_components_give_distribution_or_simplex_error(self, raw):
+        try:
+            dist = Distribution(tuple(raw))
+        except SimplexError:
+            return
+        assert isinstance(dist, Distribution)
+
     @given(st.lists(st.none() | st.booleans()
                     | st.integers(min_value=-10**400, max_value=10**400)
                     | st.floats() | st.text(max_size=8), max_size=6),

@@ -161,11 +161,17 @@ class TestPsi:
         assert psi_s_d1(1.0, 0.5) == 0.0
 
     def test_rejects_nonpositive(self):
-        for fn in (psi_s, psi_s_d1, psi_s_d2, psi_s_d3):
-            with pytest.raises(NonPositiveArgument):
-                fn(0.0, 1.0)
-            with pytest.raises(NonPositiveArgument):
-                fn(-1.0, 0.5)
+        """0, negatives, +-inf and NaN raise with one message, from each
+        kernel in every regime and from a generator's maps."""
+        message = r"argument must be in \(0, inf\)"
+        for s in (-1.0, 1e-6, 0.5, 1.0, 2.0):
+            gen = generator(s)
+            kernels = [lambda x, fn=fn: fn(x, s)
+                       for fn in (psi_s, psi_s_d1, psi_s_d2, psi_s_d3)]
+            for fn in (*kernels, gen.fn, gen.d1, gen.d2, gen.d3):
+                for x in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+                    with pytest.raises(NonPositiveArgument, match=message):
+                        fn(x)
 
     def test_derivative_chain(self):
         """d1/d2/d3 match central finite differences of the next lower
