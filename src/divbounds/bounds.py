@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from math import fsum, log
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import csiszar
 from .csiszar import (
@@ -251,35 +252,27 @@ def _family_at(pair: DistributionPair, rb: RatioBounds,
     return omega, e, e_star, a, b, gaps
 
 
-@dataclass(frozen=True)
-class CheckContext:
-    """Where an inequality entry was evaluated."""
+class BoundEntry(NamedTuple):
+    """One row of the verification report, in the CLI's column order.
+
+    A checked inequality lhs <= rhs carries slack = rhs - lhs, verdict
+    "pass" or "fail" and no reason; a skipped check carries no lhs, rhs or
+    slack, verdict "skip" and the reason.  s is None for pair-level rows.
+    """
 
     pair_id: str
     s: float | None
-    r: float
-    R: float
-
-
-@dataclass(frozen=True)
-class BoundEntry:
-    """One verified inequality: lhs <= rhs with slack = rhs - lhs."""
-
     inequality_id: str
-    lhs: float
-    rhs: float
-    slack: float
+    lhs: float | None
+    rhs: float | None
+    slack: float | None
     verdict: str
-    context: CheckContext
+    reason: str | None
 
-
-@dataclass(frozen=True)
-class SkippedCheck:
-    """An inequality not evaluated, with the reason."""
-
-    inequality_id: str
-    reason: str
-    context: CheckContext
+    @property
+    def context(self) -> BoundEntry:
+        """The record itself, read as ``context.s`` or ``context.pair_id``."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -287,7 +280,7 @@ class BoundReport:
     """Consolidated inequality check results for one pair."""
 
     entries: tuple[BoundEntry, ...]
-    skipped: tuple[SkippedCheck, ...]
+    skipped: tuple[BoundEntry, ...]
     violation_tolerance: float
     notes: tuple[str, ...]
 
@@ -301,17 +294,23 @@ class BoundReport:
 
 
 def _entry(inequality_id: str, lhs: float, rhs: float,
-           context: CheckContext, tolerance: float) -> BoundEntry:
+           where: tuple[str, float | None], tolerance: float) -> BoundEntry:
+    # where = (pair_id, s), with s None for a pair-level check
     slack = rhs - lhs
     verdict = "pass" if slack >= -tolerance else "fail"
-    return BoundEntry(inequality_id, lhs, rhs, slack, verdict, context)
+    return BoundEntry(*where, inequality_id, lhs, rhs, slack, verdict, None)
+
+
+def _skip(inequality_id: str, reason: str,
+          where: tuple[str, float | None]) -> BoundEntry:
+    return BoundEntry(*where, inequality_id, None, None, None, "skip", reason)
 
 
 def _agreement(inequality_id: str, closed: float, generic: float,
-               context: CheckContext, tolerance: float) -> BoundEntry:
+               where: tuple[str, float | None], tolerance: float) -> BoundEntry:
     # relative to the authoritative generic value, absolute near zero
     return _entry(inequality_id, abs(generic - closed),
-                  CROSS_CHECK_REL * (1.0 + abs(generic)), context, tolerance)
+                  CROSS_CHECK_REL * (1.0 + abs(generic)), where, tolerance)
 
 
 def _tv_chain_factors(r: float, R: float, m: float) -> tuple[float, float]:
@@ -336,50 +335,50 @@ _DEGENERATE = "ratio interval degenerate (P = Q)"
 
 def _family_checks(pair: DistributionPair, rb: RatioBounds,
                    moments: PairMoments | None, sp: SParameter,
-                   ctx: CheckContext, tolerance: float):
+                   where: tuple[str, float], tolerance: float):
     """verify_all's entries and skips at one s, each list sorted by
     inequality id."""
     value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
         pair, rb, moments, sp)
     entries = [
-        _entry("omega_nonneg", 0.0, value, ctx, tolerance),
-        _entry("omega_le_e", value, e_val, ctx, tolerance),
+        _entry("omega_nonneg", 0.0, value, where, tolerance),
+        _entry("omega_le_e", value, e_val, where, tolerance),
         _agreement("e_closed_form_agrees", e_omega_closed_form(pair, sp),
-                   e_val, ctx, tolerance),
+                   e_val, where, tolerance),
         _agreement("e_star_closed_form_agrees",
-                   e_star_omega_closed_form(pair, sp), e_star_val, ctx,
+                   e_star_omega_closed_form(pair, sp), e_star_val, where,
                    tolerance),
     ]
     if moments is None:
-        skipped = [SkippedCheck("gap_bounds", _DEGENERATE, ctx),
-                   SkippedCheck("interval_bounds", _DEGENERATE, ctx)]
+        skipped = [_skip("gap_bounds", _DEGENERATE, where),
+                   _skip("interval_bounds", _DEGENERATE, where)]
     else:
         entries += [
-            _entry("e_le_a", e_val, a_val, ctx, tolerance),
-            _entry("omega_le_a", value, a_val, ctx, tolerance),
-            _entry("omega_le_b", value, b_val, ctx, tolerance),
-            _entry("b_le_a", b_val, a_val, ctx, tolerance),
-            _entry("b_gap_nonneg", 0.0, b_val - value, ctx, tolerance),
-            _entry("b_gap_le_a", b_val - value, a_val, ctx, tolerance),
+            _entry("e_le_a", e_val, a_val, where, tolerance),
+            _entry("omega_le_a", value, a_val, where, tolerance),
+            _entry("omega_le_b", value, b_val, where, tolerance),
+            _entry("b_le_a", b_val, a_val, where, tolerance),
+            _entry("b_gap_nonneg", 0.0, b_val - value, where, tolerance),
+            _entry("b_gap_le_a", b_val - value, a_val, where, tolerance),
             _agreement("a_closed_form_agrees", a_val,
-                       csiszar.bound_a(rb, generator(sp)), ctx, tolerance),
+                       csiszar.bound_a(rb, generator(sp)), where, tolerance),
             _agreement("b_closed_form_agrees", b_omega_closed_form(rb, sp),
-                       b_val, ctx, tolerance),
+                       b_val, where, tolerance),
         ]
         skipped = []
         if gaps is None:
-            skipped.append(SkippedCheck(
+            skipped.append(_skip(
                 "gap_bounds", "third-derivative bounds restricted to s >= -1",
-                ctx))
+                where))
         else:
             for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
                 entries.append(_entry(f"{tag}_le_min", bundle.observed,
-                                      bundle.minimum, ctx, tolerance))
+                                      bundle.minimum, where, tolerance))
                 for name, data_term, cap_term in zip(
                         ("curvature", "third_derivative", "first_derivative"),
                         bundle.candidates, bundle.cap_candidates):
                     entries.append(_entry(f"{tag}_{name}_le_cap", data_term,
-                                          cap_term, ctx, tolerance))
+                                          cap_term, where, tolerance))
     entries.sort(key=_by_id)
     return entries, skipped
 
@@ -406,17 +405,17 @@ def verify_all(pair: DistributionPair, s_values, *,
     r, R = rb.r, rb.R
     degenerate = r == R
     entries: list[BoundEntry] = []
-    skipped: list[SkippedCheck] = []
-    pair_ctx = CheckContext(pair_id, None, r, R)
+    skipped: list[BoundEntry] = []
+    pair_where = (pair_id, None)
 
     # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
     half_tri = 0.5 * triangular_discrimination(pair)
     rel_j_swap = relative_j_divergence(pair.swapped())
     chi2_swap = chi_squared(pair.swapped())
     entries.append(_entry("tri_half_le_rel_j_swap", half_tri, rel_j_swap,
-                          pair_ctx, violation_tolerance))
+                          pair_where, violation_tolerance))
     entries.append(_entry("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap,
-                          pair_ctx, violation_tolerance))
+                          pair_where, violation_tolerance))
 
     # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
     # chi-square: the same nonzero terms, so fsum returns the same value.
@@ -424,7 +423,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     for m in (1.0, 2.0, 3.0):
         prefix = f"abs_chi[m={m:g}]"
         if moments is None:
-            skipped.append(SkippedCheck(prefix, _DEGENERATE, pair_ctx))
+            skipped.append(_skip(prefix, _DEGENERATE, pair_where))
             continue
         variation = moments.variation
         moment = {1.0: variation, 2.0: moments.chi2,
@@ -435,18 +434,18 @@ def verify_all(pair: DistributionPair, s_values, *,
         cap = (0.5 * (R - r)) ** m
         lower_factor, upper_factor = _tv_chain_factors(r, R, m)
         entries.append(_entry(f"{prefix}_le_interval", moment, interval,
-                              pair_ctx, violation_tolerance))
+                              pair_where, violation_tolerance))
         entries.append(_entry(f"{prefix}_interval_le_cap", interval, cap,
-                              pair_ctx, violation_tolerance))
+                              pair_where, violation_tolerance))
         entries.append(_entry(f"{prefix}_le_tv_ceiling", moment,
                               upper_factor * variation,
-                              pair_ctx, violation_tolerance))
+                              pair_where, violation_tolerance))
         entries.append(_entry(f"power_diff[m={m:g}]_ge_tv_floor",
                               lower_factor * variation, power_diff,
-                              pair_ctx, violation_tolerance))
+                              pair_where, violation_tolerance))
         entries.append(_entry(f"power_diff[m={m:g}]_le_tv_ceiling",
                               power_diff, upper_factor * variation,
-                              pair_ctx, violation_tolerance))
+                              pair_where, violation_tolerance))
 
     # Each block is sorted by inequality id and the blocks come in s order,
     # so the report is ordered by (s, inequality_id).
@@ -455,7 +454,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     for s in sorted({float(s) for s in s_values}):
         block, block_skipped = _family_checks(
             pair, rb, moments, SParameter.from_value(s),
-            CheckContext(pair_id, s, r, R), violation_tolerance)
+            (pair_id, s), violation_tolerance)
         entries += block
         skipped += block_skipped
     return BoundReport(tuple(entries), tuple(skipped), violation_tolerance,

@@ -376,18 +376,14 @@ def _cmd_verify(args) -> int:
                 first = entries[0]
                 lhs = first.rhs + 1.0 + 2.0 * (args.tolerance + abs(first.rhs))
                 entries = (bounds_mod._entry(
-                    first.inequality_id, lhs, first.rhs, first.context,
+                    first.inequality_id, lhs, first.rhs, (pid, first.s),
                     args.tolerance),) + entries[1:]
-            rows.extend((pid, e.context.s, e.inequality_id, e.lhs, e.rhs,
-                         e.slack, e.verdict, None) for e in entries)
-            rows.extend((pid, item.context.s, item.inequality_id, None, None,
-                         None, "skip", item.reason)
-                        for item in report.skipped)
+            rows += entries
+            rows += report.skipped
         rows.sort(key=lambda row: (_s_key(row[1]), row[2]))
         records.extend(rows)
     any_fail = any(row[6] == "fail" for row in records)
-    _write_records(records, ("pair_id", "s", "inequality_id", "lhs", "rhs",
-                             "slack", "verdict", "reason"), args)
+    _write_records(records, bounds_mod.BoundEntry._fields, args)
     return 2 if any_fail else 0
 
 

@@ -23,8 +23,7 @@ CONVEXITY_PROBES = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 NORMALIZATION_TOL = 1e-12
 
-#: Grid sizes for the third-derivative sign scan and supremum search.
-SIGN_GRID = 33
+#: Grid size of the third-derivative scan for the supremum and the sign.
 SUP_GRID = 1025
 
 #: |f'''| below this counts as zero in the sign scan.
@@ -169,25 +168,6 @@ def bound_b(rb: RatioBounds, gen: GeneratorFunction) -> float:
             + (1.0 - rb.r) * gen.fn(rb.R)) / (rb.R - rb.r)
 
 
-def _curvature_trend(gen: GeneratorFunction, r: float, R: float) -> int:
-    """Sign of f''' sampled on [r, R]: -1 for decreasing f'', +1 for
-    increasing.  Raises if the sampled sign is not uniform."""
-    saw_pos = saw_neg = False
-    step = (R - r) / (SIGN_GRID - 1)
-    for i in range(SIGN_GRID):
-        v = gen.d3(r + i * step)
-        if abs(v) < D3_ZERO_TOL:
-            continue
-        if v > 0.0:
-            saw_pos = True
-        else:
-            saw_neg = True
-    if saw_pos and saw_neg:
-        raise NonMonotoneSecondDerivative(
-            f"{gen.label}: f''' changes sign on [{r}, {R}]")
-    return -1 if saw_neg else 1
-
-
 def _golden_max(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section maximization of g on [lo, hi]."""
     x1 = hi - _GOLDEN * (hi - lo)
@@ -207,23 +187,37 @@ def _golden_max(g: Callable[[float], float], lo: float, hi: float) -> float:
     return max(g1, g2, g(lo), g(hi))
 
 
-def d3_sup(gen: GeneratorFunction, rb: RatioBounds) -> float:
-    """Supremum of |f'''| over [r, R]: dense grid plus golden-section
-    refinement of the best cell."""
-    r, R = rb.r, rb.R
-    if r == R:
-        return abs(gen.d3(r))
+def _d3_scan(gen: GeneratorFunction, r: float,
+             R: float) -> tuple[float, bool, bool]:
+    """(sup of |f'''| over [r, R] from a dense grid plus golden-section
+    refinement of the best cell, whether the grid saw f''' > 0, whether it
+    saw f''' < 0).  |f'''| below D3_ZERO_TOL has no sign."""
     step = (R - r) / (SUP_GRID - 1)
     best_val = -1.0
     best_i = 0
+    saw_pos = saw_neg = False
     for i in range(SUP_GRID):
-        v = abs(gen.d3(r + i * step))
-        if v > best_val:
-            best_val, best_i = v, i
+        v = gen.d3(r + i * step)
+        size = abs(v)
+        if not size < D3_ZERO_TOL:
+            if v > 0.0:
+                saw_pos = True
+            else:
+                saw_neg = True
+        if size > best_val:
+            best_val, best_i = size, i
     lo = r + max(best_i - 1, 0) * step
     hi = r + min(best_i + 1, SUP_GRID - 1) * step
     refined = _golden_max(lambda x: abs(gen.d3(x)), lo, hi)
-    return max(best_val, refined)
+    return max(best_val, refined), saw_pos, saw_neg
+
+
+def d3_sup(gen: GeneratorFunction, rb: RatioBounds) -> float:
+    """Supremum of |f'''| over [r, R]: dense grid plus golden-section
+    refinement of the best cell."""
+    if rb.r == rb.R:
+        return abs(gen.d3(rb.r))
+    return _d3_scan(gen, rb.r, rb.R)[0]
 
 
 def _gap_functional(pair: DistributionPair, gen: GeneratorFunction,
@@ -277,8 +271,11 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
     target = GapTarget(target)
     _require_straddle(rb)
     r, R = rb.r, rb.R
-    k = _curvature_trend(gen, r, R)
-    sup3 = d3_sup(gen, rb)
+    sup3, saw_pos, saw_neg = _d3_scan(gen, r, R)
+    if saw_pos and saw_neg:
+        raise NonMonotoneSecondDerivative(
+            f"{gen.label}: f''' changes sign on [{r}, {R}]")
+    k = -1 if saw_neg else 1
     moments = PairMoments.of(pair)
     return _gap_bounds(rb, gen, target, csiszar_divergence(pair, gen),
                        _gap_functional(pair, gen, target),

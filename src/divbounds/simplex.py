@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 #: below any meaningful probability mass.
 SUM_TOLERANCE = 1e-9
 
-_MIX_ITERATIONS = 200
-
 
 class SimplexError(ValueError):
     """Base class for simplex-domain violations."""
@@ -170,30 +168,14 @@ def _draw_point(rng: random.Random, n: int) -> tuple[float, ...]:
     return tuple(v / total for v in g)
 
 
-def random_pair(n: int, seed: int,
-                min_ratio_floor: float | None = None) -> DistributionPair:
+def random_pair(n: int, seed: int) -> DistributionPair:
     """Deterministically generate a valid pair, uniform over the simplex.
 
-    The same (n, seed) always yields bit-identical output.  When
-    ``min_ratio_floor`` is given, both members are repeatedly mixed toward
-    the uniform distribution until min_i p_i/q_i reaches the floor; the
-    floor must lie in (0, 1) since the smallest ratio never exceeds one.
+    The same (n, seed) always yields bit-identical output.
     """
     if n < 2:
         raise InvalidDimension(f"need dimension >= 2, got {n}")
-    if min_ratio_floor is not None and not (0.0 < min_ratio_floor < 1.0):
-        raise ValueError(
-            f"min_ratio_floor must lie in (0, 1), got {min_ratio_floor!r}")
     rng = random.Random(seed)
     p_values = _draw_point(rng, n)
     q_values = _draw_point(rng, n)
-    if min_ratio_floor is not None:
-        uniform = 1.0 / n
-        for _ in range(_MIX_ITERATIONS):
-            if min(p / q for p, q in zip(p_values, q_values)) >= min_ratio_floor:
-                break
-            p_values = tuple(0.5 * (v + uniform) for v in p_values)
-            q_values = tuple(0.5 * (v + uniform) for v in q_values)
-        else:
-            raise RuntimeError("ratio floor not reached; floor too close to 1")
     return DistributionPair(validate(p_values), validate(q_values))

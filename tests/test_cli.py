@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divbounds
-from divbounds import cli
-from divbounds.bounds import VIOLATION_TOLERANCE
+from divbounds import DistributionPair, cli, validate, verify_all
+from divbounds.bounds import VIOLATION_TOLERANCE, _s_key
 from divbounds.cli import CliInputError, _sweep_grid, main
 
 STD_CSV = """pair_id,role,v1,v2
@@ -356,6 +356,37 @@ class TestVerify:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "pair_id,s,inequality_id,lhs,rhs,slack,verdict,reason"
+
+    def test_rows_are_the_report_records(self, tmp_path, capsys):
+        """Each row other than the notes is one record of the pair's
+        report, entries and skips merged by (s, inequality_id), spelled
+        as the JSON object of the output columns."""
+        pairs = {"norm": ((0.5, 0.5), (0.25, 0.75)),
+                 "same": ((0.3, 0.3, 0.4), (0.3, 0.3, 0.4))}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [
+            {"id": pid, "p": p, "q": q} for pid, (p, q) in pairs.items()]}))
+        code, out, _ = run(capsys, "verify", "--input", str(path),
+                           "--s-list=-1.5,0,1,2")
+        assert code == 0
+        columns = ("pair_id", "s", "inequality_id", "lhs", "rhs", "slack",
+                   "verdict", "reason")
+        expected = []
+        for pid, (p, q) in sorted(pairs.items()):
+            report = verify_all(DistributionPair(validate(p), validate(q)),
+                                (-1.5, 0.0, 1.0, 2.0), pair_id=pid)
+            records = sorted(report.entries + report.skipped,
+                             key=lambda rec: (_s_key(rec.s),
+                                              rec.inequality_id))
+            assert all(len(rec) == 8 and rec.context is rec
+                       for rec in records)
+            expected += [json.dumps(dict(zip(columns, rec)),
+                                    separators=(",", ":"))
+                         for rec in records]
+        lines = [line for line in out.splitlines()
+                 if not line.startswith('{"pair_id":"*"')]
+        assert lines == expected
+        assert sum('"verdict":"skip"' in line for line in lines) > 3
 
 
 # r = 2e-300: r^3 underflows to zero in delta_omega (verify), and

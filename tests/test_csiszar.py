@@ -26,6 +26,7 @@ from divbounds.csiszar import (
     GeneratorNotConvex,
     GeneratorNotNormalized,
     IntervalNotStraddlingOne,
+    SUP_GRID,
     NonMonotoneSecondDerivative,
     d3_sup,
     hellinger_generator,
@@ -51,6 +52,32 @@ def quartic_generator():
         d2=lambda x: 12.0 * (x - 1.0) ** 2,
         d3=lambda x: 24.0 * (x - 1.0),
         label="quartic",
+    )
+
+
+def lorentzian_generator(c, w, base, height, curvature):
+    """f''' = base + height/(1 + t^2) with t = (x - c)/w, and its exact
+    antiderivatives: f'' = curvature + base x + height w atan(t), and so on
+    down to f, shifted so that f(1) = 0."""
+
+    def lifts(x):
+        # w^k G_k(t), where G_1 = atan and G_k' = G_(k-1)
+        t = (x - c) / w
+        at, lg = math.atan(t), math.log1p(t * t)
+        return (w * at, w * w * (t * at - 0.5 * lg),
+                w ** 3 * (0.5 * (t * t - 1.0) * at + 0.5 * t * (1.0 - lg)))
+
+    def fn(x):
+        return (0.5 * curvature * x * x + base * x ** 3 / 6.0
+                + height * lifts(x)[2])
+
+    shift = fn(1.0)
+    return GeneratorFunction(
+        fn=lambda x: fn(x) - shift,
+        d1=lambda x: curvature * x + 0.5 * base * x * x + height * lifts(x)[1],
+        d2=lambda x: curvature + base * x + height * lifts(x)[0],
+        d3=lambda x: base + height / (1.0 + ((x - c) / w) ** 2),
+        label="lorentzian",
     )
 
 
@@ -185,6 +212,20 @@ class TestGapBounds:
             theorem33_bounds(std_pair, std_rb, quartic_generator(),
                              GapTarget.HALF_E)
 
+    def test_sign_change_between_coarse_points(self, std_pair, std_rb):
+        """f''' < 0 at each of 33 equally spaced points of [r, R] but > 0
+        within w of c, halfway between two of them: the scan over the
+        SUP_GRID points, a superset of the 33, sees both signs."""
+        r, R = std_rb.r, std_rb.R
+        coarse, fine = (R - r) / 32, (R - r) / (SUP_GRID - 1)
+        c = r + 15.5 * coarse + 0.3 * fine
+        gen = lorentzian_generator(c, 4.0 * fine, -1.0, 2.0, 11.0)
+        assert all(gen.d3(r + i * coarse) < -0.5 for i in range(33))
+        assert gen.d3(c) == 1.0
+        with pytest.raises(NonMonotoneSecondDerivative,
+                           match="lorentzian: f''' changes sign on"):
+            theorem33_bounds(std_pair, std_rb, gen, GapTarget.HALF_E)
+
     def test_pearson_gap_is_zero(self, std_pair, std_rb):
         # (x-1)^2 has constant f'', so the curvature candidate vanishes and
         # both gaps are identically zero: the bound is attained.
@@ -200,6 +241,17 @@ class TestGapBounds:
         for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
             grid = d3_sup(generator(s), std_rb)
             assert close(grid, psi3_sup(std_rb, s))
+
+    def test_d3_sup_interior_peak(self, std_rb):
+        # |f'''| = 1/(1 + t^2) peaks at c, off the grid: the grid falls
+        # short of 1, and only a refinement that moves its lower end up
+        # past the grid point below c reaches the peak.
+        r, R = std_rb.r, std_rb.R
+        step = (R - r) / (SUP_GRID - 1)
+        gen = lorentzian_generator(r + 400.3 * step, 0.05, 0.0, -1.0, 1.0)
+        grid = max(abs(gen.d3(r + i * step)) for i in range(SUP_GRID))
+        assert grid < 1.0 - 1e-6
+        assert math.isclose(d3_sup(gen, std_rb), 1.0, rel_tol=1e-12)
 
     def test_gap_bounds_bulk(self, make_pairs):
         gens = [kl_generator(), hellinger_generator(), generator(-0.5),
@@ -236,3 +288,16 @@ class TestDerivativeConsistency:
                              rel=1e-6, abs_=1e-9)
                 assert close(gen.d3(x), self.cfd(gen.d2, x, self.H),
                              rel=1e-6, abs_=1e-9)
+
+    @pytest.mark.parametrize("args", [(1.3, 0.05, 0.0, -1.0, 1.0),
+                                      (1.3, 0.005, -1.0, 2.0, 11.0)])
+    def test_lorentzian_derivatives(self, args):
+        gen = lorentzian_generator(*args)
+        h = args[1] * 1e-4
+        for x in self.PROBES + (args[0], args[0] + args[1]):
+            assert close(gen.d1(x), self.cfd(gen.fn, x, h), rel=1e-6,
+                         abs_=1e-9)
+            assert close(gen.d2(x), self.cfd(gen.d1, x, h), rel=1e-6,
+                         abs_=1e-9)
+            assert close(gen.d3(x), self.cfd(gen.d2, x, h), rel=1e-6,
+                         abs_=1e-9)

@@ -184,15 +184,6 @@ class TestRandomPair:
         with pytest.raises(InvalidDimension):
             random_pair(1, seed=0)
 
-    def test_min_ratio_floor(self):
-        for seed in range(25):
-            pair = random_pair(6, seed=seed, min_ratio_floor=0.25)
-            assert ratio_bounds(pair).r >= 0.25
-
-    def test_min_ratio_floor_must_be_below_one(self):
-        with pytest.raises(ValueError):
-            random_pair(3, seed=0, min_ratio_floor=1.0)
-
     def test_direct_construction_checks(self):
         with pytest.raises(SumOutOfTolerance):
             Distribution((0.2, 0.2))
