@@ -277,20 +277,28 @@ class BoundEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Consolidated inequality check results for one pair."""
+    """Consolidated check results for one pair: ``records`` in report order,
+    and its checked (``entries``) and skipped (``skipped``) views."""
 
-    entries: tuple[BoundEntry, ...]
-    skipped: tuple[BoundEntry, ...]
+    records: tuple[BoundEntry, ...]
     violation_tolerance: float
     notes: tuple[str, ...]
 
     @property
+    def entries(self) -> tuple[BoundEntry, ...]:
+        return tuple(e for e in self.records if e.verdict != "skip")
+
+    @property
+    def skipped(self) -> tuple[BoundEntry, ...]:
+        return tuple(e for e in self.records if e.verdict == "skip")
+
+    @property
     def all_pass(self) -> bool:
-        return all(e.verdict == "pass" for e in self.entries)
+        return not self.failures
 
     @property
     def failures(self) -> tuple[BoundEntry, ...]:
-        return tuple(e for e in self.entries if e.verdict != "pass")
+        return tuple(e for e in self.records if e.verdict == "fail")
 
 
 def _entry(inequality_id: str, lhs: float, rhs: float,
@@ -336,11 +344,10 @@ _DEGENERATE = "ratio interval degenerate (P = Q)"
 def _family_checks(pair: DistributionPair, rb: RatioBounds,
                    moments: PairMoments | None, sp: SParameter,
                    where: tuple[str, float], tolerance: float):
-    """verify_all's entries and skips at one s, each list sorted by
-    inequality id."""
+    """verify_all's records at one s, sorted by inequality id."""
     value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
         pair, rb, moments, sp)
-    entries = [
+    records = [
         _entry("omega_nonneg", 0.0, value, where, tolerance),
         _entry("omega_le_e", value, e_val, where, tolerance),
         _agreement("e_closed_form_agrees", e_omega_closed_form(pair, sp),
@@ -350,10 +357,10 @@ def _family_checks(pair: DistributionPair, rb: RatioBounds,
                    tolerance),
     ]
     if moments is None:
-        skipped = [_skip("gap_bounds", _DEGENERATE, where),
-                   _skip("interval_bounds", _DEGENERATE, where)]
+        records += [_skip("gap_bounds", _DEGENERATE, where),
+                    _skip("interval_bounds", _DEGENERATE, where)]
     else:
-        entries += [
+        records += [
             _entry("e_le_a", e_val, a_val, where, tolerance),
             _entry("omega_le_a", value, a_val, where, tolerance),
             _entry("omega_le_b", value, b_val, where, tolerance),
@@ -365,22 +372,21 @@ def _family_checks(pair: DistributionPair, rb: RatioBounds,
             _agreement("b_closed_form_agrees", b_omega_closed_form(rb, sp),
                        b_val, where, tolerance),
         ]
-        skipped = []
         if gaps is None:
-            skipped.append(_skip(
+            records.append(_skip(
                 "gap_bounds", "third-derivative bounds restricted to s >= -1",
                 where))
         else:
             for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
-                entries.append(_entry(f"{tag}_le_min", bundle.observed,
+                records.append(_entry(f"{tag}_le_min", bundle.observed,
                                       bundle.minimum, where, tolerance))
                 for name, data_term, cap_term in zip(
                         ("curvature", "third_derivative", "first_derivative"),
                         bundle.candidates, bundle.cap_candidates):
-                    entries.append(_entry(f"{tag}_{name}_le_cap", data_term,
+                    records.append(_entry(f"{tag}_{name}_le_cap", data_term,
                                           cap_term, where, tolerance))
-    entries.sort(key=_by_id)
-    return entries, skipped
+    records.sort(key=_by_id)
+    return records
 
 
 def verify_all(pair: DistributionPair, s_values, *,
@@ -394,9 +400,9 @@ def verify_all(pair: DistributionPair, s_values, *,
     closed-form/generic agreement checks, and the third-derivative gap
     bounds (the latter only for s >= -1; other s are skipped, not
     extrapolated).  Degenerate pairs (P = Q, so r = R = 1) skip every
-    interval-dependent entry with a recorded reason.  Entries are ordered
-    by (s, inequality_id); pair-level entries sort first.  The violation
-    tolerance must be finite and nonnegative.
+    interval-dependent entry with a recorded reason.  Records, checked and
+    skipped alike, are ordered by (s, inequality_id), each key once, with
+    pair-level records first.  The tolerance must be finite and >= 0.
     """
     if not (math.isfinite(violation_tolerance) and violation_tolerance >= 0.0):
         raise InvalidTolerance(f"violation tolerance must be finite and >= 0, "
@@ -404,18 +410,16 @@ def verify_all(pair: DistributionPair, s_values, *,
     rb = ratio_bounds(pair)
     r, R = rb.r, rb.R
     degenerate = r == R
-    entries: list[BoundEntry] = []
-    skipped: list[BoundEntry] = []
     pair_where = (pair_id, None)
 
     # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
     half_tri = 0.5 * triangular_discrimination(pair)
     rel_j_swap = relative_j_divergence(pair.swapped())
     chi2_swap = chi_squared(pair.swapped())
-    entries.append(_entry("tri_half_le_rel_j_swap", half_tri, rel_j_swap,
-                          pair_where, violation_tolerance))
-    entries.append(_entry("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap,
-                          pair_where, violation_tolerance))
+    records = [_entry("tri_half_le_rel_j_swap", half_tri, rel_j_swap,
+                      pair_where, violation_tolerance),
+               _entry("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap,
+                      pair_where, violation_tolerance)]
 
     # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
     # chi-square: the same nonzero terms, so fsum returns the same value.
@@ -423,7 +427,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     for m in (1.0, 2.0, 3.0):
         prefix = f"abs_chi[m={m:g}]"
         if moments is None:
-            skipped.append(_skip(prefix, _DEGENERATE, pair_where))
+            records.append(_skip(prefix, _DEGENERATE, pair_where))
             continue
         variation = moments.variation
         moment = {1.0: variation, 2.0: moments.chi2,
@@ -433,29 +437,24 @@ def verify_all(pair: DistributionPair, s_values, *,
             (1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
         cap = (0.5 * (R - r)) ** m
         lower_factor, upper_factor = _tv_chain_factors(r, R, m)
-        entries.append(_entry(f"{prefix}_le_interval", moment, interval,
+        records.append(_entry(f"{prefix}_le_interval", moment, interval,
                               pair_where, violation_tolerance))
-        entries.append(_entry(f"{prefix}_interval_le_cap", interval, cap,
+        records.append(_entry(f"{prefix}_interval_le_cap", interval, cap,
                               pair_where, violation_tolerance))
-        entries.append(_entry(f"{prefix}_le_tv_ceiling", moment,
+        records.append(_entry(f"{prefix}_le_tv_ceiling", moment,
                               upper_factor * variation,
                               pair_where, violation_tolerance))
-        entries.append(_entry(f"power_diff[m={m:g}]_ge_tv_floor",
+        records.append(_entry(f"power_diff[m={m:g}]_ge_tv_floor",
                               lower_factor * variation, power_diff,
                               pair_where, violation_tolerance))
-        entries.append(_entry(f"power_diff[m={m:g}]_le_tv_ceiling",
+        records.append(_entry(f"power_diff[m={m:g}]_le_tv_ceiling",
                               power_diff, upper_factor * variation,
                               pair_where, violation_tolerance))
 
     # Each block is sorted by inequality id and the blocks come in s order,
     # so the report is ordered by (s, inequality_id).
-    entries.sort(key=_by_id)
-    skipped.sort(key=_by_id)
+    records.sort(key=_by_id)
     for s in sorted({float(s) for s in s_values}):
-        block, block_skipped = _family_checks(
-            pair, rb, moments, SParameter.from_value(s),
-            (pair_id, s), violation_tolerance)
-        entries += block
-        skipped += block_skipped
-    return BoundReport(tuple(entries), tuple(skipped), violation_tolerance,
-                       REPORT_NOTES)
+        records += _family_checks(pair, rb, moments, SParameter.from_value(s),
+                                  (pair_id, s), violation_tolerance)
+    return BoundReport(tuple(records), violation_tolerance, REPORT_NOTES)

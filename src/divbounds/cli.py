@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import heapq
 import io
 import json
 import math
@@ -36,6 +37,9 @@ from .type_s import SParameter, omega_s, phi_s
 from .bounds import REPORT_NOTES, PairMoments, _s_key, verify_all
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+#: How --help spells the default s-list.
+_DEFAULT_S_HELP = f"(default: {','.join(f'{s:g}' for s in DEFAULT_S_LIST)})"
 
 #: Most points a sweep grid may have; checked before the grid is built.
 MAX_GRID_POINTS = 10**6
@@ -143,7 +147,16 @@ def _load_csv_pairs(text: str, renormalize: bool):
         if role not in ("P", "Q"):
             raise CliInputError(
                 f"pair {pid}: role must be P or Q, got {role!r}")
-        cells = [cell.strip() for cell in row[2:] if cell.strip() != ""]
+        # spreadsheet exports pad rows with trailing empty cells; an empty
+        # cell before a filled one would shift every later component
+        cells = [cell.strip() for cell in row[2:]]
+        while cells and not cells[-1]:
+            cells.pop()
+        if "" in cells:
+            column = 2 + cells.index("")
+            name = header[column] if column < len(header) else column + 1
+            raise CliInputError(
+                f"pair {pid}: empty component in column {name}")
         try:
             values = tuple(float(cell) for cell in cells)
         except ValueError as exc:
@@ -326,6 +339,10 @@ def _sweep_grid(s_min: float, s_max: float, s_step: float):
         s = s_min + k * s_step
         if s > s_max + 1e-9 * s_step:
             break
+        if values and not s > values[-1]:
+            raise CliInputError(f"s_step={s_step!r} is below the float "
+                                f"spacing of s near {s!r}: the grid repeats "
+                                "a point")
         values.append(s)
         k += 1
     return values
@@ -361,27 +378,27 @@ def _cmd_verify(args) -> int:
     # the first pair read.
     corrupt = pairs[0][1] if args.inject_violation else None
     records = []
-    # Within a pair_id: pair-level rows before per-s rows, then by
-    # inequality id; the note rows head the "*" group.
+    # Rows within a pair_id go by (s, inequality_id), pair-level first,
+    # then input order; each report is already so ordered, so they merge.
+    # The notes (pair-level, id "note") follow a "*" pair's abs_chi rows.
     for pid, group in _groups(pairs, "*"):
-        rows = [(pid, None, "note", None, None, None, "info", note)
-                for note in (REPORT_NOTES if pid == "*" else ())]
+        runs = [[(pid, None, "note", None, None, None, "info", note)
+                 for note in REPORT_NOTES]] if pid == "*" else []
         for pair in group:
-            report = verify_all(pair, s_list, pair_id=pid,
-                                violation_tolerance=args.tolerance)
-            entries = report.entries
+            run = verify_all(pair, s_list, pair_id=pid,
+                             violation_tolerance=args.tolerance).records
             if pair is corrupt:
                 # lhs past rhs by more than the tolerance and than the
                 # rounding of rhs, however large either is
-                first = entries[0]
+                first = next(rec for rec in run if rec.verdict != "skip")
                 lhs = first.rhs + 1.0 + 2.0 * (args.tolerance + abs(first.rhs))
-                entries = (bounds_mod._entry(
+                run = list(run)
+                run[run.index(first)] = bounds_mod._entry(
                     first.inequality_id, lhs, first.rhs, (pid, first.s),
-                    args.tolerance),) + entries[1:]
-            rows += entries
-            rows += report.skipped
-        rows.sort(key=lambda row: (_s_key(row[1]), row[2]))
-        records.extend(rows)
+                    args.tolerance)
+            runs.append(run)
+        records.extend(heapq.merge(
+            *runs, key=lambda row: (_s_key(row[1]), row[2])))
     any_fail = any(row[6] == "fail" for row in records)
     _write_records(records, bounds_mod.BoundEntry._fields, args)
     return 2 if any_fail else 0
@@ -433,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
              "a colon (vajda:3, omega:-0.5); bare, these expand over --s-list")
     p_compute.add_argument("--s-list", default=None,
                            help="comma-separated parameters used to expand "
-                                "bare parametric measure names")
+                                "bare parametric measure names "
+                                + _DEFAULT_S_HELP)
     p_compute.set_defaults(handler=_cmd_compute)
 
     p_sweep = subs.add_parser(
@@ -449,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_verify)
     p_verify.add_argument("--s-list", default=None,
                           help="comma-separated family parameters "
-                               "(default: -1,-0.5,0,0.5,1,2)")
+                               + _DEFAULT_S_HELP)
     p_verify.add_argument("--tolerance", type=float,
                           default=bounds_mod.VIOLATION_TOLERANCE,
                           help="violation tolerance override (absolute)")

@@ -444,10 +444,11 @@ class TestVerifyAll:
                     max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_report_sorted_by_s_then_id(self, n, seed, same, s_values):
-        """Entries and skips come out in the order one sort by (s,
-        inequality_id) gives, pair-level rows first: s-lists with
-        duplicates, s = -1.5 (gap bounds skipped), s near 0 and 1 (limit
-        regimes), and P = Q (interval checks skipped)."""
+        """Records come out strictly increasing in (s, inequality_id),
+        pair-level rows first, and entries and skips are their checked and
+        skipped views: s-lists with duplicates, s = -1.5 (gap bounds
+        skipped), s near 0 and 1 (limit regimes), and P = Q (interval
+        checks skipped)."""
         pair = random_pair(n, seed)
         if same:
             pair = DistributionPair(pair.p, pair.p)
@@ -456,6 +457,12 @@ class TestVerifyAll:
         def key(item):
             return _s_key(item.context.s), item.inequality_id
 
+        keys = [key(rec) for rec in report.records]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert report.entries == tuple(
+            rec for rec in report.records if rec.verdict != "skip")
+        assert report.skipped == tuple(
+            rec for rec in report.records if rec.verdict == "skip")
         assert list(report.entries) == sorted(report.entries, key=key)
         assert list(report.skipped) == sorted(report.skipped, key=key)
         assert len({key(e) for e in report.entries}) == len(report.entries)

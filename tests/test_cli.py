@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from operator import itemgetter
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import divbounds
 from divbounds import DistributionPair, cli, validate, verify_all
-from divbounds.bounds import VIOLATION_TOLERANCE, _s_key
+from divbounds.bounds import REPORT_NOTES, VIOLATION_TOLERANCE, _s_key
 from divbounds.cli import CliInputError, _sweep_grid, main
 
 STD_CSV = """pair_id,role,v1,v2
@@ -36,6 +37,15 @@ EDGE_JSON = json.dumps({"pairs": [
     {"id": "same", "p": [0.5, 0.5], "q": [0.5, 0.5]},
     {"id": "!", "p": [0.05, 0.15, 0.8], "q": [0.3, 0.3, 0.4]},
 ]})
+
+# Pairs the verify merge property draws from, P = Q among them.
+MERGE_POOL = {
+    "binary": ((0.5, 0.5), (0.25, 0.75)),
+    "binary-far": ((0.1, 0.9), (0.6, 0.4)),
+    "binary-same": ((0.3, 0.7), (0.3, 0.7)),
+    "ternary": ((0.2, 0.3, 0.5), (0.25, 0.25, 0.5)),
+    "ternary-same": ((0.2, 0.3, 0.5), (0.2, 0.3, 0.5)),
+}
 
 EDGE_COMMANDS = {
     "compute": ("compute", "--measures", "omega,kl,vajda:3,chi2,phi:0.5,bhat",
@@ -275,6 +285,19 @@ class TestSweep:
         with pytest.raises(CliInputError, match="exceeds"):
             _sweep_grid(0.0, 1.0, 0.099)
 
+    @given(st.floats(-1e3, 1e3), st.floats(1e-12, 1e3),
+           st.integers(1, 2000), st.floats(0.5, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_grid_strictly_increasing(self, s_min, width, points,
+                                               scale):
+        """Every grid _sweep_grid accepts is strictly increasing, also when
+        the step is below the float spacing of s."""
+        try:
+            grid = _sweep_grid(s_min, s_min + width, width / points * scale)
+        except CliInputError:
+            return
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
 
 class TestVerify:
     def test_standard_pair_passes(self, std_csv, capsys):
@@ -388,6 +411,43 @@ class TestVerify:
         assert lines == expected
         assert sum('"verdict":"skip"' in line for line in lines) > 3
 
+    @given(st.lists(st.tuples(st.sampled_from(("*", "!", "a", "b")),
+                              st.sampled_from(sorted(MERGE_POOL))),
+                    min_size=1, max_size=5),
+           st.lists(st.sampled_from((-3.0, -1.5, -1.0, 0.0, 0.5, 1.0, 2.0)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_each_group_stably_sorted(self, pairs, s_list):
+        """The rows equal the note rows plus each pair's entries and skips,
+        stable-sorted by (s, inequality_id) within each pair_id: repeated
+        ids, P = Q pairs, a pair whose id is "*" and s below -1."""
+        doc = {"pairs": [{"id": pid, "p": MERGE_POOL[name][0],
+                          "q": MERGE_POOL[name][1]} for pid, name in pairs]}
+        groups = {"*": [("*", None, "note", None, None, None, "info", note)
+                        for note in REPORT_NOTES]}
+        for pid, name in pairs:
+            report = verify_all(DistributionPair(
+                *map(validate, MERGE_POOL[name])), s_list, pair_id=pid)
+            groups.setdefault(pid, []).extend(report.entries
+                                              + report.skipped)
+        expected = [rec for pid in sorted(groups) for rec in sorted(
+            groups[pid], key=lambda rec: (_s_key(rec[1]), rec[2]))]
+        columns = ("pair_id", "s", "inequality_id", "lhs", "rhs", "slack",
+                   "verdict", "reason")
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pairs.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", "--input", path,
+                             "--s-list=" + ",".join(map(repr, s_list))])
+        assert code == (2 if any(rec[6] == "fail" for rec in expected)
+                        else 0)
+        assert out.getvalue() == "".join(
+            json.dumps(dict(zip(columns, rec)), separators=(",", ":")) + "\n"
+            for rec in expected)
+
 
 # r = 2e-300: r^3 underflows to zero in delta_omega (verify), and
 # ((p + q)/(2p))^2 overflows in omega_s (compute omega:2).
@@ -451,6 +511,10 @@ INPUT_ERRORS = {
                            ("pair x", "duplicate role P")),
     "csv-missing-role": ("pair_id,role,v1,v2\nx,P,0.5,0.5\n", ("verify",),
                          ("pair x", "missing role Q")),
+    "csv-interior-empty-cell": ("pair_id,role,v1,v2,v3,v4\n"
+                                "a,P,0.2,,0.3,0.5\na,Q,0.1,0.4,0.5,\n",
+                                ("compute", "--measures", "kl"),
+                                ("pair a", "empty component in column v2")),
     "csv-sum-overflow": ("pair_id,role,v1,v2\nx,P,1e308,1e308\n"
                          "x,Q,0.5,0.5\n", ("verify",),
                          ("pair x", "overflows")),
@@ -461,6 +525,11 @@ INPUT_ERRORS = {
                     ("no measures requested",)),
     "gen-count": (None, ("gen", "--n", "2", "--count", "0"),
                   ("count must be >= 1", "got 0")),
+    # 1e-17 is below the float spacing of s near 3, so s repeats
+    "sweep-step-below-spacing": (STD_CSV, ("sweep", "--s-min", "3",
+                                           "--s-max", "3.0000000000000004",
+                                           "--s-step", "1e-17"),
+                                 ("s_step=1e-17", "float spacing")),
 }
 
 
@@ -552,6 +621,15 @@ class TestLoadPairs:
         assert (cli.load_pairs(str(marked), renormalize=False)
                 == cli.load_pairs(str(plain), renormalize=False))
 
+    def test_trailing_empty_cells_ignored(self, tmp_path):
+        # as spreadsheet exports pad short rows
+        path = tmp_path / "padded.csv"
+        path.write_text("pair_id,role,v1,v2,v3\nx,P,0.5,0.5,\n"
+                        "x,Q,0.25,0.75, ,\n")
+        ((pid, pair),) = cli.load_pairs(str(path), renormalize=False)
+        assert (pid, pair.p.values, pair.q.values) == (
+            "x", (0.5, 0.5), (0.25, 0.75))
+
 
 def test_measures_help_names_every_id(capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -562,6 +640,17 @@ def test_measures_help_names_every_id(capsys):
     words = set(re.split(r"[\s,:;()]+", measures_help))
     for measure_id in [*cli._SIMPLE_MEASURES, *cli._PARAMETRIC_MEASURES]:
         assert measure_id in words, measure_id
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_s_list_help_names_the_default(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    s_list_help = text.rsplit("--s-list S_LIST", 1)[1].split(" --", 1)[0]
+    default = ",".join(f"{s:g}" for s in cli.DEFAULT_S_LIST)
+    assert f"(default: {default})" in s_list_help
 
 
 def write_jsonl(records, columns):
