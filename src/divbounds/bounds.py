@@ -400,9 +400,11 @@ def verify_all(pair: DistributionPair, s_values, *,
     closed-form/generic agreement checks, and the third-derivative gap
     bounds (the latter only for s >= -1; other s are skipped, not
     extrapolated).  Degenerate pairs (P = Q, so r = R = 1) skip every
-    interval-dependent entry with a recorded reason.  Records, checked and
-    skipped alike, are ordered by (s, inequality_id), each key once, with
-    pair-level records first.  The tolerance must be finite and >= 0.
+    interval-dependent entry with a recorded reason.  Each distinct s is
+    checked once, and -0.0 and 0.0 are one s, reported as 0.0.  Records,
+    checked and skipped alike, are ordered by (s, inequality_id), each key
+    once, with pair-level records first.  The tolerance must be finite and
+    >= 0.
     """
     if not (math.isfinite(violation_tolerance) and violation_tolerance >= 0.0):
         raise InvalidTolerance(f"violation tolerance must be finite and >= 0, "
@@ -454,7 +456,9 @@ def verify_all(pair: DistributionPair, s_values, *,
     # Each block is sorted by inequality id and the blocks come in s order,
     # so the report is ordered by (s, inequality_id).
     records.sort(key=_by_id)
-    for s in sorted({float(s) for s in s_values}):
+    # both zeros are falsy, so both become 0.0; `or` keeps every other s
+    # object as it is, shared by the records of every pair
+    for s in sorted({float(s) or 0.0 for s in s_values}):
         records += _family_checks(pair, rb, moments, SParameter.from_value(s),
                                   (pair_id, s), violation_tolerance)
     return BoundReport(tuple(records), violation_tolerance, REPORT_NOTES)

@@ -95,23 +95,15 @@ def _parse_s_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _pair(pid: str, raw, renormalize: bool):
-    """(pid, pair) from the raw P and Q components, or an input error."""
-    try:
-        return pid, DistributionPair(*(validate(part, renormalize=renormalize)
-                                       for part in raw))
-    except ValueError as exc:
-        raise CliInputError(f"pair {pid}: {exc}") from None
-
-
-def _load_json_pairs(text: str, renormalize: bool):
+def _json_rows(text: str):
+    """(pair_id, (raw_p, raw_q)) per JSON record, in input order."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # nesting deeper than the recursion limit raises RecursionError
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError(f"JSON parse failure: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
         raise CliInputError('JSON input must be {"pairs": [...]}')
-    out = []
     for i, rec in enumerate(doc["pairs"]):
         if not isinstance(rec, dict):
             raise CliInputError(f"pairs[{i}] is not an object")
@@ -125,24 +117,27 @@ def _load_json_pairs(text: str, renormalize: bool):
                    and all(type(v) in (int, float) for v in part)
                    for part in raw):
             raise CliInputError(f"pair {pid}: components must be numbers")
-        out.append(_pair(pid, raw, renormalize))
-    return out
+        yield pid, raw
 
 
-def _load_csv_pairs(text: str, renormalize: bool):
+def _csv_rows(text: str):
+    """(pair_id, (raw_p, raw_q)) per CSV pair, in first-seen id order, once
+    every row is read.  Blank rows are skipped, the first other row is the
+    header, and ``line N`` is the file line on which a row ends."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
+    rows = (row for row in reader if any(cell.strip() for cell in row))
+    header = [cell.strip() for cell in next(rows, ())]
+    if not header:
         raise CliInputError("CSV input is empty")
-    header = [cell.strip() for cell in rows[0]]
     if header[:2] != ["pair_id", "role"]:
         raise CliInputError(
             "CSV header must start with pair_id,role followed by components")
     # dicts keep insertion order: pairs come out in first-seen id order
     staged: dict[str, dict[str, tuple[float, ...]]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in rows:
         if len(row) < 3:
-            raise CliInputError(f"line {lineno}: expected at least 3 cells")
+            raise CliInputError(
+                f"line {reader.line_num}: expected at least 3 cells")
         pid, role = row[0].strip(), row[1].strip()
         if role not in ("P", "Q"):
             raise CliInputError(
@@ -165,13 +160,11 @@ def _load_csv_pairs(text: str, renormalize: bool):
         if role in slot:
             raise CliInputError(f"pair {pid}: duplicate role {role}")
         slot[role] = values
-    out = []
     for pid, slot in staged.items():
         for role in ("P", "Q"):
             if role not in slot:
                 raise CliInputError(f"pair {pid}: missing role {role}")
-        out.append(_pair(pid, (slot["P"], slot["Q"]), renormalize))
-    return out
+        yield pid, (slot["P"], slot["Q"])
 
 
 def load_pairs(path: str, renormalize: bool):
@@ -179,13 +172,16 @@ def load_pairs(path: str, renormalize: bool):
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # drops a BOM
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        pairs = _load_json_pairs(text, renormalize)
-    else:
-        pairs = _load_csv_pairs(text, renormalize)
+    rows = _json_rows if text.lstrip().startswith("{") else _csv_rows
+    pairs = []
+    for pid, raw in rows(text):
+        try:
+            pairs.append((pid, DistributionPair(
+                *(validate(part, renormalize=renormalize) for part in raw))))
+        except ValueError as exc:
+            raise CliInputError(f"pair {pid}: {exc}") from None
     if not pairs:
         raise CliInputError(f"{path}: no pairs found")
     return pairs
@@ -223,7 +219,10 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             except ValueError as exc:
                 raise CliInputError(
                     f"bad parameter in measure {label!r}: {exc}") from None
-            resolved.append((f"{base}:{param:g}", param,
+            # the short spelling only where it reads back as the same float
+            short = f"{param:g}"
+            label = short if float(short) == param else repr(param)
+            resolved.append((f"{base}:{label}", param,
                              lambda pair, f=fn, v=param: f(pair, v)))
     if not resolved:
         raise CliInputError("no measures requested")

@@ -419,6 +419,15 @@ class TestVerifyAll:
                             pair_id="near")
         assert report.all_pass
 
+    @pytest.mark.parametrize("s_list", [(0.0, -0.0), (-0.0, 0.0), (-0.0,)])
+    def test_signed_zeros_are_one_s(self, std_pair, s_list):
+        # -0.0 == 0.0, so the sign is compared on its own
+        records = verify_all(std_pair, s_list, pair_id="std").records
+        assert records == verify_all(std_pair, (0.0,), pair_id="std").records
+        signs = {math.copysign(1.0, rec.s) for rec in records
+                 if rec.s is not None}
+        assert signs == {1.0}
+
     def test_gap_entries_skipped_below_minus_one(self, std_pair):
         report = verify_all(std_pair, (-2.0,), pair_id="std")
         assert report.all_pass

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import tracemalloc
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divbounds
@@ -143,6 +144,16 @@ class TestCompute:
         assert code == 0
         measures = [r["measure"] for r in jsonl(out)]
         assert measures == ["omega:-1", "omega:2"]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.5000001)
+    @example(3.0000001)
+    @example(-0.0)
+    def test_labels_name_their_parameter(self, s):
+        # %g alone spells 0.5000001 as 0.5 and 3.0000001 as 3
+        tokens = (f"omega:{s!r}", "phi", f"vajda:{max(abs(s), 1.0)!r}")
+        for label, param, _ in cli.resolve_measures(tokens, (s,)):
+            assert float(label.partition(":")[2]).hex() == param.hex(), label
 
     def test_csv_output(self, std_csv, capsys):
         code, out, _ = run(capsys, "compute", "--input", std_csv,
@@ -310,6 +321,12 @@ class TestVerify:
         assert any(r["verdict"] == "info" for r in records)
         assert any(r["inequality_id"] == "omega_le_e" for r in records)
 
+    def test_signed_zeros_spelled_alike(self, std_csv, capsys):
+        outs = {run(capsys, "verify", "--input", std_csv, s_list)[1]
+                for s_list in ("--s-list=0,-0.0", "--s-list=-0.0,0")}
+        (out,) = outs
+        assert '"s":0.0' in out and '"s":-0.0' not in out
+
     def test_identical_pair_records_skips(self, tmp_path, capsys):
         path = tmp_path / "same.csv"
         path.write_text("pair_id,role,v1,v2\nsame,P,0.5,0.5\nsame,Q,0.5,0.5\n")
@@ -465,14 +482,19 @@ def json_pair(p, q):
     return json.dumps({"pairs": [{"id": "x", "p": p, "q": q}]})
 
 
-# (input file text, or None for no --input; arguments; words the one
-# error line must hold)
+# (input file text or bytes, or None for no --input; arguments; words the
+# one error line must hold)
 INPUT_ERRORS = {
     "unknown-flag": (STD_CSV, ("verify", "--no-such-flag"),
                      ("unrecognized", "--no-such-flag")),
     "missing-command": (None, (), ("command",)),
     "empty-s-list": (STD_CSV, ("verify", "--s-list", ","), ("s-list",)),
     "json-parse": ('{"pairs": [', ("verify",), ("JSON parse failure",)),
+    # nested past the recursion limit
+    "json-deep-nesting": ('{"pairs": ' + "[" * 200000, ("verify",),
+                          ("JSON parse failure", "recursion")),
+    "not-utf8": (b"pair_id,role,v1,v2\n\xff,P,0.5,0.5\n", ("verify",),
+                 ("cannot read", "input", "can't decode byte 0xff")),
     "json-not-pairs": ('{"pairs": 3}', ("verify",), ('{"pairs": [...]}',)),
     "json-not-object": ('{"pairs": [3]}', ("verify",),
                         ("pairs[0] is not an object",)),
@@ -502,6 +524,15 @@ INPUT_ERRORS = {
                    ("header", "pair_id,role")),
     "csv-short-row": ("pair_id,role,v1\nx,P\n", ("verify",),
                       ("line 2", "at least 3 cells")),
+    # line numbers are file lines: blank lines count
+    "csv-short-row-after-blank-lines": ("pair_id,role,v1,v2\n\n\nx,P\n",
+                                        ("verify",),
+                                        ("line 4", "at least 3 cells")),
+    # ... and so do quoted cells that span lines; a row's number is the line
+    # it ends on
+    "csv-short-row-quoted-newlines": ('pair_id,role,v1,v2\n"a\nb",P,0.5,0.5\n'
+                                      '"x\ny",P\n', ("verify",),
+                                      ("line 5", "at least 3 cells")),
     "csv-role": ("pair_id,role,v1,v2\nx,R,0.5,0.5\n", ("verify",),
                  ("pair x", "role must be P or Q", "'R'")),
     "csv-component": ("pair_id,role,v1,v2\nx,P,0.5,half\n", ("verify",),
@@ -538,7 +569,7 @@ def test_input_error_table(tmp_path, capsys, name):
     text, argv, words = INPUT_ERRORS[name]
     if text is not None:
         path = tmp_path / "input"
-        path.write_text(text)
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
         argv = (*argv, "--input", str(path))
     assert_input_error(*run(capsys, *argv), *words)
 
@@ -620,6 +651,42 @@ class TestLoadPairs:
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         assert (cli.load_pairs(str(marked), renormalize=False)
                 == cli.load_pairs(str(plain), renormalize=False))
+
+    @given(st.lists(st.tuples(
+               st.text("ab *,\"\n\u00e9", min_size=1).map(str.strip)
+               .filter(bool),
+               st.integers(2, 4).flatmap(lambda n: st.tuples(*[st.lists(
+                   st.floats(1e-3, 1e3), min_size=n, max_size=n)] * 2))),
+               min_size=1, max_size=4, unique_by=itemgetter(0)),
+           st.sampled_from(("\n", "\r\n")), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_json_and_csv_spellings_agree(self, pairs, newline, bom, data):
+        """The same pairs spelled as JSON and as CSV load alike, whatever
+        the blank lines, line ends, byte-order mark and quoted ids."""
+        doc = json.dumps({"pairs": [{"id": pid, "p": p, "q": q}
+                                    for pid, (p, q) in pairs]})
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator=newline)
+        for row in [("pair_id", "role", "v1"),
+                    *((pid, role, *map(repr, part))
+                      for pid, raw in pairs for role, part in zip("PQ", raw)),
+                    None]:
+            for blank in data.draw(st.lists(st.sampled_from(("", "  ", " ,,")),
+                                            max_size=2)):
+                table.write(blank + newline)
+            if row is not None:
+                writer.writerow(row)
+        mark = b"\xef\xbb\xbf" if bom else b""
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = []
+            for name, text in (("pairs.json", doc),
+                               ("pairs.csv", table.getvalue())):
+                path = os.path.join(tmp, name)
+                with open(path, "wb") as fh:
+                    fh.write(mark + text.encode("utf-8"))
+                loaded.append(cli.load_pairs(path, renormalize=True))
+        assert loaded[0] == loaded[1]
+        assert [pid for pid, _ in loaded[0]] == [pid for pid, _ in pairs]
 
     def test_trailing_empty_cells_ignored(self, tmp_path):
         # as spreadsheet exports pad short rows
