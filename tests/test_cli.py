@@ -772,6 +772,58 @@ class TestJsonlSpelling:
         columns = tuple(f"c{i}" for i in range(len(row)))
         assert_json_dumps_lines([tuple(row)], columns)
 
+    # Values that compare equal (and hash alike) but are spelled apart, in
+    # both orders, so a writer that reuses one value's spelling for an equal
+    # one is caught.
+    EQUAL_APART = [(1, 1.0, True), (True, 1.0, 1), (1.0, True, 1),
+                   (0, 0.0, False), (False, -0.0, 0), (0.0, -0.0, 0.0),
+                   (-0.0, 0.0, -0.0), (-1, -1.0, -1), (2.0, 2, 2.0)]
+
+    def test_equal_values_spelled_apart(self):
+        assert_json_dumps_lines(self.EQUAL_APART, ("a", "b", "c"))
+        # ... and down each column, one row after another
+        assert_json_dumps_lines([row[::-1] for row in self.EQUAL_APART],
+                                ("a", "b", "c"))
+
+    def test_repeated_nan_objects(self):
+        nan = float("nan")
+        rows = [(nan, nan, float("nan")), (float("nan"), nan, nan),
+                (float("inf"), nan, float("inf"))]
+        assert_json_dumps_lines(rows, ("a", "b", "c"))
+
+    def test_string_spelled_like_a_float(self):
+        rows = [("0.1", 0.1, "1.0"), (0.1, "0.1", 1.0), ("null", None, "NaN"),
+                (None, "null", float("nan")), ("true", True, "1"),
+                (1, "1", True)]
+        assert_json_dumps_lines(rows, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("first, second", [
+        (1.0, 1), (1, 1.0), (True, 1.0), (0.0, -0.0), (-0.0, 0.0),
+        (0.5, "0.5"), (None, "null")])
+    def test_repeats_across_the_chunk_boundary(self, first, second):
+        # records 1023 and 1024 are the last of one chunk and the first of
+        # the next
+        size = cli._CHUNK_RECORDS
+        rows = [(f"r{i}", first if i < size else second, second, first)
+                for i in range(size - 3, size + 3)]
+        rows = [("pad", 0.25, None, "x")] * (size - 3) + rows
+        assert_json_dumps_lines(rows, self.COLUMNS)
+
+    @given(st.lists(st.tuples(*[st.sampled_from((
+               None, True, False, 0, 1, -1, 2, 0.0, -0.0, 1.0, -1.0, 2.0,
+               0.5, 0.1, 1e16, 5e-324, float("inf"), float("-inf"),
+               float("nan"), "", "0.1", "1", "1.0", "true", "null", "NaN",
+               "é", "%s"))] * 4),
+                    max_size=40),
+           st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_pooled_values(self, rows, chunk):
+        """Rows drawn from a small pool, so values repeat within and across
+        chunks, each line spelled as json.dumps spells the row's dict."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK_RECORDS", chunk)
+            assert_json_dumps_lines(rows, ("a", "b", "c", "d"))
+
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("name", sorted(EDGE_COMMANDS))
