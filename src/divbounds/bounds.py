@@ -215,7 +215,8 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     ``moments``, ``omega`` or ``functional``; each is computed here when
     omitted.
     """
-    target = GapTarget(target)
+    if type(target) is not GapTarget:
+        target = GapTarget(target)
     sp = _gap_parameter(s)
     _require_straddle(rb)
     spread = delta_omega(rb, sp)
@@ -301,17 +302,24 @@ class BoundReport:
         return tuple(e for e in self.records if e.verdict == "fail")
 
 
+# Builds a BoundEntry from its eight fields without the Python frame of the
+# NamedTuple's generated __new__; verify_all makes 137 records per pair.
+_record = tuple.__new__
+
+
 def _entry(inequality_id: str, lhs: float, rhs: float,
            where: tuple[str, float | None], tolerance: float) -> BoundEntry:
     # where = (pair_id, s), with s None for a pair-level check
     slack = rhs - lhs
     verdict = "pass" if slack >= -tolerance else "fail"
-    return BoundEntry(*where, inequality_id, lhs, rhs, slack, verdict, None)
+    return _record(BoundEntry,
+                   (*where, inequality_id, lhs, rhs, slack, verdict, None))
 
 
 def _skip(inequality_id: str, reason: str,
           where: tuple[str, float | None]) -> BoundEntry:
-    return BoundEntry(*where, inequality_id, None, None, None, "skip", reason)
+    return _record(BoundEntry,
+                   (*where, inequality_id, None, None, None, "skip", reason))
 
 
 def _agreement(inequality_id: str, closed: float, generic: float,

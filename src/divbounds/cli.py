@@ -85,9 +85,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_s_list(text: str) -> tuple[float, ...]:
+    """The distinct parameters of a comma-separated list, in first-seen
+    order, with -0.0 read as 0.0."""
     try:
-        values = tuple(SParameter.from_value(tok).s
-                       for tok in text.split(",") if tok.strip())
+        # both zeros are falsy, so `or` makes each 0.0
+        values = tuple(dict.fromkeys(SParameter.from_value(tok).s or 0.0
+                                     for tok in text.split(",") if tok.strip()))
     except ValueError as exc:
         raise CliInputError(f"bad s-list {text!r}: {exc}") from None
     if not values:
@@ -125,7 +128,17 @@ def _csv_rows(text: str):
     every row is read.  Blank rows are skipped, the first other row is the
     header, and ``line N`` is the file line on which a row ends."""
     reader = csv.reader(io.StringIO(text))
-    rows = (row for row in reader if any(cell.strip() for cell in row))
+
+    def nonblank_rows():
+        try:
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    yield row
+        # a cell past csv.field_size_limit(), for one
+        except csv.Error as exc:
+            raise CliInputError(f"line {reader.line_num}: {exc}") from None
+
+    rows = nonblank_rows()
     header = [cell.strip() for cell in next(rows, ())]
     if not header:
         raise CliInputError("CSV input is empty")
@@ -191,9 +204,11 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
     """Expand measure tokens into (measure_id, sort_param, callable).
 
     Parametric measures take their parameter inline (``omega:-0.5``,
-    ``vajda:3``); a bare parametric name expands across the s-list.
+    ``vajda:3``); a bare parametric name expands across the s-list.  Each
+    measure id is resolved once, in first-seen order, and a parameter of
+    -0.0 is read as 0.0.
     """
-    resolved = []
+    resolved: dict[str, tuple[float | None, Callable]] = {}
     for raw in tokens:
         token = raw.strip()
         if not token:
@@ -206,14 +221,14 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
         elif token in _PARAMETRIC_MEASURES:
             base, params = token, ((f"{token}:{s:g}", s) for s in s_list)
         elif token in _SIMPLE_MEASURES:
-            resolved.append((token, None, _SIMPLE_MEASURES[token]))
+            resolved.setdefault(token, (None, _SIMPLE_MEASURES[token]))
             continue
         else:
             raise CliInputError(f"unknown measure {token!r}")
         fn = _PARAMETRIC_MEASURES[base]
         for label, arg in params:
             try:
-                param = SParameter.from_value(arg).s
+                param = SParameter.from_value(arg).s or 0.0
                 if base == "vajda":
                     div._check_exponent(param)
             except ValueError as exc:
@@ -222,11 +237,12 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             # the short spelling only where it reads back as the same float
             short = f"{param:g}"
             label = short if float(short) == param else repr(param)
-            resolved.append((f"{base}:{label}", param,
-                             lambda pair, f=fn, v=param: f(pair, v)))
+            resolved.setdefault(f"{base}:{label}", (
+                param, lambda pair, f=fn, v=param: f(pair, v)))
     if not resolved:
         raise CliInputError("no measures requested")
-    return resolved
+    return [(measure_id, param, fn)
+            for measure_id, (param, fn) in resolved.items()]
 
 
 def _groups(pairs, *always: str):
@@ -274,32 +290,46 @@ def _write_records(records, columns, args) -> None:
             out.writelines(_jsonl_chunks(records, columns))
 
 
+class _Spellings(dict):
+    """JSON spelling of each value looked up: a finite float as
+    ``float.__repr__`` spells it, as the encoder does, anything else as
+    ``_JSON`` spells it.
+
+    Only a value that every value the encoder accepts and that equals it
+    spells alike is kept: a string, None, or a finite float that is not a
+    whole number.  1, 1.0 and True are equal, and so are 0.0 and -0.0, yet
+    each has its own spelling, so whole floats, ints and bools are spelled
+    on every lookup.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        if type(value) is float and math.isfinite(value):
+            spelled = float.__repr__(value)
+            if not value.is_integer():
+                self[value] = spelled
+            return spelled
+        spelled = _JSON.encode(value)
+        if type(value) is str or value is None:
+            self[value] = spelled
+        return spelled
+
+
 def _jsonl_chunks(records, columns):
     """The records as JSON lines, each spelled as ``_JSON`` spells
     ``dict(zip(columns, row))`` (columns distinct), joined in chunks of
     _CHUNK_RECORDS lines.
 
-    Every line fills one template built from the column names.  A finite
-    float is spelled by ``float.__repr__``, as the encoder spells it; any
-    other value goes through the encoder, once per distinct string or None.
+    Every line fills one template built from the column names.  Each chunk
+    has its own ``_Spellings``, so a value repeated within a chunk is
+    spelled once and no more than one chunk's spellings are held.
     """
     template = "{%s}\n" % ",".join(
         _JSON.encode(column).replace("%", "%%") + ":%s" for column in columns)
-    encode, texts = _JSON.encode, {}
-    isfinite, float_repr = math.isfinite, float.__repr__
-
-    def text(value):
-        if type(value) is float and isfinite(value):
-            return float_repr(value)
-        if type(value) is not str and value is not None:
-            return encode(value)
-        spelled = texts.get(value)
-        if spelled is None:
-            spelled = texts[value] = encode(value)
-        return spelled
-
     for start in range(0, len(records), _CHUNK_RECORDS):
-        yield "".join([template % tuple(map(text, row))
+        spell = _Spellings().__getitem__
+        yield "".join([template % tuple(map(spell, row))
                        for row in records[start:start + _CHUNK_RECORDS]])
 
 

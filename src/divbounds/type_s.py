@@ -144,7 +144,8 @@ def psi_s(x: float, s: float | SParameter) -> float:
     """Generator of the unified AG/JS family, normalized so psi_s(1) = 0."""
     if not (isfinite(x) and x > 0.0):
         _check_positive(x)
-    sp = _sparam(s)
+    # _sparam inlined: the generator maps hand an SParameter on every call
+    sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
     u = (x + 1.0) / (2.0 * x)
     if sp.regime is Regime.LIMIT_AT_ZERO:
         return 0.5 * (1.0 - x) - x * log(u)
@@ -190,7 +191,7 @@ def psi_s_d2(x: float, s: float | SParameter) -> float:
     what makes the whole family convex."""
     if not (isfinite(x) and x > 0.0):
         _check_positive(x)
-    sp = _sparam(s)
+    sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
     regime = sp.regime
     if regime is Regime.GENERIC:
         return pow((x + 1.0) / (2.0 * x), sp.s - 2.0) / (4.0 * x * x * x)
@@ -204,7 +205,7 @@ def psi_s_d3(x: float, s: float | SParameter) -> float:
     regimes are plain evaluations); nonpositive whenever s >= -1."""
     if not (isfinite(x) and x > 0.0):
         _check_positive(x)
-    sp = _sparam(s)
+    sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
     u = (x + 1.0) / (2.0 * x)
     one_plus = 1.0 + x
     return -(sp.s + 1.0 + 3.0 * x) / (x * x * one_plus ** 3) * pow(u, sp.s)

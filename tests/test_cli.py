@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -137,6 +138,23 @@ class TestCompute:
         assert [r["measure"] for r in records] == [
             "bhat", "chi2", "delta", "j", "kl",
             "omega:-0.5", "phi:2", "vajda:3"]
+
+    @pytest.mark.parametrize("measures, s_list, expected", [
+        ("omega", "--s-list=1,1,0,-0.0", ["omega:0", "omega:1"]),
+        ("omega,omega:0,omega:-0.0", "--s-list=-0.0", ["omega:0"]),
+        ("phi:1,phi:1.0,kl,kl,phi", "--s-list=1", ["kl", "phi:1"]),
+    ])
+    def test_repeated_measure_resolved_once(self, std_csv, capsys, measures,
+                                            s_list, expected):
+        code, out, _ = run(capsys, "compute", "--input", std_csv,
+                           "--measures", measures, s_list)
+        assert code == 0
+        assert [r["measure"] for r in jsonl(out)] == expected
+
+    def test_s_list_deduplicated_in_first_seen_order(self):
+        values = cli._parse_s_list("2,1,2,-0.0,1.0,0")
+        assert values == (2.0, 1.0, 0.0)
+        assert math.copysign(1.0, values[2]) == 1.0
 
     def test_bare_parametric_expansion(self, std_csv, capsys):
         code, out, _ = run(capsys, "compute", "--input", std_csv,
@@ -533,6 +551,10 @@ INPUT_ERRORS = {
     "csv-short-row-quoted-newlines": ('pair_id,role,v1,v2\n"a\nb",P,0.5,0.5\n'
                                       '"x\ny",P\n', ("verify",),
                                       ("line 5", "at least 3 cells")),
+    # a cell longer than csv.field_size_limit()
+    "csv-field-too-large": ("pair_id,role,v1,v2\nx,P,0.5,0.5\n"
+                            "x,Q,0.5," + "5" * 200000 + "\n", ("verify",),
+                            ("line 3", "field larger than field limit")),
     "csv-role": ("pair_id,role,v1,v2\nx,R,0.5,0.5\n", ("verify",),
                  ("pair x", "role must be P or Q", "'R'")),
     "csv-component": ("pair_id,role,v1,v2\nx,P,0.5,half\n", ("verify",),
