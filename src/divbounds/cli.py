@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -304,13 +305,16 @@ class _Spellings(dict):
 
     __slots__ = ()
 
-    def __missing__(self, value):
-        if type(value) is float and math.isfinite(value):
-            spelled = float.__repr__(value)
+    # the defaults bind the spellers as locals: a report's values are
+    # about a third first sightings, so this runs for every third value
+    def __missing__(self, value, isfinite=math.isfinite,
+                    float_repr=float.__repr__, encode=_JSON.encode):
+        if type(value) is float and isfinite(value):
+            spelled = float_repr(value)
             if not value.is_integer():
                 self[value] = spelled
             return spelled
-        spelled = _JSON.encode(value)
+        spelled = encode(value)
         if type(value) is str or value is None:
             self[value] = spelled
         return spelled
@@ -318,19 +322,20 @@ class _Spellings(dict):
 
 def _jsonl_chunks(records, columns):
     """The records as JSON lines, each spelled as ``_JSON`` spells
-    ``dict(zip(columns, row))`` (columns distinct), joined in chunks of
-    _CHUNK_RECORDS lines.
+    ``dict(zip(columns, row))`` (columns distinct, one value per column in
+    every row), joined in chunks of _CHUNK_RECORDS lines.
 
-    Every line fills one template built from the column names.  Each chunk
-    has its own ``_Spellings``, so a value repeated within a chunk is
+    Every line fills one template built from the column names, and a
+    chunk is one format of the template repeated once per line.  Each
+    chunk has its own ``_Spellings``, so a value repeated within a chunk is
     spelled once and no more than one chunk's spellings are held.
     """
     template = "{%s}\n" % ",".join(
         _JSON.encode(column).replace("%", "%%") + ":%s" for column in columns)
     for start in range(0, len(records), _CHUNK_RECORDS):
-        spell = _Spellings().__getitem__
-        yield "".join([template % tuple(map(spell, row))
-                       for row in records[start:start + _CHUNK_RECORDS]])
+        chunk = records[start:start + _CHUNK_RECORDS]
+        yield (template * len(chunk)) % tuple(
+            map(_Spellings().__getitem__, chain.from_iterable(chunk)))
 
 
 def _cmd_compute(args) -> int:
