@@ -135,7 +135,7 @@ def _csv_rows(text: str):
             for row in reader:
                 if any(cell.strip() for cell in row):
                     yield row
-        # a cell past csv.field_size_limit(), for one
+        # raised for a cell past csv.field_size_limit(), among others
         except csv.Error as exc:
             raise CliInputError(f"line {reader.line_num}: {exc}") from None
 
@@ -296,11 +296,11 @@ class _Spellings(dict):
     ``float.__repr__`` spells it, as the encoder does, anything else as
     ``_JSON`` spells it.
 
-    Only a value that every value the encoder accepts and that equals it
-    spells alike is kept: a string, None, or a finite float that is not a
-    whole number.  1, 1.0 and True are equal, and so are 0.0 and -0.0, yet
-    each has its own spelling, so whole floats, ints and bools are spelled
-    on every lookup.
+    A spelling is kept only for a value that no differently spelled value
+    equals: a string, None, or a finite float that is not a whole number.
+    1, 1.0 and True are equal, and so are 0.0 and -0.0, yet each has its
+    own spelling, so whole floats, ints and bools are spelled on every
+    lookup.
     """
 
     __slots__ = ()
