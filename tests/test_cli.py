@@ -18,7 +18,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divbounds
-from divbounds import DistributionPair, cli, validate, verify_all
+from divbounds import (
+    BoundEntry,
+    DistributionPair,
+    GapTarget,
+    SParameter,
+    a_omega,
+    b_omega,
+    cli,
+    e_omega,
+    e_star_omega,
+    omega_s,
+    ratio_bounds,
+    theorem42_bounds,
+    validate,
+    verify_all,
+)
 from divbounds.bounds import REPORT_NOTES, VIOLATION_TOLERANCE, _s_key
 from divbounds.cli import CliInputError, _sweep_grid, main
 
@@ -111,6 +126,48 @@ def assert_input_error(code, out, err, *words):
     assert all(word in err for word in words), err
 
 
+# (pair_id, MERGE_POOL name) lists: repeated ids, P = Q pairs, and the ids
+# "*" and "!" that sort before letters
+POOL_PAIRS = st.lists(st.tuples(st.sampled_from(("*", "!", "a", "b")),
+                                st.sampled_from(sorted(MERGE_POOL))),
+                      min_size=1, max_size=5)
+
+
+def run_pool(pairs, *argv):
+    """(exit code, stdout) of the CLI on a JSON file of POOL_PAIRS pairs,
+    in the given order."""
+    doc = {"pairs": [{"id": pid, "p": MERGE_POOL[name][0],
+                      "q": MERGE_POOL[name][1]} for pid, name in pairs]}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pairs.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--input", path])
+    return code, out.getvalue()
+
+
+def pool_pair(name):
+    return DistributionPair(*map(validate, MERGE_POOL[name]))
+
+
+def grouped_stable_sort(pairs, rows_of, key, groups=()):
+    """For each pair_id in sorted order, the rows of its pairs in input
+    order, stable-sorted by ``key``.  ``groups`` holds (pair_id, rows)
+    that come first in their group."""
+    by_id = {pid: list(rows) for pid, rows in groups}
+    for pid, name in pairs:
+        by_id.setdefault(pid, []).extend(rows_of(pid, name))
+    return [row for pid in sorted(by_id)
+            for row in sorted(by_id[pid], key=key)]
+
+
+def jsonl_lines(rows, columns):
+    return "".join(json.dumps(dict(zip(columns, row)), separators=(",", ":"))
+                   + "\n" for row in rows)
+
+
 class TestCompute:
     def test_omega_record(self, std_csv, capsys):
         code, out, _ = run(capsys, "compute", "--input", std_csv,
@@ -162,6 +219,34 @@ class TestCompute:
         assert code == 0
         measures = [r["measure"] for r in jsonl(out)]
         assert measures == ["omega:-1", "omega:2"]
+
+    @given(POOL_PAIRS,
+           st.lists(st.sampled_from(("omega", "kl", "chi2", "omega:2",
+                                     "phi:0.5", "vajda:3")),
+                    min_size=1, max_size=4),
+           st.lists(st.sampled_from((-3.0, -1.5, -0.0, 0.0, 0.5, 1.0, 2.0)),
+                    min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_each_group_stably_sorted(self, pairs, tokens, s_list):
+        """The rows equal each pair's measure rows, stable-sorted by
+        (parameter, measure id) within each pair_id: repeated ids, P = Q
+        pairs, ids "*" and "!", and an s-list with repeats, -0.0 and s
+        below -1."""
+        s_text = ",".join(map(repr, s_list))
+        measures = cli.resolve_measures(tokens, cli._parse_s_list(s_text))
+        params = {measure_id: param for measure_id, param, _ in measures}
+
+        def rows_of(pid, name):
+            pair = pool_pair(name)
+            return [(pid, measure_id, fn(pair))
+                    for measure_id, _, fn in measures]
+
+        expected = grouped_stable_sort(
+            pairs, rows_of, lambda row: (_s_key(params[row[1]]), row[1]))
+        code, out = run_pool(pairs, "compute", "--measures", ",".join(tokens),
+                             "--s-list=" + s_text)
+        assert code == 0
+        assert out == jsonl_lines(expected, ("pair_id", "measure", "value"))
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(0.5000001)
@@ -327,6 +412,41 @@ class TestSweep:
             return
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
+    @given(POOL_PAIRS, st.sampled_from((-3.0, -2.0, -1.25)),
+           st.sampled_from((-0.5, 0.0, 1.0, 2.0)),
+           st.sampled_from((0.25, 0.5, 0.75)))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_each_group_stably_sorted(self, pairs, s_min, s_max,
+                                               s_step):
+        """The rows equal each pair's grid rows, stable-sorted by s within
+        each pair_id: repeated ids, P = Q pairs, ids "*" and "!", and a grid
+        that crosses s = -1."""
+        grid = _sweep_grid(s_min, s_max, s_step)
+
+        def rows_of(pid, name):
+            pair = pool_pair(name)
+            rb = ratio_bounds(pair)
+            for s in grid:
+                row = [pid, s, SParameter.from_value(s).regime.value,
+                       omega_s(pair, s), e_omega(pair, s),
+                       e_star_omega(pair, s)]
+                if rb.r == rb.R:
+                    row += [None] * 4
+                else:
+                    row += [a_omega(rb, s), b_omega(rb, s)]
+                    row += [None] * 2 if s < -1.0 else [
+                        theorem42_bounds(pair, rb, s, target).minimum
+                        for target in (GapTarget.HALF_E, GapTarget.E_STAR)]
+                yield row
+
+        expected = grouped_stable_sort(pairs, rows_of, itemgetter(1))
+        code, out = run_pool(pairs, "sweep", f"--s-min={s_min!r}",
+                             f"--s-max={s_max!r}", f"--s-step={s_step!r}")
+        assert code == 0
+        assert out == jsonl_lines(expected, (
+            "pair_id", "s", "regime", "omega", "e", "e_star", "a", "b",
+            "gap_half_e_bound", "gap_e_star_bound"))
+
 
 class TestVerify:
     def test_standard_pair_passes(self, std_csv, capsys):
@@ -446,9 +566,7 @@ class TestVerify:
         assert lines == expected
         assert sum('"verdict":"skip"' in line for line in lines) > 3
 
-    @given(st.lists(st.tuples(st.sampled_from(("*", "!", "a", "b")),
-                              st.sampled_from(sorted(MERGE_POOL))),
-                    min_size=1, max_size=5),
+    @given(POOL_PAIRS,
            st.lists(st.sampled_from((-3.0, -1.5, -1.0, 0.0, 0.5, 1.0, 2.0)),
                     min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -456,32 +574,20 @@ class TestVerify:
         """The rows equal the note rows plus each pair's entries and skips,
         stable-sorted by (s, inequality_id) within each pair_id: repeated
         ids, P = Q pairs, a pair whose id is "*" and s below -1."""
-        doc = {"pairs": [{"id": pid, "p": MERGE_POOL[name][0],
-                          "q": MERGE_POOL[name][1]} for pid, name in pairs]}
-        groups = {"*": [("*", None, "note", None, None, None, "info", note)
-                        for note in REPORT_NOTES]}
-        for pid, name in pairs:
-            report = verify_all(DistributionPair(
-                *map(validate, MERGE_POOL[name])), s_list, pair_id=pid)
-            groups.setdefault(pid, []).extend(report.entries
-                                              + report.skipped)
-        expected = [rec for pid in sorted(groups) for rec in sorted(
-            groups[pid], key=lambda rec: (_s_key(rec[1]), rec[2]))]
-        columns = ("pair_id", "s", "inequality_id", "lhs", "rhs", "slack",
-                   "verdict", "reason")
-        out = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "pairs.json")
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-            with contextlib.redirect_stdout(out):
-                code = main(["verify", "--input", path,
-                             "--s-list=" + ",".join(map(repr, s_list))])
+        def rows_of(pid, name):
+            report = verify_all(pool_pair(name), s_list, pair_id=pid)
+            return report.entries + report.skipped
+
+        notes = [("*", None, "note", None, None, None, "info", note)
+                 for note in REPORT_NOTES]
+        expected = grouped_stable_sort(
+            pairs, rows_of, lambda rec: (_s_key(rec[1]), rec[2]),
+            groups=[("*", notes)])
+        code, out = run_pool(pairs, "verify",
+                             "--s-list=" + ",".join(map(repr, s_list)))
         assert code == (2 if any(rec[6] == "fail" for rec in expected)
                         else 0)
-        assert out.getvalue() == "".join(
-            json.dumps(dict(zip(columns, rec)), separators=(",", ":")) + "\n"
-            for rec in expected)
+        assert out == jsonl_lines(expected, BoundEntry._fields)
 
 
 # r = 2e-300: r^3 underflows to zero in delta_omega (verify), and
