@@ -316,17 +316,10 @@ def _entry(inequality_id: str, lhs: float, rhs: float,
                    (*where, inequality_id, lhs, rhs, slack, verdict, None))
 
 
-def _skip(inequality_id: str, reason: str,
-          where: tuple[str, float | None]) -> BoundEntry:
-    return _record(BoundEntry,
-                   (*where, inequality_id, None, None, None, "skip", reason))
-
-
-def _agreement(inequality_id: str, closed: float, generic: float,
-               where: tuple[str, float | None], tolerance: float) -> BoundEntry:
+def _agreement(inequality_id: str, closed: float, generic: float):
     # relative to the authoritative generic value, absolute near zero
-    return _entry(inequality_id, abs(generic - closed),
-                  CROSS_CHECK_REL * (1.0 + abs(generic)), where, tolerance)
+    return (inequality_id, abs(generic - closed),
+            CROSS_CHECK_REL * (1.0 + abs(generic)))
 
 
 def _tv_chain_factors(r: float, R: float, m: float) -> tuple[float, float]:
@@ -349,52 +342,79 @@ _by_id = attrgetter("inequality_id")
 _DEGENERATE = "ratio interval degenerate (P = Q)"
 
 
+def _pair_checks(pair: DistributionPair, rb: RatioBounds,
+                 moments: PairMoments | None):
+    """verify_all's pair-level checks, as (inequality_id, lhs, rhs), and
+    skips, as (inequality_id, reason)."""
+    # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
+    half_tri = 0.5 * triangular_discrimination(pair)
+    rel_j_swap = relative_j_divergence(pair.swapped())
+    chi2_swap = chi_squared(pair.swapped())
+    checks = [("tri_half_le_rel_j_swap", half_tri, rel_j_swap),
+              ("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap)]
+    if moments is None:
+        return checks, [(f"abs_chi[m={m}]", _DEGENERATE) for m in (1, 2, 3)]
+    # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
+    # chi-square: the same nonzero terms, so fsum returns the same value.
+    r, R = rb.r, rb.R
+    variation = moments.variation
+    for m, moment in ((1.0, variation), (2.0, moments.chi2),
+                      (3.0, moments.abs_chi3)):
+        prefix, power = f"abs_chi[m={m:g}]", f"power_diff[m={m:g}]"
+        power_diff = power_difference_divergence(pair, m)
+        interval = ((1.0 - r) * (R - 1.0) / (R - r)) * (
+            (1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
+        lower_factor, upper_factor = _tv_chain_factors(r, R, m)
+        ceiling = upper_factor * variation
+        checks += [
+            (f"{prefix}_le_interval", moment, interval),
+            (f"{prefix}_interval_le_cap", interval, (0.5 * (R - r)) ** m),
+            (f"{prefix}_le_tv_ceiling", moment, ceiling),
+            (f"{power}_ge_tv_floor", lower_factor * variation, power_diff),
+            (f"{power}_le_tv_ceiling", power_diff, ceiling),
+        ]
+    return checks, []
+
+
 def _family_checks(pair: DistributionPair, rb: RatioBounds,
-                   moments: PairMoments | None, sp: SParameter,
-                   where: tuple[str, float], tolerance: float):
-    """verify_all's records at one s, sorted by inequality id."""
+                   moments: PairMoments | None, sp: SParameter):
+    """verify_all's checks at one s, as (inequality_id, lhs, rhs), and
+    skips, as (inequality_id, reason)."""
     value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
         pair, rb, moments, sp)
-    records = [
-        _entry("omega_nonneg", 0.0, value, where, tolerance),
-        _entry("omega_le_e", value, e_val, where, tolerance),
+    checks = [
+        ("omega_nonneg", 0.0, value),
+        ("omega_le_e", value, e_val),
         _agreement("e_closed_form_agrees", e_omega_closed_form(pair, sp),
-                   e_val, where, tolerance),
+                   e_val),
         _agreement("e_star_closed_form_agrees",
-                   e_star_omega_closed_form(pair, sp), e_star_val, where,
-                   tolerance),
+                   e_star_omega_closed_form(pair, sp), e_star_val),
     ]
     if moments is None:
-        records += [_skip("gap_bounds", _DEGENERATE, where),
-                    _skip("interval_bounds", _DEGENERATE, where)]
-    else:
-        records += [
-            _entry("e_le_a", e_val, a_val, where, tolerance),
-            _entry("omega_le_a", value, a_val, where, tolerance),
-            _entry("omega_le_b", value, b_val, where, tolerance),
-            _entry("b_le_a", b_val, a_val, where, tolerance),
-            _entry("b_gap_nonneg", 0.0, b_val - value, where, tolerance),
-            _entry("b_gap_le_a", b_val - value, a_val, where, tolerance),
-            _agreement("a_closed_form_agrees", a_val,
-                       csiszar.bound_a(rb, generator(sp)), where, tolerance),
-            _agreement("b_closed_form_agrees", b_omega_closed_form(rb, sp),
-                       b_val, where, tolerance),
-        ]
-        if gaps is None:
-            records.append(_skip(
-                "gap_bounds", "third-derivative bounds restricted to s >= -1",
-                where))
-        else:
-            for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
-                records.append(_entry(f"{tag}_le_min", bundle.observed,
-                                      bundle.minimum, where, tolerance))
-                for name, data_term, cap_term in zip(
-                        ("curvature", "third_derivative", "first_derivative"),
-                        bundle.candidates, bundle.cap_candidates):
-                    records.append(_entry(f"{tag}_{name}_le_cap", data_term,
-                                          cap_term, where, tolerance))
-    records.sort(key=_by_id)
-    return records
+        return checks, [("gap_bounds", _DEGENERATE),
+                        ("interval_bounds", _DEGENERATE)]
+    checks += [
+        ("e_le_a", e_val, a_val),
+        ("omega_le_a", value, a_val),
+        ("omega_le_b", value, b_val),
+        ("b_le_a", b_val, a_val),
+        ("b_gap_nonneg", 0.0, b_val - value),
+        ("b_gap_le_a", b_val - value, a_val),
+        _agreement("a_closed_form_agrees", a_val,
+                   csiszar.bound_a(rb, generator(sp))),
+        _agreement("b_closed_form_agrees", b_omega_closed_form(rb, sp),
+                   b_val),
+    ]
+    if gaps is None:
+        return checks, [("gap_bounds",
+                         "third-derivative bounds restricted to s >= -1")]
+    for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
+        checks.append((f"{tag}_le_min", bundle.observed, bundle.minimum))
+        checks += [(f"{tag}_{name}_le_cap", data_term, cap_term)
+                   for name, data_term, cap_term in zip(
+                       ("curvature", "third_derivative", "first_derivative"),
+                       bundle.candidates, bundle.cap_candidates)]
+    return checks, []
 
 
 def verify_all(pair: DistributionPair, s_values, *,
@@ -418,55 +438,22 @@ def verify_all(pair: DistributionPair, s_values, *,
         raise InvalidTolerance(f"violation tolerance must be finite and >= 0, "
                                f"got {violation_tolerance!r}")
     rb = ratio_bounds(pair)
-    r, R = rb.r, rb.R
-    degenerate = r == R
-    pair_where = (pair_id, None)
-
-    # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
-    half_tri = 0.5 * triangular_discrimination(pair)
-    rel_j_swap = relative_j_divergence(pair.swapped())
-    chi2_swap = chi_squared(pair.swapped())
-    records = [_entry("tri_half_le_rel_j_swap", half_tri, rel_j_swap,
-                      pair_where, violation_tolerance),
-               _entry("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap,
-                      pair_where, violation_tolerance)]
-
-    # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
-    # chi-square: the same nonzero terms, so fsum returns the same value.
-    moments = None if degenerate else PairMoments.of(pair)
-    for m in (1.0, 2.0, 3.0):
-        prefix = f"abs_chi[m={m:g}]"
-        if moments is None:
-            records.append(_skip(prefix, _DEGENERATE, pair_where))
-            continue
-        variation = moments.variation
-        moment = {1.0: variation, 2.0: moments.chi2,
-                  3.0: moments.abs_chi3}[m]
-        power_diff = power_difference_divergence(pair, m)
-        interval = ((1.0 - r) * (R - 1.0) / (R - r)) * (
-            (1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
-        cap = (0.5 * (R - r)) ** m
-        lower_factor, upper_factor = _tv_chain_factors(r, R, m)
-        records.append(_entry(f"{prefix}_le_interval", moment, interval,
-                              pair_where, violation_tolerance))
-        records.append(_entry(f"{prefix}_interval_le_cap", interval, cap,
-                              pair_where, violation_tolerance))
-        records.append(_entry(f"{prefix}_le_tv_ceiling", moment,
-                              upper_factor * variation,
-                              pair_where, violation_tolerance))
-        records.append(_entry(f"power_diff[m={m:g}]_ge_tv_floor",
-                              lower_factor * variation, power_diff,
-                              pair_where, violation_tolerance))
-        records.append(_entry(f"power_diff[m={m:g}]_le_tv_ceiling",
-                              power_diff, upper_factor * variation,
-                              pair_where, violation_tolerance))
-
-    # Each block is sorted by inequality id and the blocks come in s order,
-    # so the report is ordered by (s, inequality_id).
-    records.sort(key=_by_id)
+    moments = None if rb.r == rb.R else PairMoments.of(pair)
+    blocks = [((pair_id, None), *_pair_checks(pair, rb, moments))]
     # both zeros are falsy, so both become 0.0; `or` keeps every other s
     # object as it is, shared by the records of every pair
-    for s in sorted({float(s) or 0.0 for s in s_values}):
-        records += _family_checks(pair, rb, moments, SParameter.from_value(s),
-                                  (pair_id, s), violation_tolerance)
+    blocks += [((pair_id, s),
+                *_family_checks(pair, rb, moments, SParameter.from_value(s)))
+               for s in sorted({float(s) or 0.0 for s in s_values})]
+    # Each block is sorted by inequality id and the blocks come in s order,
+    # so the report is ordered by (s, inequality_id).
+    records = []
+    for where, checks, skips in blocks:
+        block = [_entry(*check, where, violation_tolerance)
+                 for check in checks]
+        block += [_record(BoundEntry, (*where, inequality_id, None, None,
+                                       None, "skip", reason))
+                  for inequality_id, reason in skips]
+        block.sort(key=_by_id)
+        records += block
     return BoundReport(tuple(records), violation_tolerance, REPORT_NOTES)

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
@@ -341,15 +340,11 @@ def _jsonl_chunks(records, columns):
 def _cmd_compute(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
     s_list = _parse_s_list(args.s_list) if args.s_list else DEFAULT_S_LIST
-    measures = [((_s_key(param), measure_id), measure_id, fn)
-                for measure_id, param, fn in resolve_measures(
-                    args.measures.split(","), s_list)]
-    records = []
-    for pid, group in _groups(pairs):
-        keyed = [(key, (pid, measure_id, fn(pair)))
-                 for pair in group for key, measure_id, fn in measures]
-        keyed.sort(key=itemgetter(0))
-        records.extend(row for _, row in keyed)
+    # each group's rows by (parameter, measure id), then input order
+    measures = sorted(resolve_measures(args.measures.split(","), s_list),
+                      key=lambda measure: (_s_key(measure[1]), measure[0]))
+    records = [(pid, measure_id, fn(pair)) for pid, group in _groups(pairs)
+               for measure_id, _, fn in measures for pair in group]
     _write_records(records, ("pair_id", "measure", "value"), args)
     return 0
 
@@ -384,21 +379,19 @@ def _sweep_grid(s_min: float, s_max: float, s_step: float):
 
 def _cmd_sweep(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
-    grid = _sweep_grid(args.s_min, args.s_max, args.s_step)
+    grid = [SParameter.from_value(s)
+            for s in _sweep_grid(args.s_min, args.s_max, args.s_step)]
     records = []
+    # each group's rows by s, then input order
     for pid, group in _groups(pairs):
-        rows = []
-        for pair in group:
-            rb = ratio_bounds(pair)
-            moments = None if rb.r == rb.R else PairMoments.of(pair)
-            for s in grid:
-                sp = SParameter.from_value(s)
+        bounded = [(pair, rb, None if rb.r == rb.R else PairMoments.of(pair))
+                   for pair in group for rb in (ratio_bounds(pair),)]
+        for sp in grid:
+            for pair, rb, moments in bounded:
                 *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)
                 minima = ((None, None) if gaps is None
                           else (gap.minimum for gap in gaps))
-                rows.append((pid, s, sp.regime.value, *family, *minima))
-        rows.sort(key=itemgetter(1))
-        records.extend(rows)
+                records.append((pid, sp.s, sp.regime.value, *family, *minima))
     _write_records(records, ("pair_id", "s", "regime", "omega", "e", "e_star",
                              "a", "b", "gap_half_e_bound",
                              "gap_e_star_bound"), args)
