@@ -132,6 +132,9 @@ def _csv_rows(text: str):
     def nonblank_rows():
         try:
             for row in reader:
+                # Python 3.10's reader rejects a NUL byte, later ones keep it
+                if any("\0" in cell for cell in row):
+                    raise csv.Error("line contains NUL")
                 if any(cell.strip() for cell in row):
                     yield row
         # raised for a cell past csv.field_size_limit(), among others
@@ -484,9 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser(
         "sweep", help="tabulate the unified family and bounds over a grid")
     _add_io_flags(p_sweep)
-    p_sweep.add_argument("--s-min", type=float, required=True)
-    p_sweep.add_argument("--s-max", type=float, required=True)
-    p_sweep.add_argument("--s-step", type=float, required=True)
+    p_sweep.add_argument("--s-min", type=float, required=True,
+                         help="first grid point (spell a negative value "
+                              "as --s-min=-1)")
+    p_sweep.add_argument("--s-max", type=float, required=True,
+                         help="end of the grid: the last point is included "
+                              "when it lies within 1e-9 * step of s_max")
+    p_sweep.add_argument("--s-step", type=float, required=True,
+                         help=f"grid step, > 0; the grid may hold at most "
+                              f"{MAX_GRID_POINTS} points")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_verify = subs.add_parser(

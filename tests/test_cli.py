@@ -661,6 +661,15 @@ INPUT_ERRORS = {
     "csv-field-too-large": ("pair_id,role,v1,v2\nx,P,0.5,0.5\n"
                             "x,Q,0.5," + "5" * 200000 + "\n", ("verify",),
                             ("line 3", "field larger than field limit")),
+    # Python 3.10's csv reader rejects a NUL byte and later ones keep it;
+    # the message is the same on every version, blank-looking rows too
+    "csv-nul-in-id": ("pair_id,role,v1,v2\nx\0,P,0.5,0.5\nx\0,Q,0.5,0.5\n",
+                      ("verify",), ("line 2", "line contains NUL")),
+    "csv-nul-in-component": ("pair_id,role,v1,v2\nx,P,0.5,0.5\0\n"
+                             "x,Q,0.5,0.5\n", ("verify",),
+                             ("line 2", "line contains NUL")),
+    "csv-nul-alone": ("pair_id,role,v1,v2\n \0 \nx,P,0.5,0.5\n", ("verify",),
+                      ("line 2", "line contains NUL")),
     "csv-role": ("pair_id,role,v1,v2\nx,R,0.5,0.5\n", ("verify",),
                  ("pair x", "role must be P or Q", "'R'")),
     "csv-component": ("pair_id,role,v1,v2\nx,P,0.5,half\n", ("verify",),
@@ -846,6 +855,24 @@ def test_s_list_help_names_the_default(capsys, command):
     s_list_help = text.rsplit("--s-list S_LIST", 1)[1].split(" --", 1)[0]
     default = ",".join(f"{s:g}" for s in cli.DEFAULT_S_LIST)
     assert f"(default: {default})" in s_list_help
+
+
+def test_sweep_help_describes_the_grid(capsys, monkeypatch):
+    # wide enough that no help line wraps inside --s-min=-1
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--help"])
+    assert exit_info.value.code == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    parts = re.split(r"(--s-(?:min|max|step)) [A-Z_]+ ",
+                     " ".join(options.split()))
+    helps = dict(zip(parts[1::2], parts[2::2]))
+    assert set(helps) == {"--s-min", "--s-max", "--s-step"}
+    assert "first grid point" in helps["--s-min"]
+    assert "--s-min=-1" in helps["--s-min"]
+    assert "1e-9 * step of s_max" in helps["--s-max"]
+    assert "> 0" in helps["--s-step"]
+    assert f"at most {cli.MAX_GRID_POINTS} points" in helps["--s-step"]
 
 
 def write_jsonl(records, columns):
