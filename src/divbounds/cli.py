@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="end of the grid: the last point is included "
                               "when it lies within 1e-9 * step of s_max")
     p_sweep.add_argument("--s-step", type=float, required=True,
-                         help=f"grid step, > 0; the grid may hold at most "
+                         help="grid step, > 0; the grid may hold at most "
                               f"{MAX_GRID_POINTS} points")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
