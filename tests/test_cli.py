@@ -55,7 +55,8 @@ EDGE_JSON = json.dumps({"pairs": [
     {"id": "!", "p": [0.05, 0.15, 0.8], "q": [0.3, 0.3, 0.4]},
 ]})
 
-# Pairs the verify merge property draws from, P = Q among them.
+# Pairs the row-order properties of compute, sweep and verify draw from,
+# P = Q among them.
 MERGE_POOL = {
     "binary": ((0.5, 0.5), (0.25, 0.75)),
     "binary-far": ((0.1, 0.9), (0.6, 0.4)),
