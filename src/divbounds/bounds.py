@@ -341,6 +341,18 @@ _by_id = attrgetter("inequality_id")
 
 _DEGENERATE = "ratio interval degenerate (P = Q)"
 
+# Every id a report can carry, built once: all records share these strings.
+_MOMENT_ORDERS = (1.0, 2.0, 3.0)
+_MOMENT_IDS = tuple(
+    (f"abs_chi[m={m:g}]_le_interval", f"abs_chi[m={m:g}]_interval_le_cap",
+     f"abs_chi[m={m:g}]_le_tv_ceiling", f"power_diff[m={m:g}]_ge_tv_floor",
+     f"power_diff[m={m:g}]_le_tv_ceiling") for m in _MOMENT_ORDERS)
+_MOMENT_SKIPS = tuple((f"abs_chi[m={m:g}]", _DEGENERATE)
+                      for m in _MOMENT_ORDERS)
+_GAP_IDS = tuple((f"{tag}_le_min", tuple(f"{tag}_{name}_le_cap" for name in (
+    "curvature", "third_derivative", "first_derivative")))
+    for tag in ("gap_half_e", "gap_e_star"))
+
 
 def _pair_checks(pair: DistributionPair, rb: RatioBounds,
                  moments: PairMoments | None):
@@ -353,25 +365,26 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds,
     checks = [("tri_half_le_rel_j_swap", half_tri, rel_j_swap),
               ("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap)]
     if moments is None:
-        return checks, [(f"abs_chi[m={m}]", _DEGENERATE) for m in (1, 2, 3)]
+        return checks, _MOMENT_SKIPS
     # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
     # chi-square: the same nonzero terms, so fsum returns the same value.
     r, R = rb.r, rb.R
     variation = moments.variation
-    for m, moment in ((1.0, variation), (2.0, moments.chi2),
-                      (3.0, moments.abs_chi3)):
-        prefix, power = f"abs_chi[m={m:g}]", f"power_diff[m={m:g}]"
+    for m, moment, ids in zip(_MOMENT_ORDERS, (variation, moments.chi2,
+                                               moments.abs_chi3), _MOMENT_IDS):
+        (le_interval, interval_le_cap, le_ceiling, power_ge_floor,
+         power_le_ceiling) = ids
         power_diff = power_difference_divergence(pair, m)
         interval = ((1.0 - r) * (R - 1.0) / (R - r)) * (
             (1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
         lower_factor, upper_factor = _tv_chain_factors(r, R, m)
         ceiling = upper_factor * variation
         checks += [
-            (f"{prefix}_le_interval", moment, interval),
-            (f"{prefix}_interval_le_cap", interval, (0.5 * (R - r)) ** m),
-            (f"{prefix}_le_tv_ceiling", moment, ceiling),
-            (f"{power}_ge_tv_floor", lower_factor * variation, power_diff),
-            (f"{power}_le_tv_ceiling", power_diff, ceiling),
+            (le_interval, moment, interval),
+            (interval_le_cap, interval, (0.5 * (R - r)) ** m),
+            (le_ceiling, moment, ceiling),
+            (power_ge_floor, lower_factor * variation, power_diff),
+            (power_le_ceiling, power_diff, ceiling),
         ]
     return checks, []
 
@@ -408,12 +421,9 @@ def _family_checks(pair: DistributionPair, rb: RatioBounds,
     if gaps is None:
         return checks, [("gap_bounds",
                          "third-derivative bounds restricted to s >= -1")]
-    for tag, bundle in zip(("gap_half_e", "gap_e_star"), gaps):
-        checks.append((f"{tag}_le_min", bundle.observed, bundle.minimum))
-        checks += [(f"{tag}_{name}_le_cap", data_term, cap_term)
-                   for name, data_term, cap_term in zip(
-                       ("curvature", "third_derivative", "first_derivative"),
-                       bundle.candidates, bundle.cap_candidates)]
+    for (min_id, cap_ids), bundle in zip(_GAP_IDS, gaps):
+        checks.append((min_id, bundle.observed, bundle.minimum))
+        checks += zip(cap_ids, bundle.candidates, bundle.cap_candidates)
     return checks, []
 
 

@@ -77,6 +77,13 @@ class CliInputError(Exception):
     """Input or usage failure: reported on stderr, exit code 1."""
 
 
+def _numeric_failure(pid: str, exc: ArithmeticError) -> CliInputError:
+    """The input error for an overflow or a division by zero at the edge of
+    the simplex, naming the pair whose evaluation raised it."""
+    return CliInputError(
+        f"pair {pid}: numeric failure ({type(exc).__name__}): {exc}")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; route them through the
     # input-error path so exit 2 stays reserved for verified violations.
@@ -346,8 +353,13 @@ def _cmd_compute(args) -> int:
     # each group's rows by (parameter, measure id), then input order
     measures = sorted(resolve_measures(args.measures.split(","), s_list),
                       key=lambda measure: (_s_key(measure[1]), measure[0]))
-    records = [(pid, measure_id, fn(pair)) for pid, group in _groups(pairs)
-               for measure_id, _, fn in measures for pair in group]
+    records = []
+    for pid, group in _groups(pairs):
+        try:
+            records += [(pid, measure_id, fn(pair))
+                        for measure_id, _, fn in measures for pair in group]
+        except ArithmeticError as exc:
+            raise _numeric_failure(pid, exc) from None
     _write_records(records, ("pair_id", "measure", "value"), args)
     return 0
 
@@ -387,14 +399,20 @@ def _cmd_sweep(args) -> int:
     records = []
     # each group's rows by s, then input order
     for pid, group in _groups(pairs):
-        bounded = [(pair, rb, None if rb.r == rb.R else PairMoments.of(pair))
-                   for pair in group for rb in (ratio_bounds(pair),)]
-        for sp in grid:
-            for pair, rb, moments in bounded:
-                *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)
-                minima = ((None, None) if gaps is None
-                          else (gap.minimum for gap in gaps))
-                records.append((pid, sp.s, sp.regime.value, *family, *minima))
+        try:
+            bounded = [
+                (pair, rb, None if rb.r == rb.R else PairMoments.of(pair))
+                for pair in group for rb in (ratio_bounds(pair),)]
+            for sp in grid:
+                for pair, rb, moments in bounded:
+                    *family, gaps = bounds_mod._family_at(
+                        pair, rb, moments, sp)
+                    minima = ((None, None) if gaps is None
+                              else (gap.minimum for gap in gaps))
+                    records.append(
+                        (pid, sp.s, sp.regime.value, *family, *minima))
+        except ArithmeticError as exc:
+            raise _numeric_failure(pid, exc) from None
     _write_records(records, ("pair_id", "s", "regime", "omega", "e", "e_star",
                              "a", "b", "gap_half_e_bound",
                              "gap_e_star_bound"), args)
@@ -415,8 +433,11 @@ def _cmd_verify(args) -> int:
         runs = [[(pid, None, "note", None, None, None, "info", note)
                  for note in REPORT_NOTES]] if pid == "*" else []
         for pair in group:
-            run = verify_all(pair, s_list, pair_id=pid,
-                             violation_tolerance=args.tolerance).records
+            try:
+                run = verify_all(pair, s_list, pair_id=pid,
+                                 violation_tolerance=args.tolerance).records
+            except ArithmeticError as exc:
+                raise _numeric_failure(pid, exc) from None
             if pair is corrupt:
                 # lhs past rhs by more than the tolerance and than the
                 # rounding of rhs, however large either is
@@ -530,16 +551,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    # Every domain error of the library is a ValueError subclass raised
-    # before any record is written; it is an input error like the others.
+    # Every domain error of the library is a ValueError subclass, and each
+    # command turns an ArithmeticError into a CliInputError naming the pair;
+    # both are raised before any record is written.
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    # Overflow or division by zero at the edge of the simplex, also raised
-    # before any record is written.
-    except ArithmeticError as exc:
-        print(f"error: numeric failure ({type(exc).__name__}): {exc}",
-              file=sys.stderr)
         return 1
 
 

@@ -41,6 +41,7 @@ from divbounds.bounds import (
     e_omega_closed_form,
     e_star_omega_closed_form,
 )
+from divbounds.cli import DEFAULT_S_LIST
 from divbounds.csiszar import (
     DegenerateInterval,
     IntervalNotStraddlingOne,
@@ -440,6 +441,21 @@ class TestVerifyAll:
         assert first == second
         svals = [e.context.s for e in first.entries]
         assert svals == sorted(svals, key=lambda s: (s is not None, s or 0.0))
+
+    def test_inequality_ids_are_shared(self):
+        """Each id is built once: records equal in id hold the same string
+        object, across s-values, pairs and calls, P = Q skips included."""
+        pair = random_pair(5, 11)
+        pairs = (pair, DistributionPair(pair.p, pair.p))
+        first = {}
+        for each in pairs:
+            for rec in verify_all(each, DEFAULT_S_LIST).records:
+                kept = first.setdefault(rec.inequality_id, rec.inequality_id)
+                assert kept is rec.inequality_id
+        # a second call creates no id string of its own
+        for each in pairs:
+            for rec in verify_all(each, DEFAULT_S_LIST).records:
+                assert first[rec.inequality_id] is rec.inequality_id
 
     def test_non_finite_s_rejected(self, std_pair):
         with pytest.raises(NonFiniteParameter):

@@ -591,16 +591,18 @@ class TestVerify:
         assert out == jsonl_lines(expected, BoundEntry._fields)
 
 
-# r = 2e-300: r^3 underflows to zero in delta_omega (verify), and
+# r = 2e-300: r^3 underflows to zero in delta_omega (verify, sweep), and
 # ((p + q)/(2p))^2 overflows in omega_s (compute omega:2).
 @pytest.mark.parametrize("argv", [("verify",),
+                                  ("sweep", "--s-min=-1", "--s-max=1",
+                                   "--s-step=1"),
                                   ("compute", "--measures", "omega:2")])
 def test_arithmetic_error_is_input_error(tmp_path, capsys, argv):
     path = tmp_path / "tiny.json"
     path.write_text('{"pairs": [{"id": "z", "p": [1e-300, 1.0], '
                     '"q": [0.5, 0.5]}]}')
     assert_input_error(*run(capsys, *argv, "--input", str(path)),
-                       "numeric failure")
+                       "pair z: numeric failure")
 
 
 def json_pair(p, q):
