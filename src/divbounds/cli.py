@@ -77,13 +77,6 @@ class CliInputError(Exception):
     """Input or usage failure: reported on stderr, exit code 1."""
 
 
-def _numeric_failure(pid: str, exc: ArithmeticError) -> CliInputError:
-    """The input error for an overflow or a division by zero at the edge of
-    the simplex, naming the pair whose evaluation raised it."""
-    return CliInputError(
-        f"pair {pid}: numeric failure ({type(exc).__name__}): {exc}")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; route them through the
     # input-error path so exit 2 stays reserved for verified violations.
@@ -134,14 +127,15 @@ def _csv_rows(text: str):
     """(pair_id, (raw_p, raw_q)) per CSV pair, in first-seen id order, once
     every row is read.  Blank rows are skipped, the first other row is the
     header, and ``line N`` is the file line on which a row ends."""
+    # 3.10's csv reader stops at a NUL and later ones keep it: find it first
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise CliInputError(f"line {line}: line contains NUL")
     reader = csv.reader(io.StringIO(text))
 
     def nonblank_rows():
         try:
             for row in reader:
-                # Python 3.10's reader rejects a NUL byte, later ones keep it
-                if any("\0" in cell for cell in row):
-                    raise csv.Error("line contains NUL")
                 if any(cell.strip() for cell in row):
                     yield row
         # raised for a cell past csv.field_size_limit(), among others
@@ -255,16 +249,6 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             for measure_id, (param, fn) in resolved.items()]
 
 
-def _groups(pairs, *always: str):
-    """(pair_id, pairs) in sorted id order.  Input order is kept within a
-    group, since JSON input may repeat an id; every id in ``always`` gets a
-    group even when no pair carries it."""
-    groups: dict[str, list[DistributionPair]] = {pid: [] for pid in always}
-    for pid, pair in pairs:
-        groups.setdefault(pid, []).append(pair)
-    return sorted(groups.items())
-
-
 @contextlib.contextmanager
 def _output(path: str):
     """Standard output for "-", else the file at ``path`` opened for
@@ -347,20 +331,36 @@ def _jsonl_chunks(records, columns):
             map(_Spellings().__getitem__, chain.from_iterable(chunk)))
 
 
+def _write_groups(args, columns, pairs, rows, *always: str):
+    """Write ``rows(pair_id, pairs)`` of each pair_id group and return the
+    records.  Groups go in sorted id order with input order kept within a
+    group, since JSON input may repeat an id; every id in ``always`` gets a
+    group even when no pair carries it.  An overflow or a division by zero
+    at the edge of the simplex is an input error naming the group, raised
+    before any record is written."""
+    groups: dict[str, list[DistributionPair]] = {pid: [] for pid in always}
+    for pid, pair in pairs:
+        groups.setdefault(pid, []).append(pair)
+    records = []
+    for pid, group in sorted(groups.items()):
+        try:
+            records += rows(pid, group)
+        except ArithmeticError as exc:
+            raise CliInputError(f"pair {pid}: numeric failure "
+                                f"({type(exc).__name__}): {exc}") from None
+    _write_records(records, columns, args)
+    return records
+
+
 def _cmd_compute(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
-    s_list = _parse_s_list(args.s_list) if args.s_list else DEFAULT_S_LIST
     # each group's rows by (parameter, measure id), then input order
-    measures = sorted(resolve_measures(args.measures.split(","), s_list),
+    measures = sorted(resolve_measures(args.measures.split(","), args.s_list),
                       key=lambda measure: (_s_key(measure[1]), measure[0]))
-    records = []
-    for pid, group in _groups(pairs):
-        try:
-            records += [(pid, measure_id, fn(pair))
-                        for measure_id, _, fn in measures for pair in group]
-        except ArithmeticError as exc:
-            raise _numeric_failure(pid, exc) from None
-    _write_records(records, ("pair_id", "measure", "value"), args)
+    _write_groups(args, ("pair_id", "measure", "value"), pairs,
+                  lambda pid, group: [(pid, measure_id, fn(pair))
+                                      for measure_id, _, fn in measures
+                                      for pair in group])
     return 0
 
 
@@ -396,48 +396,36 @@ def _cmd_sweep(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
     grid = [SParameter.from_value(s)
             for s in _sweep_grid(args.s_min, args.s_max, args.s_step)]
-    records = []
-    # each group's rows by s, then input order
-    for pid, group in _groups(pairs):
-        try:
-            bounded = [
-                (pair, rb, None if rb.r == rb.R else PairMoments.of(pair))
-                for pair in group for rb in (ratio_bounds(pair),)]
-            for sp in grid:
-                for pair, rb, moments in bounded:
-                    *family, gaps = bounds_mod._family_at(
-                        pair, rb, moments, sp)
-                    minima = ((None, None) if gaps is None
-                              else (gap.minimum for gap in gaps))
-                    records.append(
-                        (pid, sp.s, sp.regime.value, *family, *minima))
-        except ArithmeticError as exc:
-            raise _numeric_failure(pid, exc) from None
-    _write_records(records, ("pair_id", "s", "regime", "omega", "e", "e_star",
-                             "a", "b", "gap_half_e_bound",
-                             "gap_e_star_bound"), args)
+
+    def rows(pid, group):
+        # each group's rows by s, then input order
+        bounded = [(pair, rb, None if rb.r == rb.R else PairMoments.of(pair))
+                   for pair in group for rb in (ratio_bounds(pair),)]
+        for sp in grid:
+            for pair, rb, moments in bounded:
+                *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)
+                minima = ((None, None) if gaps is None
+                          else (gap.minimum for gap in gaps))
+                yield (pid, sp.s, sp.regime.value, *family, *minima)
+
+    _write_groups(args, ("pair_id", "s", "regime", "omega", "e", "e_star",
+                         "a", "b", "gap_half_e_bound", "gap_e_star_bound"),
+                  pairs, rows)
     return 0
 
 
 def _cmd_verify(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
-    s_list = _parse_s_list(args.s_list) if args.s_list else DEFAULT_S_LIST
     # Self-test of the failure path: corrupt the first checked entry of
     # the first pair read.
     corrupt = pairs[0][1] if args.inject_violation else None
-    records = []
-    # Rows within a pair_id go by (s, inequality_id), pair-level first,
-    # then input order; each report is already so ordered, so they merge.
-    # The notes (pair-level, id "note") follow a "*" pair's abs_chi rows.
-    for pid, group in _groups(pairs, "*"):
+
+    def rows(pid, group):
         runs = [[(pid, None, "note", None, None, None, "info", note)
                  for note in REPORT_NOTES]] if pid == "*" else []
         for pair in group:
-            try:
-                run = verify_all(pair, s_list, pair_id=pid,
-                                 violation_tolerance=args.tolerance).records
-            except ArithmeticError as exc:
-                raise _numeric_failure(pid, exc) from None
+            run = verify_all(pair, args.s_list, pair_id=pid,
+                             violation_tolerance=args.tolerance).records
             if pair is corrupt:
                 # lhs past rhs by more than the tolerance and than the
                 # rounding of rhs, however large either is
@@ -448,11 +436,15 @@ def _cmd_verify(args) -> int:
                     first.inequality_id, lhs, first.rhs, (pid, first.s),
                     args.tolerance)
             runs.append(run)
-        records.extend(heapq.merge(
-            *runs, key=lambda row: (_s_key(row[1]), row[2])))
-    any_fail = any(row[6] == "fail" for row in records)
-    _write_records(records, bounds_mod.BoundEntry._fields, args)
-    return 2 if any_fail else 0
+        # Rows within a pair_id go by (s, inequality_id), pair-level first,
+        # then input order; each report is already so ordered, so they
+        # merge.  The notes (pair-level, id "note") follow a "*" pair's
+        # abs_chi rows.
+        return heapq.merge(*runs, key=lambda row: (_s_key(row[1]), row[2]))
+
+    records = _write_groups(args, bounds_mod.BoundEntry._fields, pairs, rows,
+                            "*")
+    return 2 if any(row[6] == "fail" for row in records) else 0
 
 
 def _cmd_gen(args) -> int:
@@ -499,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated measure ids: {', '.join(_SIMPLE_MEASURES)}, "
              f"and {', '.join(_PARAMETRIC_MEASURES)} with a parameter after "
              "a colon (vajda:3, omega:-0.5); bare, these expand over --s-list")
-    p_compute.add_argument("--s-list", default=None,
+    p_compute.add_argument("--s-list", type=_parse_s_list,
+                           default=DEFAULT_S_LIST,
                            help="comma-separated parameters used to expand "
                                 "bare parametric measure names "
                                 + _DEFAULT_S_HELP)
@@ -522,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser(
         "verify", help="run the consolidated inequality report")
     _add_io_flags(p_verify)
-    p_verify.add_argument("--s-list", default=None,
+    p_verify.add_argument("--s-list", type=_parse_s_list,
+                          default=DEFAULT_S_LIST,
                           help="comma-separated family parameters "
                                + _DEFAULT_S_HELP)
     p_verify.add_argument("--tolerance", type=float,
@@ -551,9 +545,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    # Every domain error of the library is a ValueError subclass, and each
-    # command turns an ArithmeticError into a CliInputError naming the pair;
-    # both are raised before any record is written.
+    # Every domain error of the library is a ValueError subclass, and
+    # _write_groups turns an ArithmeticError into a CliInputError naming the
+    # pair; both are raised before any record is written.
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -598,11 +598,14 @@ class TestVerify:
                                    "--s-step=1"),
                                   ("compute", "--measures", "omega:2")])
 def test_arithmetic_error_is_input_error(tmp_path, capsys, argv):
+    # the valid group "a" is evaluated first, and no record of it is written
     path = tmp_path / "tiny.json"
-    path.write_text('{"pairs": [{"id": "z", "p": [1e-300, 1.0], '
+    path.write_text('{"pairs": [{"id": "a", "p": [0.5, 0.5], '
+                    '"q": [0.25, 0.75]}, {"id": "z", "p": [1e-300, 1.0], '
                     '"q": [0.5, 0.5]}]}')
-    assert_input_error(*run(capsys, *argv, "--input", str(path)),
-                       "pair z: numeric failure")
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert_input_error(code, out, err, "pair z: numeric failure")
+    assert "pair a" not in err
 
 
 def json_pair(p, q):
@@ -616,6 +619,10 @@ INPUT_ERRORS = {
                      ("unrecognized", "--no-such-flag")),
     "missing-command": (None, (), ("command",)),
     "empty-s-list": (STD_CSV, ("verify", "--s-list", ","), ("s-list",)),
+    "empty-s-list-verify": (STD_CSV, ("verify", "--s-list="),
+                            ("s-list is empty",)),
+    "empty-s-list-compute": (STD_CSV, ("compute", "--measures", "omega",
+                                       "--s-list="), ("s-list is empty",)),
     "json-parse": ('{"pairs": [', ("verify",), ("JSON parse failure",)),
     # nested past the recursion limit
     "json-deep-nesting": ('{"pairs": ' + "[" * 200000, ("verify",),
@@ -673,6 +680,10 @@ INPUT_ERRORS = {
                              ("line 2", "line contains NUL")),
     "csv-nul-alone": ("pair_id,role,v1,v2\n \0 \nx,P,0.5,0.5\n", ("verify",),
                       ("line 2", "line contains NUL")),
+    # the line that holds the NUL, not the line on which its row ends
+    "csv-nul-in-multiline-cell": ('pair_id,role,v1,v2\n"x\0\ny",P,0.5,0.5\n'
+                                  '"x\0\ny",Q,0.5,0.5\n', ("verify",),
+                                  ("line 2", "line contains NUL")),
     "csv-role": ("pair_id,role,v1,v2\nx,R,0.5,0.5\n", ("verify",),
                  ("pair x", "role must be P or Q", "'R'")),
     "csv-component": ("pair_id,role,v1,v2\nx,P,0.5,half\n", ("verify",),
