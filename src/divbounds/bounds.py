@@ -21,6 +21,8 @@ from .csiszar import (
     GapBounds,
     GapTarget,
     PairMoments,
+    _E_STAR,
+    _HALF_E,
     _gap_bounds,
     _gap_functional,
     _require_distinct,
@@ -34,7 +36,8 @@ from .divergences import (
 )
 from .means import lp_power
 from .simplex import DistributionPair, RatioBounds, ratio_bounds
-from .type_s import Regime, SParameter, _sparam, generator, omega_s, psi_s_d3
+from .type_s import (_LIMIT_AT_ONE, _LIMIT_AT_ZERO, SParameter, _sparam,
+                     generator, omega_s, psi_s_d3)
 
 #: An inequality entry passes when slack = rhs - lhs >= -VIOLATION_TOLERANCE.
 #: An order of magnitude above worst observed rounding slack in double
@@ -77,6 +80,14 @@ class InvalidTolerance(ValueError):
     """Violation tolerance that is NaN, infinite or negative."""
 
 
+def _check_tolerance(tolerance: float) -> float:
+    """The violation tolerance, if it is finite and >= 0."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InvalidTolerance(f"violation tolerance must be finite and >= 0, "
+                               f"got {tolerance!r}")
+    return tolerance
+
+
 def _gap_parameter(s: float | SParameter) -> SParameter:
     sp = _sparam(s)
     if sp.s < -1.0:
@@ -96,10 +107,10 @@ def e_omega_closed_form(pair: DistributionPair, s: float | SParameter) -> float:
     The s = 1 branch uses chi2 with swapped arguments; see the report note.
     """
     sp = _sparam(s)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.regime is _LIMIT_AT_ZERO:
         return (relative_j_divergence(pair.swapped())
                 - 0.5 * triangular_discrimination(pair))
-    if sp.regime is Regime.LIMIT_AT_ONE:
+    if sp.regime is _LIMIT_AT_ONE:
         return 0.5 * (chi_squared(pair.swapped())
                       - relative_j_divergence(pair.swapped()))
     sv = sp.s
@@ -119,12 +130,12 @@ def e_star_omega_closed_form(pair: DistributionPair,
     """Closed form of e_star_omega, used as a cross-check."""
     sp = _sparam(s)
     items = tuple(zip(pair.p.values, pair.q.values))
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.regime is _LIMIT_AT_ZERO:
         return (fsum((q - p) * log((p + 3.0 * q) / (2.0 * (p + q)))
                      for p, q in items if p != q)
                 - 0.5 * fsum((p - q) * (p - q) / (p + 3.0 * q)
                              for p, q in items))
-    if sp.regime is Regime.LIMIT_AT_ONE:
+    if sp.regime is _LIMIT_AT_ONE:
         return (0.5 * triangular_discrimination(pair)
                 + 0.5 * fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
                              for p, q in items if p != q))
@@ -162,10 +173,10 @@ def b_omega_closed_form(rb: RatioBounds, s: float | SParameter) -> float:
     sp = _sparam(s)
     r, R = rb.r, rb.R
     end_a, end_b = (r + 1.0) / (2.0 * r), (R + 1.0) / (2.0 * R)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.regime is _LIMIT_AT_ZERO:
         return ((r * log(end_a) - R * log(end_b)) / (R - r)
                 - 0.5 * lp_power(-1.0, end_a, end_b))
-    if sp.regime is Regime.LIMIT_AT_ONE:
+    if sp.regime is _LIMIT_AT_ONE:
         return ((r * R - 1.0) / (4.0 * r * R) * lp_power(-1.0, end_a, end_b)
                 + 0.5 * log((R + 1.0) * (r + 1.0) / (4.0 * r * R)))
     sv = sp.s
@@ -248,8 +259,7 @@ def _family_at(pair: DistributionPair, rb: RatioBounds,
     gaps = None if sp.s < -1.0 else tuple(
         theorem42_bounds(pair, rb, sp, target, moments=moments, omega=omega,
                          functional=functional)
-        for target, functional in ((GapTarget.HALF_E, e),
-                                   (GapTarget.E_STAR, e_star)))
+        for target, functional in ((_HALF_E, e), (_E_STAR, e_star)))
     return omega, e, e_star, a, b, gaps
 
 
@@ -307,13 +317,17 @@ class BoundReport:
 _record = tuple.__new__
 
 
-def _entry(inequality_id: str, lhs: float, rhs: float,
-           where: tuple[str, float | None], tolerance: float) -> BoundEntry:
-    # where = (pair_id, s), with s None for a pair-level check
-    slack = rhs - lhs
-    verdict = "pass" if slack >= -tolerance else "fail"
-    return _record(BoundEntry,
-                   (*where, inequality_id, lhs, rhs, slack, verdict, None))
+def _entries(checks, where: tuple[str, float | None],
+             tolerance: float) -> list[BoundEntry]:
+    """One record per (inequality_id, lhs, rhs) check at where =
+    (pair_id, s), s None for pair-level checks, built in one comprehension.
+    The one site of the pass rule: slack = rhs - lhs >= -tolerance."""
+    pair_id, s = where
+    floor = -tolerance
+    return [_record(BoundEntry, (pair_id, s, inequality_id, lhs, rhs,
+                                 (slack := rhs - lhs),
+                                 "pass" if slack >= floor else "fail", None))
+            for inequality_id, lhs, rhs in checks]
 
 
 def _agreement(inequality_id: str, closed: float, generic: float):
@@ -444,9 +458,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     once, with pair-level records first.  The tolerance must be finite and
     >= 0.
     """
-    if not (math.isfinite(violation_tolerance) and violation_tolerance >= 0.0):
-        raise InvalidTolerance(f"violation tolerance must be finite and >= 0, "
-                               f"got {violation_tolerance!r}")
+    _check_tolerance(violation_tolerance)
     rb = ratio_bounds(pair)
     moments = None if rb.r == rb.R else PairMoments.of(pair)
     blocks = [((pair_id, None), *_pair_checks(pair, rb, moments))]
@@ -459,8 +471,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     # so the report is ordered by (s, inequality_id).
     records = []
     for where, checks, skips in blocks:
-        block = [_entry(*check, where, violation_tolerance)
-                 for check in checks]
+        block = _entries(checks, where, violation_tolerance)
         block += [_record(BoundEntry, (*where, inequality_id, None, None,
                                        None, "skip", reason))
                   for inequality_id, reason in skips]

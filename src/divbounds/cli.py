@@ -98,6 +98,20 @@ def _parse_s_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_tolerance(text: str) -> float:
+    """A --tolerance value, checked as verify_all checks it, so a bad one
+    is reported before any input is read and names no pair."""
+    try:
+        tolerance = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    try:
+        return bounds_mod._check_tolerance(tolerance)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
+
+
 def _json_rows(text: str):
     """(pair_id, (raw_p, raw_q)) per JSON record, in input order."""
     try:
@@ -335,9 +349,9 @@ def _write_groups(args, columns, pairs, rows, *always: str):
     """Write ``rows(pair_id, pairs)`` of each pair_id group and return the
     records.  Groups go in sorted id order with input order kept within a
     group, since JSON input may repeat an id; every id in ``always`` gets a
-    group even when no pair carries it.  An overflow or a division by zero
-    at the edge of the simplex is an input error naming the group, raised
-    before any record is written."""
+    group even when no pair carries it.  A domain error of the library and
+    an overflow or a division by zero at the edge of the simplex are input
+    errors naming the group, raised before any record is written."""
     groups: dict[str, list[DistributionPair]] = {pid: [] for pid in always}
     for pid, pair in pairs:
         groups.setdefault(pid, []).append(pair)
@@ -348,6 +362,8 @@ def _write_groups(args, columns, pairs, rows, *always: str):
         except ArithmeticError as exc:
             raise CliInputError(f"pair {pid}: numeric failure "
                                 f"({type(exc).__name__}): {exc}") from None
+        except ValueError as exc:
+            raise CliInputError(f"pair {pid}: {exc}") from None
     _write_records(records, columns, args)
     return records
 
@@ -432,9 +448,10 @@ def _cmd_verify(args) -> int:
                 first = next(rec for rec in run if rec.verdict != "skip")
                 lhs = first.rhs + 1.0 + 2.0 * (args.tolerance + abs(first.rhs))
                 run = list(run)
-                run[run.index(first)] = bounds_mod._entry(
-                    first.inequality_id, lhs, first.rhs, (pid, first.s),
+                (entry,) = bounds_mod._entries(
+                    [(first.inequality_id, lhs, first.rhs)], (pid, first.s),
                     args.tolerance)
+                run[run.index(first)] = entry
             runs.append(run)
         # Rows within a pair_id go by (s, inequality_id), pair-level first,
         # then input order; each report is already so ordered, so they
@@ -519,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_S_LIST,
                           help="comma-separated family parameters "
                                + _DEFAULT_S_HELP)
-    p_verify.add_argument("--tolerance", type=float,
+    p_verify.add_argument("--tolerance", type=_parse_tolerance,
                           default=bounds_mod.VIOLATION_TOLERANCE,
                           help="violation tolerance override (absolute)")
     p_verify.add_argument("--inject-violation", action="store_true",
@@ -545,9 +562,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    # Every domain error of the library is a ValueError subclass, and
-    # _write_groups turns an ArithmeticError into a CliInputError naming the
-    # pair; both are raised before any record is written.
+    # Every domain error of the library is a ValueError subclass;
+    # _write_groups turns one raised while a group is evaluated, and an
+    # ArithmeticError, into a CliInputError naming the pair.  All are raised
+    # before any record is written.
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

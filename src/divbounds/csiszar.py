@@ -88,6 +88,11 @@ class GapTarget(enum.Enum):
     E_STAR = "e_star"
 
 
+# The members as module names, as type_s binds the Regime members: a read
+# through the class costs about 0.2 us on CPython 3.11.
+_HALF_E, _E_STAR = GapTarget
+
+
 @dataclass(frozen=True)
 class GapBounds:
     """Bundle of third-derivative gap bounds for one target.
@@ -224,7 +229,7 @@ def _gap_functional(pair: DistributionPair, gen: GeneratorFunction,
                     target: GapTarget) -> float:
     # the functional a target's gap is measured against: E for HALF_E,
     # E* for E_STAR
-    if target is GapTarget.HALF_E:
+    if target is _HALF_E:
         return dragomir_e(pair, gen)
     return dragomir_e_star(pair, gen)
 
@@ -236,7 +241,7 @@ def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
     # from the caller: the divergence, the target's functional (E or E*),
     # the signed curvature spread k (f''(R) - f''(r)) with its sign k, and
     # the sup of |f'''| on [r, R].
-    if target is GapTarget.HALF_E:
+    if target is _HALF_E:
         observed = abs(div - 0.5 * functional)
         third_factor, first_factor = 1.0 / 12.0, 1.0
     else:

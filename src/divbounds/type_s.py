@@ -47,6 +47,12 @@ class Regime(enum.Enum):
     LIMIT_AT_ONE = "limit_at_one"
 
 
+# The members as module names: reading one through its class (an enum
+# metaclass lookup) costs about 0.2 us on CPython 3.11 (timeit), a module
+# name about 20 ns, and the generator maps compare a regime per call.
+_GENERIC, _LIMIT_AT_ZERO, _LIMIT_AT_ONE = Regime
+
+
 @dataclass(frozen=True)
 class SParameter:
     """A family parameter together with its evaluation regime."""
@@ -60,18 +66,18 @@ class SParameter:
         if not math.isfinite(s):
             raise NonFiniteParameter(f"s must be finite, got {s!r}")
         if abs(s) <= S_SWITCH:
-            return cls(s, Regime.LIMIT_AT_ZERO)
+            return cls(s, _LIMIT_AT_ZERO)
         if abs(s - 1.0) <= S_SWITCH:
-            return cls(s, Regime.LIMIT_AT_ONE)
-        return cls(s, Regime.GENERIC)
+            return cls(s, _LIMIT_AT_ONE)
+        return cls(s, _GENERIC)
 
     @property
     def canonical(self) -> float:
         """The parameter value actually evaluated: 0 or 1 in the limit
         regimes, s itself otherwise."""
-        if self.regime is Regime.LIMIT_AT_ZERO:
+        if self.regime is _LIMIT_AT_ZERO:
             return 0.0
-        if self.regime is Regime.LIMIT_AT_ONE:
+        if self.regime is _LIMIT_AT_ONE:
             return 1.0
         return self.s
 
@@ -102,9 +108,9 @@ def phi_s(pair: DistributionPair, s: float | SParameter) -> float:
     K(Q||P) at s = 0 and K(P||Q) at s = 1.  Nonnegative for all real s.
     """
     sp = _sparam(s)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.regime is _LIMIT_AT_ZERO:
         return relative_information(pair.swapped())
-    if sp.regime is Regime.LIMIT_AT_ONE:
+    if sp.regime is _LIMIT_AT_ONE:
         return relative_information(pair)
     sv = sp.s
     # Each term of the "sum minus one" core is p ((q/p)^(1-s) - 1), kept
@@ -122,9 +128,9 @@ def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     Nonnegative for all real s.
     """
     sp = _sparam(s)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.regime is _LIMIT_AT_ZERO:
         return relative_js_divergence(pair)
-    if sp.regime is Regime.LIMIT_AT_ONE:
+    if sp.regime is _LIMIT_AT_ONE:
         return relative_ag_divergence(pair)
     sv = sp.s
     core = fsum([p * expm1(sv * _log_mid_over_p(p, q))
@@ -147,9 +153,9 @@ def psi_s(x: float, s: float | SParameter) -> float:
     # _sparam inlined: the generator maps hand an SParameter on every call
     sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
     u = (x + 1.0) / (2.0 * x)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.regime is _LIMIT_AT_ZERO:
         return 0.5 * (1.0 - x) - x * log(u)
-    if sp.regime is Regime.LIMIT_AT_ONE:
+    if sp.regime is _LIMIT_AT_ONE:
         return 0.5 * (x - 1.0) + 0.5 * (x + 1.0) * log(u)
     sv = sp.s
     return (x * pow(u, sv) - x - sv * 0.5 * (1.0 - x)) / (sv * (sv - 1.0))
@@ -158,12 +164,12 @@ def psi_s(x: float, s: float | SParameter) -> float:
 def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
     """psi_s' for one parameter as a closure: the regime is resolved and s,
     s - 1 are bound once, since the generic engine calls it per component."""
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.regime is _LIMIT_AT_ZERO:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
                 _check_positive(x)
             return 0.5 * (1.0 - x) / (1.0 + x) - log((x + 1.0) / (2.0 * x))
-    elif sp.regime is Regime.LIMIT_AT_ONE:
+    elif sp.regime is _LIMIT_AT_ONE:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
                 _check_positive(x)
@@ -193,9 +199,9 @@ def psi_s_d2(x: float, s: float | SParameter) -> float:
         _check_positive(x)
     sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
     regime = sp.regime
-    if regime is Regime.GENERIC:
+    if regime is _GENERIC:
         return pow((x + 1.0) / (2.0 * x), sp.s - 2.0) / (4.0 * x * x * x)
-    if regime is Regime.LIMIT_AT_ZERO:
+    if regime is _LIMIT_AT_ZERO:
         return 1.0 / (x * (1.0 + x) * (1.0 + x))
     return 1.0 / (2.0 * x * x * (1.0 + x))
 

@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divbounds import (
+    BoundEntry,
     DistributionPair,
     GapTarget,
     PairMoments,
@@ -36,6 +38,7 @@ from divbounds import (
 from divbounds.bounds import (
     InvalidTolerance,
     SOutOfRange,
+    _entries,
     _s_key,
     b_omega_closed_form,
     e_omega_closed_form,
@@ -364,6 +367,57 @@ class TestPinnedBits:
         powers = (lp_power(p, a, b) for p in exponents for a, b in endpoints)
         assert digest(powers) == (
             "cc3049afeff3da54a9dbda8b2aee4214b3026a03e15143df2e95e224ee3e17a0")
+
+    def test_verify_all_records(self, make_pairs):
+        """Frozen from the implementation that read every Regime and
+        GapTarget member through its class and built each checked record
+        in its own call: every record of verify_all in every regime,
+        including the limit bands away from s = 0 and 1 (where the
+        evaluated parameter is not s), s < -1 (gap bounds skipped) and
+        P = Q (interval checks skipped)."""
+        pairs = list(make_pairs(63, seed=97))
+        pairs += [DistributionPair(pair.p, pair.p) for pair in pairs[:4]]
+        s_values = (-3.0, -1.5, -1.0, -0.5, -1e-6, 0.0, 1e-6, 2e-5, 0.5,
+                    0.999999, 1.0, 1.000005, 1.00002, 2.0, 3.7)
+        records = (rec for i, pair in enumerate(pairs)
+                   for rec in verify_all(pair, s_values,
+                                         pair_id=f"p{i}").records)
+        assert digest(records) == (
+            "a844cfd71fc13b27ee113bf4f27b5b19f47a9dc327e5bba59e529138b7d87695")
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+class TestPassRule:
+    """_entries is the one site of the pass rule: an entry passes exactly
+    when slack = rhs - lhs >= -tolerance, so slack = -tolerance passes and
+    a NaN slack (inf - inf, or a NaN side) fails."""
+
+    @given(st.lists(st.tuples(st.floats(), st.floats()), max_size=6),
+           st.one_of(st.just(-0.0), st.floats(min_value=0.0,
+                                              allow_infinity=False)),
+           st.sampled_from((None, -1.5, 0.0, 2.0)))
+    @example([(1.0, 0.5), (0.5, 1.0)], 0.5, None)
+    @example([(math.inf, math.inf), (-math.inf, -math.inf), (math.nan, 0.0),
+              (0.0, -0.0), (-0.0, 0.0)], 0.0, 1.0)
+    @example([(0.0, -math.inf), (-math.inf, 0.0), (math.inf, 0.0)],
+             1e300, 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_slack_and_verdict(self, sides, tolerance, s):
+        checks = [(f"check_{i}", lhs, rhs) for i, (lhs, rhs) in
+                  enumerate(sides)]
+        records = _entries(checks, ("x", s), tolerance)
+        assert len(records) == len(checks)
+        for record, (inequality_id, lhs, rhs) in zip(records, checks):
+            assert type(record) is BoundEntry
+            pid, rs, rid, rlhs, rrhs, slack, verdict, reason = record
+            assert (pid, rid, reason) == ("x", inequality_id, None)
+            assert rs is s and rlhs is lhs and rrhs is rhs
+            assert bits(slack) == bits(rhs - lhs)
+            failed = math.isnan(slack) or slack < -tolerance
+            assert verdict == ("fail" if failed else "pass")
 
 
 class TestAbsoluteMomentChains:

@@ -25,6 +25,7 @@ from divbounds import (
     SParameter,
     a_omega,
     b_omega,
+    bounds,
     cli,
     e_omega,
     e_star_omega,
@@ -517,9 +518,23 @@ class TestVerify:
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
     def test_bad_tolerance(self, std_csv, capsys, tolerance):
-        assert_input_error(*run(capsys, "verify", "--input", std_csv,
-                                f"--tolerance={tolerance}"),
-                           "tolerance", tolerance)
+        # read with the arguments, so no pair is blamed for it
+        code, out, err = run(capsys, "verify", "--input", std_csv,
+                             f"--tolerance={tolerance}")
+        assert_input_error(code, out, err, "tolerance", tolerance)
+        assert "pair" not in err
+
+    @pytest.mark.parametrize("tolerance, words", [
+        ("nan", ("violation tolerance must be finite and >= 0, got nan",)),
+        ("half", ("argument --tolerance", "invalid float value: 'half'")),
+    ])
+    def test_bad_tolerance_reported_before_input(self, tmp_path, capsys,
+                                                 tolerance, words):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(capsys, "verify", "--input", missing,
+                             f"--tolerance={tolerance}")
+        assert_input_error(code, out, err, *words)
+        assert "cannot read" not in err
 
     def test_library_domain_error_is_input_error(self, tmp_path, capsys):
         # 0.5 / 1e-320 overflows, so the ratio bounds are rejected
@@ -527,7 +542,27 @@ class TestVerify:
         path.write_text('{"pairs": [{"id": "o", "p": [0.5, 0.5], '
                         '"q": [1e-320, 1.0]}]}')
         assert_input_error(*run(capsys, "verify", "--input", str(path)),
-                           "R=inf")
+                           "pair o:", "R=inf")
+
+    def test_injected_record_comes_from_the_builder(self, std_csv, capsys,
+                                                     monkeypatch):
+        real, built = bounds._entries, []
+
+        def spy(checks, where, tolerance):
+            block = real(checks, where, tolerance)
+            built.extend(block)
+            return block
+
+        monkeypatch.setattr(bounds, "_entries", spy)
+        code, out, _ = run(capsys, "verify", "--input", std_csv,
+                           "--s-list=0,1", "--inject-violation")
+        assert code == 2
+        (bad,) = [r for r in jsonl(out) if r["verdict"] == "fail"]
+        (record,) = [rec for rec in built if rec.verdict == "fail"]
+        assert bad == dict(zip(BoundEntry._fields, record))
+        # every checked row of the report went through the builder as well
+        checked = [r for r in jsonl(out) if r["verdict"] in ("pass", "fail")]
+        assert len(built) == len(checked) + 1
 
     def test_csv_format(self, std_csv, capsys):
         code, out, _ = run(capsys, "verify", "--input", std_csv,
@@ -605,6 +640,21 @@ def test_arithmetic_error_is_input_error(tmp_path, capsys, argv):
                     '"q": [0.5, 0.5]}]}')
     code, out, err = run(capsys, *argv, "--input", str(path))
     assert_input_error(code, out, err, "pair z: numeric failure")
+    assert "pair a" not in err
+
+
+# Pair b sums to 1 within SUM_TOLERANCE, but its ratios are all
+# 1.00000000196, so ratio_bounds rejects it while the pair is evaluated.
+@pytest.mark.parametrize("argv", [("verify",),
+                                  ("sweep", "--s-min=-1", "--s-max=1",
+                                   "--s-step=1")])
+def test_library_domain_error_names_the_pair(tmp_path, capsys, argv):
+    path = tmp_path / "off_simplex.json"
+    path.write_text('{"pairs":[{"id":"a","p":[0.5,0.5],"q":[0.25,0.75]},'
+                    '{"id":"b","p":[0.50000000049,0.50000000049],'
+                    '"q":[0.49999999951,0.49999999951]}]}')
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert_input_error(code, out, err, "pair b: require 0 < r <= 1 <= R")
     assert "pair a" not in err
 
 
