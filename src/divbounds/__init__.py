@@ -25,14 +25,13 @@ from .divergences import (
     triangular_discrimination,
     vajda_abs_chi,
 )
-from .means import lp_mean, lp_power
+from .means import lp_power
 from .csiszar import (
     GapBounds,
     GapTarget,
     GeneratorFunction,
     bound_a,
     bound_b,
-    builtin_generators,
     csiszar_divergence,
     dragomir_e,
     dragomir_e_star,
@@ -43,7 +42,6 @@ from .type_s import (
     SParameter,
     generator,
     omega_s,
-    omega_special_cases,
     phi_s,
     psi_s,
     psi_s_d1,
@@ -73,13 +71,12 @@ __all__ = [
     "relative_js_divergence", "relative_ag_divergence",
     "triangular_discrimination", "bhattacharyya", "hellinger",
     "total_variation", "vajda_abs_chi", "symmetric_chi_squared",
-    "j_divergence", "jensen_shannon", "ag_mean_divergence",
-    "lp_mean", "lp_power",
+    "j_divergence", "jensen_shannon", "ag_mean_divergence", "lp_power",
     "GeneratorFunction", "GapBounds", "GapTarget",
     "csiszar_divergence", "dragomir_e", "dragomir_e_star",
-    "bound_a", "bound_b", "theorem33_bounds", "builtin_generators",
+    "bound_a", "bound_b", "theorem33_bounds",
     "Regime", "SParameter", "phi_s", "omega_s", "psi_s",
-    "psi_s_d1", "psi_s_d2", "psi_s_d3", "generator", "omega_special_cases",
+    "psi_s_d1", "psi_s_d2", "psi_s_d3", "generator",
     "BoundEntry", "BoundReport", "PairMoments",
     "e_omega", "e_star_omega", "a_omega", "b_omega",
     "delta_omega", "psi3_sup", "theorem42_bounds", "verify_all",

@@ -9,13 +9,13 @@ zero to the difference-weighted sums and are skipped outright.
 
 from __future__ import annotations
 
-from math import fsum, log, sqrt
+from math import fsum, isfinite, log, sqrt
 
 from .simplex import DistributionPair
 
 
 class MOutOfRange(ValueError):
-    """Exponent below one passed to the absolute-moment divergence."""
+    """Exponent below one, or not finite, passed to a moment divergence."""
 
 
 def _items(pair: DistributionPair):
@@ -73,6 +73,8 @@ def total_variation(pair: DistributionPair) -> float:
 def _check_exponent(m: float) -> None:
     if not m >= 1.0:
         raise MOutOfRange(f"exponent must satisfy m >= 1, got {m!r}")
+    if not isfinite(m):
+        raise MOutOfRange(f"exponent must be finite, got {m!r}")
 
 
 def vajda_abs_chi(pair: DistributionPair, m: float) -> float:

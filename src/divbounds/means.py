@@ -1,10 +1,10 @@
 """Two-point logarithmic power means.
 
-``lp_mean`` is the p-logarithmic power mean L_p(a, b); ``lp_power`` is its
-p-th power L_p^p in the convention where the p = 0 case is the constant 1.
-Both have removable singularities at p = -1 and p = 0 and at a = b, handled
-by routing to the limit branch near those points: the generic difference
-quotient loses all significance as (p + 1)(b - a) -> 0.
+``lp_power`` is the p-th power L_p^p of the p-logarithmic power mean
+L_p(a, b), in the convention where the p = 0 case is the constant 1.  It has
+removable singularities at p = -1 and p = 0 and at a = b, handled by routing
+to the limit branch near those points: the generic difference quotient loses
+all significance as (p + 1)(b - a) -> 0.
 """
 
 from __future__ import annotations
@@ -52,20 +52,3 @@ def lp_power(p: float, a: float, b: float) -> float:
         return (math.log(b) - math.log(a)) / (b - a)
     return (_pow(b, p + 1.0) - _pow(a, p + 1.0)) / ((p + 1.0) * (b - a))
 
-
-def lp_mean(p: float, a: float, b: float) -> float:
-    """L_p(a, b): the p-logarithmic power mean of two positive reals.
-
-    The p = -1 branch is the logarithmic mean, the p = 0 branch the
-    identric mean; for equal endpoints the mean is the endpoint itself.
-    The result always lies between min(a, b) and max(a, b).
-    """
-    _check_endpoints(a, b)
-    if abs(b - a) <= ENDPOINT_SWITCH * max(a, b):
-        return 0.5 * (a + b)
-    if abs(p) < BRANCH_SWITCH:
-        # identric mean: (1/e) (b^b / a^a)^(1/(b-a))
-        return math.exp((b * math.log(b) - a * math.log(a)) / (b - a) - 1.0)
-    if abs(p + 1.0) < BRANCH_SWITCH:
-        return (b - a) / (math.log(b) - math.log(a))
-    return _pow(lp_power(p, a, b), 1.0 / p)

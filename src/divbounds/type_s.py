@@ -10,21 +10,17 @@ equals omega_s, carried with analytic derivatives through order three.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from math import exp, expm1, fsum, isfinite, log, log1p, pow
 from typing import Callable
 
 from .csiszar import GeneratorFunction
 from .divergences import (
-    chi_squared,
-    hellinger,
     relative_ag_divergence,
     relative_information,
     relative_js_divergence,
-    triangular_discrimination,
 )
-from .simplex import Distribution, DistributionPair
+from .simplex import DistributionPair
 
 #: |s| (resp. |s - 1|) at or below this routes to the limit branch.  The
 #: generic branch loses significance to cancellation as s(s - 1) -> 0; at
@@ -41,6 +37,10 @@ class NonFiniteParameter(ValueError):
     """Family parameter s that is NaN or infinite."""
 
 
+class RegimeMismatch(ValueError):
+    """SParameter built with a regime other than the one its s selects."""
+
+
 class Regime(enum.Enum):
     GENERIC = "generic"
     LIMIT_AT_ZERO = "limit_at_zero"
@@ -53,23 +53,30 @@ class Regime(enum.Enum):
 _GENERIC, _LIMIT_AT_ZERO, _LIMIT_AT_ONE = Regime
 
 
+def _regime_of(s: float) -> Regime:
+    # the one classifier, shared by from_value and __post_init__
+    return (_LIMIT_AT_ZERO if abs(s) <= S_SWITCH else
+            _LIMIT_AT_ONE if abs(s - 1.0) <= S_SWITCH else _GENERIC)
+
+
 @dataclass(frozen=True)
 class SParameter:
-    """A family parameter together with its evaluation regime."""
+    """A finite family parameter and the evaluation regime it selects."""
 
     s: float
     regime: Regime
 
+    def __post_init__(self) -> None:
+        if not isfinite(self.s):
+            raise NonFiniteParameter(f"s must be finite, got {self.s!r}")
+        if self.regime is not _regime_of(self.s):
+            raise RegimeMismatch(f"s = {self.s!r} selects "
+                                 f"{_regime_of(self.s)}, got {self.regime!r}")
+
     @classmethod
     def from_value(cls, s: float) -> "SParameter":
         s = float(s)
-        if not math.isfinite(s):
-            raise NonFiniteParameter(f"s must be finite, got {s!r}")
-        if abs(s) <= S_SWITCH:
-            return cls(s, _LIMIT_AT_ZERO)
-        if abs(s - 1.0) <= S_SWITCH:
-            return cls(s, _LIMIT_AT_ONE)
-        return cls(s, _GENERIC)
+        return cls(s, _regime_of(s))
 
     @property
     def canonical(self) -> float:
@@ -228,33 +235,3 @@ def generator(s: float | SParameter) -> GeneratorFunction:
         label=f"unified_ag_js[s={sp.s:g}]",
     )
 
-
-@dataclass(frozen=True)
-class SpecialCaseRow:
-    """One special-case check: the family evaluation next to the
-    independent base-measure evaluation it must reproduce."""
-
-    s: float
-    family_value: float
-    reference_value: float
-
-
-def omega_special_cases(pair: DistributionPair) -> tuple[SpecialCaseRow, ...]:
-    """The five closed special cases of omega_s with their independent
-    base-measure evaluations (quarter triangular discrimination, directed
-    JS, Hellinger to the midpoint, directed AG, eighth of the swapped
-    chi-square).  Both columns agree within 1e-12 relative.
-    """
-    midpoint = Distribution(tuple(
-        0.5 * (p + q) for p, q in zip(pair.p.values, pair.q.values)))
-    to_mid = DistributionPair(pair.p, midpoint)
-    rows = (
-        SpecialCaseRow(-1.0, omega_s(pair, -1.0),
-                       0.25 * triangular_discrimination(pair)),
-        SpecialCaseRow(0.0, omega_s(pair, 0.0), relative_js_divergence(pair)),
-        SpecialCaseRow(0.5, omega_s(pair, 0.5), 4.0 * hellinger(to_mid)),
-        SpecialCaseRow(1.0, omega_s(pair, 1.0), relative_ag_divergence(pair)),
-        SpecialCaseRow(2.0, omega_s(pair, 2.0),
-                       chi_squared(pair.swapped()) / 8.0),
-    )
-    return rows

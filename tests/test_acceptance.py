@@ -27,7 +27,6 @@ from divbounds import (
     jensen_shannon,
     lp_power,
     omega_s,
-    omega_special_cases,
     phi_s,
     psi3_sup,
     psi_s,
@@ -47,6 +46,7 @@ from divbounds import (
 from divbounds.cli import main as cli_main
 
 import oracles
+from closed_forms import omega_special_cases
 
 P = (0.5, 0.5)
 Q = (0.25, 0.75)

@@ -21,7 +21,6 @@ from divbounds import (
     e_omega,
     e_star_omega,
     generator,
-    lp_mean,
     lp_power,
     omega_s,
     psi3_sup,
@@ -45,16 +44,14 @@ from divbounds.bounds import (
     e_star_omega_closed_form,
 )
 from divbounds.cli import DEFAULT_S_LIST
-from divbounds.csiszar import (
-    DegenerateInterval,
-    IntervalNotStraddlingOne,
-    hellinger_generator,
-    kl_generator,
-)
+from divbounds.csiszar import DegenerateInterval, IntervalNotStraddlingOne
 from divbounds.divergences import power_difference_divergence
 from divbounds.means import BRANCH_SWITCH
 from divbounds.type_s import NonFiniteParameter
 from divbounds.simplex import RatioBounds
+
+from closed_forms import lp_mean
+from generators import hellinger_generator, kl_generator
 
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 

@@ -8,7 +8,6 @@ from divbounds import (
     GeneratorFunction,
     bound_a,
     bound_b,
-    builtin_generators,
     chi_squared,
     csiszar_divergence,
     dragomir_e,
@@ -29,11 +28,15 @@ from divbounds.csiszar import (
     SUP_GRID,
     NonMonotoneSecondDerivative,
     d3_sup,
+)
+from divbounds.simplex import RatioBounds
+
+from generators import (
+    builtin_generators,
     hellinger_generator,
     kl_generator,
     pearson_chi2_generator,
 )
-from divbounds.simplex import RatioBounds
 
 
 def close(a, b, rel=1e-12, abs_=1e-14):

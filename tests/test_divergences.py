@@ -103,6 +103,13 @@ def test_vajda_m_below_one_rejected(std_pair):
         power_difference_divergence(std_pair, 0.99)
 
 
+@pytest.mark.parametrize("fn", [vajda_abs_chi, power_difference_divergence])
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+def test_moment_exponent_not_finite_rejected(std_pair, fn, m):
+    with pytest.raises(MOutOfRange):
+        fn(std_pair, m)
+
+
 def test_total_variation_aliases(std_pair):
     assert total_variation(std_pair) == vajda_abs_chi(std_pair, 1.0)
     assert power_difference_divergence(std_pair, 1.0) == total_variation(std_pair)

@@ -12,7 +12,6 @@ from divbounds import (
     generator,
     hellinger,
     omega_s,
-    omega_special_cases,
     phi_s,
     psi_s,
     psi_s_d1,
@@ -23,7 +22,13 @@ from divbounds import (
     relative_js_divergence,
     validate,
 )
-from divbounds.type_s import NonFiniteParameter, NonPositiveArgument
+from divbounds.type_s import (
+    NonFiniteParameter,
+    NonPositiveArgument,
+    RegimeMismatch,
+)
+
+from closed_forms import omega_special_cases
 
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -45,6 +50,7 @@ class TestSParameter:
     ])
     def test_regimes(self, s, regime):
         assert SParameter.from_value(s).regime is regime
+        assert SParameter(s, regime) == SParameter.from_value(s)
 
     def test_canonical(self):
         assert SParameter.from_value(1e-6).canonical == 0.0
@@ -57,6 +63,23 @@ class TestSParameter:
             SParameter.from_value(s)
         with pytest.raises(NonFiniteParameter):
             omega_s(std_pair, s)
+
+    @pytest.mark.parametrize("s, regime, error", [
+        (2.0, Regime.LIMIT_AT_ZERO, RegimeMismatch),
+        (0.0, Regime.GENERIC, RegimeMismatch),
+        (1e-6, Regime.LIMIT_AT_ONE, RegimeMismatch),
+        (1.0, Regime.GENERIC, RegimeMismatch),
+        (0.5, "generic", RegimeMismatch),
+        (math.nan, Regime.GENERIC, NonFiniteParameter),
+        (math.inf, Regime.GENERIC, NonFiniteParameter),
+        (-math.inf, Regime.LIMIT_AT_ZERO, NonFiniteParameter),
+    ])
+    def test_direct_construction_checked(self, s, regime, error):
+        """A directly built parameter is held to the regime from_value
+        would assign: a mismatched one would evaluate the wrong branch (the
+        s = 0 value at s = 2) or divide by s(s - 1) = 0."""
+        with pytest.raises(error):
+            SParameter(s, regime)
 
 
 class TestPhi:
