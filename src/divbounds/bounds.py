@@ -462,11 +462,10 @@ def verify_all(pair: DistributionPair, s_values, *,
     rb = ratio_bounds(pair)
     moments = None if rb.r == rb.R else PairMoments.of(pair)
     blocks = [((pair_id, None), *_pair_checks(pair, rb, moments))]
-    # both zeros are falsy, so both become 0.0; `or` keeps every other s
-    # object as it is, shared by the records of every pair
-    blocks += [((pair_id, s),
-                *_family_checks(pair, rb, moments, SParameter.from_value(s)))
-               for s in sorted({float(s) or 0.0 for s in s_values})]
+    # one block per distinct s, in s order; SParameter reads -0.0 as 0.0
+    params = {sp.s: sp for sp in map(_sparam, s_values)}
+    blocks += [((pair_id, s), *_family_checks(pair, rb, moments, params[s]))
+               for s in sorted(params)]
     # Each block is sorted by inequality id and the blocks come in s order,
     # so the report is ordered by (s, inequality_id).
     records = []

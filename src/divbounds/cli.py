@@ -85,12 +85,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_s_list(text: str) -> tuple[float, ...]:
-    """The distinct parameters of a comma-separated list, in first-seen
-    order, with -0.0 read as 0.0."""
+    """The parameters of a comma-separated list, in order, as SParameter
+    reads them; compute and verify each use a repeated s once."""
     try:
-        # both zeros are falsy, so `or` makes each 0.0
-        values = tuple(dict.fromkeys(SParameter.from_value(tok).s or 0.0
-                                     for tok in text.split(",") if tok.strip()))
+        values = tuple(SParameter(tok).s
+                       for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise CliInputError(f"bad s-list {text!r}: {exc}") from None
     if not values:
@@ -124,12 +123,17 @@ def _json_rows(text: str):
     for i, rec in enumerate(doc["pairs"]):
         if not isinstance(rec, dict):
             raise CliInputError(f"pairs[{i}] is not an object")
-        pid = str(rec.get("id", f"pair-{i}"))
+        # bool is an int subclass, so here and for the components below the
+        # types are compared exactly
+        pid = rec.get("id", f"pair-{i}")
+        if type(pid) not in (str, int):
+            raise CliInputError(
+                f"pairs[{i}]: id must be a string or an integer")
+        pid = str(pid)
         try:
             raw = rec["p"], rec["q"]
         except KeyError as exc:
             raise CliInputError(f"pair {pid}: missing field {exc}") from None
-        # bool is an int subclass, so the types are compared exactly
         if not all(isinstance(part, list)
                    and all(type(v) in (int, float) for v in part)
                    for part in raw):
@@ -246,7 +250,7 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
         fn = _PARAMETRIC_MEASURES[base]
         for label, arg in params:
             try:
-                param = SParameter.from_value(arg).s or 0.0
+                param = SParameter(arg).s
                 if base == "vajda":
                     div._check_exponent(param)
             except ValueError as exc:
@@ -410,7 +414,7 @@ def _sweep_grid(s_min: float, s_max: float, s_step: float):
 
 def _cmd_sweep(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
-    grid = [SParameter.from_value(s)
+    grid = [SParameter(s)
             for s in _sweep_grid(args.s_min, args.s_max, args.s_step)]
 
     def rows(pid, group):

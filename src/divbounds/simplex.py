@@ -102,10 +102,6 @@ class DistributionPair:
             raise DimensionMismatch(
                 f"P has dimension {self.p.n}, Q has dimension {self.q.n}")
 
-    @property
-    def n(self) -> int:
-        return self.p.n
-
     def swapped(self) -> "DistributionPair":
         """The pair with the roles of P and Q exchanged."""
         return DistributionPair(self.q, self.p)

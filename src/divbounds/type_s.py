@@ -10,7 +10,7 @@ equals omega_s, carried with analytic derivatives through order three.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, expm1, fsum, isfinite, log, log1p, pow
 from typing import Callable
 
@@ -34,11 +34,7 @@ class NonPositiveArgument(ValueError):
 
 
 class NonFiniteParameter(ValueError):
-    """Family parameter s that is NaN or infinite."""
-
-
-class RegimeMismatch(ValueError):
-    """SParameter built with a regime other than the one its s selects."""
+    """Family parameter s that is NaN, infinite or not a real number."""
 
 
 class Regime(enum.Enum):
@@ -53,30 +49,27 @@ class Regime(enum.Enum):
 _GENERIC, _LIMIT_AT_ZERO, _LIMIT_AT_ONE = Regime
 
 
-def _regime_of(s: float) -> Regime:
-    # the one classifier, shared by from_value and __post_init__
-    return (_LIMIT_AT_ZERO if abs(s) <= S_SWITCH else
-            _LIMIT_AT_ONE if abs(s - 1.0) <= S_SWITCH else _GENERIC)
-
-
 @dataclass(frozen=True)
 class SParameter:
-    """A finite family parameter and the evaluation regime it selects."""
+    """A finite family parameter, read with ``float`` (-0.0 as 0.0), and
+    the evaluation regime it selects."""
 
     s: float
-    regime: Regime
+    regime: Regime = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isfinite(self.s):
-            raise NonFiniteParameter(f"s must be finite, got {self.s!r}")
-        if self.regime is not _regime_of(self.s):
-            raise RegimeMismatch(f"s = {self.s!r} selects "
-                                 f"{_regime_of(self.s)}, got {self.regime!r}")
-
-    @classmethod
-    def from_value(cls, s: float) -> "SParameter":
-        s = float(s)
-        return cls(s, _regime_of(s))
+        try:
+            # both zeros are falsy, so `or` makes each 0.0 and keeps every
+            # other float object as it is
+            s = float(self.s) or 0.0
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise NonFiniteParameter(str(exc)) from None
+        if not isfinite(s):
+            raise NonFiniteParameter(f"s must be finite, got {s!r}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "regime", (
+            _LIMIT_AT_ZERO if abs(s) <= S_SWITCH else
+            _LIMIT_AT_ONE if abs(s - 1.0) <= S_SWITCH else _GENERIC))
 
     @property
     def canonical(self) -> float:
@@ -90,7 +83,7 @@ class SParameter:
 
 
 def _sparam(s: float | SParameter) -> SParameter:
-    return s if isinstance(s, SParameter) else SParameter.from_value(s)
+    return s if isinstance(s, SParameter) else SParameter(s)
 
 
 def _log_q_over_p(p: float, q: float) -> float:
@@ -158,7 +151,7 @@ def psi_s(x: float, s: float | SParameter) -> float:
     if not (isfinite(x) and x > 0.0):
         _check_positive(x)
     # _sparam inlined: the generator maps hand an SParameter on every call
-    sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
+    sp = s if isinstance(s, SParameter) else SParameter(s)
     u = (x + 1.0) / (2.0 * x)
     if sp.regime is _LIMIT_AT_ZERO:
         return 0.5 * (1.0 - x) - x * log(u)
@@ -204,7 +197,7 @@ def psi_s_d2(x: float, s: float | SParameter) -> float:
     what makes the whole family convex."""
     if not (isfinite(x) and x > 0.0):
         _check_positive(x)
-    sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
+    sp = s if isinstance(s, SParameter) else SParameter(s)
     regime = sp.regime
     if regime is _GENERIC:
         return pow((x + 1.0) / (2.0 * x), sp.s - 2.0) / (4.0 * x * x * x)
@@ -218,7 +211,7 @@ def psi_s_d3(x: float, s: float | SParameter) -> float:
     regimes are plain evaluations); nonpositive whenever s >= -1."""
     if not (isfinite(x) and x > 0.0):
         _check_positive(x)
-    sp = s if isinstance(s, SParameter) else SParameter.from_value(s)
+    sp = s if isinstance(s, SParameter) else SParameter(s)
     u = (x + 1.0) / (2.0 * x)
     one_plus = 1.0 + x
     return -(sp.s + 1.0 + 3.0 * x) / (x * x * one_plus ** 3) * pow(u, sp.s)

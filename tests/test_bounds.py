@@ -222,6 +222,16 @@ class TestGapBundles:
         assert close(bundle.minimum, 0.026388888888888889)
         assert close(bundle.observed, 0.00037875718991848132)
 
+    @pytest.mark.parametrize("value, target", [
+        ("half_e", GapTarget.HALF_E), ("e_star", GapTarget.E_STAR)])
+    def test_target_by_value(self, std_pair, std_rb, value, target):
+        assert (theorem42_bounds(std_pair, std_rb, 0.5, value)
+                == theorem42_bounds(std_pair, std_rb, 0.5, target))
+
+    def test_unknown_target(self, std_pair, std_rb):
+        with pytest.raises(ValueError):
+            theorem42_bounds(std_pair, std_rb, 0.5, "bogus")
+
     def test_matches_generic_engine(self, make_pairs):
         """Dual route: the closed-form bundle agrees with the grid-based
         generic engine on the family generators."""

@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -210,10 +209,15 @@ class TestCompute:
         assert code == 0
         assert [r["measure"] for r in jsonl(out)] == expected
 
-    def test_s_list_deduplicated_in_first_seen_order(self):
-        values = cli._parse_s_list("2,1,2,-0.0,1.0,0")
-        assert values == (2.0, 1.0, 0.0)
-        assert math.copysign(1.0, values[2]) == 1.0
+    def test_s_list_deduplicated_in_first_seen_order(self, std_csv, capsys):
+        """A repeated s, -0.0 beside 0.0 among them, prints as one: compute
+        and verify each use a distinct s once."""
+        for argv in (("compute", "--measures", "omega"), ("verify",)):
+            outputs = [run(capsys, *argv, "--input", std_csv, s_list)
+                       for s_list in ("--s-list=2,1,2,-0.0,1.0,0",
+                                      "--s-list=2,1,0")]
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0 and outputs[0][1]
 
     def test_bare_parametric_expansion(self, std_csv, capsys):
         code, out, _ = run(capsys, "compute", "--input", std_csv,
@@ -275,6 +279,19 @@ class TestCompute:
                            "--measures", "chi2")
         assert code == 0
         assert abs(jsonl(out)[0]["value"] - 1.0 / 3.0) < 1e-12
+
+    def test_json_integer_and_missing_ids(self, tmp_path, capsys):
+        # an integer id is spelled in decimal; a missing one by its index
+        path = tmp_path / "ids.json"
+        pair = {"p": [0.5, 0.5], "q": [0.25, 0.75]}
+        path.write_text(json.dumps({"pairs": [
+            {"id": 7, **pair}, {"id": -3, **pair}, pair,
+            {"id": 10**30, **pair}]}))
+        code, out, _ = run(capsys, "compute", "--input", str(path),
+                           "--measures", "kl")
+        assert code == 0
+        assert [r["pair_id"] for r in jsonl(out)] == [
+            "-3", "1000000000000000000000000000000", "7", "pair-2"]
 
     def test_component_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -429,7 +446,7 @@ class TestSweep:
             pair = pool_pair(name)
             rb = ratio_bounds(pair)
             for s in grid:
-                row = [pid, s, SParameter.from_value(s).regime.value,
+                row = [pid, s, SParameter(s).regime.value,
                        omega_s(pair, s), e_omega(pair, s),
                        e_star_omega(pair, s)]
                 if rb.r == rb.R:
@@ -662,6 +679,16 @@ def json_pair(p, q):
     return json.dumps({"pairs": [{"id": "x", "p": p, "q": q}]})
 
 
+def json_second_id(pid):
+    # a good pair first, so the error names the index of the second
+    return json.dumps({"pairs": [
+        {"id": "a", "p": [0.5, 0.5], "q": [0.25, 0.75]},
+        {"id": pid, "p": [0.5, 0.5], "q": [0.25, 0.75]}]})
+
+
+ID_ERROR = ("pairs[1]: id must be a string or an integer",)
+
+
 # (input file text or bytes, or None for no --input; arguments; words the
 # one error line must hold)
 INPUT_ERRORS = {
@@ -685,6 +712,15 @@ INPUT_ERRORS = {
     "json-missing-q": ('{"pairs": [{"id": "m", "p": [0.5, 0.5]}]}',
                        ("verify",), ("pair m", "missing field", "'q'")),
     "json-no-pairs": ('{"pairs": []}', ("verify",), ("no pairs found",)),
+    # an id that is neither a string nor an integer has no one spelling
+    "json-id-null": (json_second_id(None), ("compute", "--measures", "kl"),
+                     ID_ERROR),
+    "json-id-true": (json_second_id(True), ("compute", "--measures", "kl"),
+                     ID_ERROR),
+    "json-id-float": (json_second_id(1.5), ("compute", "--measures", "kl"),
+                      ID_ERROR),
+    "json-id-object": (json_second_id({"k": [1]}),
+                       ("compute", "--measures", "kl"), ID_ERROR),
     "json-string-components": (json_pair(["0.5", "0.5"], [0.25, 0.75]),
                                ("verify",),
                                ("pair x", "components must be numbers")),

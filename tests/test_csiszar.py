@@ -245,6 +245,12 @@ class TestGapBounds:
             grid = d3_sup(generator(s), std_rb)
             assert close(grid, psi3_sup(std_rb, s))
 
+    def test_d3_sup_degenerate_interval(self):
+        # r = R = 1: the supremum is |f'''(1)|, read without a grid
+        from divbounds import psi_s_d3
+        assert d3_sup(generator(0.5), RatioBounds(1.0, 1.0)) == abs(
+            psi_s_d3(1.0, 0.5))
+
     def test_d3_sup_interior_peak(self, std_rb):
         # |f'''| = 1/(1 + t^2) peaks at c, off the grid: the grid falls
         # short of 1, and only a refinement that moves its lower end up

@@ -2,7 +2,9 @@
 ``divbounds.__all__`` only together with an edit here and a CHANGES.md line.
 """
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -26,8 +28,9 @@ PUBLIC = {
     "delta_omega", "psi3_sup", "theorem42_bounds", "verify_all",
 }
 
-#: Test-only code that the package no longer carries, by its old module;
-#: it lives in tests/generators.py and tests/closed_forms.py.
+#: Names the package no longer carries, by their old module.  The
+#: test-only code lives in tests/generators.py and tests/closed_forms.py;
+#: RegimeMismatch went with SParameter's regime argument.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -38,6 +41,7 @@ REMOVED = [
     ("csiszar", "hellinger_generator"),
     ("type_s", "omega_special_cases"),
     ("type_s", "SpecialCaseRow"),
+    ("type_s", "RegimeMismatch"),
 ]
 
 
@@ -56,3 +60,33 @@ def test_every_public_name_imports():
 def test_removed_name_is_gone(module, name):
     assert not hasattr(divbounds, name)
     assert not hasattr(importlib.import_module(f"divbounds.{module}"), name)
+
+
+def test_removed_attributes_are_gone():
+    # SParameter(s) is the one constructor; a pair's dimension is p.n
+    assert not hasattr(divbounds.SParameter, "from_value")
+    assert not hasattr(divbounds.DistributionPair, "n")
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(
+    path for path in pathlib.Path(divbounds.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"), ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    """Every name a module imports is read in it (``__init__.py`` imports
+    to re-export); stands in for a linter, which neither host nor CI has."""
+    assert _unused_imports(path) == []

@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 from math import fsum, sqrt
 
 import pytest
@@ -22,11 +24,7 @@ from divbounds import (
     relative_js_divergence,
     validate,
 )
-from divbounds.type_s import (
-    NonFiniteParameter,
-    NonPositiveArgument,
-    RegimeMismatch,
-)
+from divbounds.type_s import NonFiniteParameter, NonPositiveArgument
 
 from closed_forms import omega_special_cases
 
@@ -49,37 +47,69 @@ class TestSParameter:
         (2e-5, Regime.GENERIC),
     ])
     def test_regimes(self, s, regime):
-        assert SParameter.from_value(s).regime is regime
-        assert SParameter(s, regime) == SParameter.from_value(s)
+        assert SParameter(s).regime is regime
+
+    def test_takes_s_alone_as_float(self):
+        assert list(inspect.signature(SParameter).parameters) == ["s"]
+        assert SParameter(1).s == 1.0 and type(SParameter(1).s) is float
+        assert SParameter(" 0.5 ").s == 0.5
+        zero = SParameter(-0.0)
+        assert zero.s == 0.0 and math.copysign(1.0, zero.s) == 1.0
+        assert zero == SParameter(0.0)
+        # every other float is kept as the object it was
+        s = 2.5
+        assert SParameter(s).s is s
 
     def test_canonical(self):
-        assert SParameter.from_value(1e-6).canonical == 0.0
-        assert SParameter.from_value(1.0 - 1e-6).canonical == 1.0
-        assert SParameter.from_value(0.5).canonical == 0.5
+        assert SParameter(1e-6).canonical == 0.0
+        assert SParameter(1.0 - 1e-6).canonical == 1.0
+        assert SParameter(0.5).canonical == 0.5
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, "nan"])
     def test_non_finite_rejected(self, s, std_pair):
         with pytest.raises(NonFiniteParameter):
-            SParameter.from_value(s)
+            SParameter(s)
         with pytest.raises(NonFiniteParameter):
             omega_s(std_pair, s)
 
     @pytest.mark.parametrize("s, regime, error", [
-        (2.0, Regime.LIMIT_AT_ZERO, RegimeMismatch),
-        (0.0, Regime.GENERIC, RegimeMismatch),
-        (1e-6, Regime.LIMIT_AT_ONE, RegimeMismatch),
-        (1.0, Regime.GENERIC, RegimeMismatch),
-        (0.5, "generic", RegimeMismatch),
         (math.nan, Regime.GENERIC, NonFiniteParameter),
         (math.inf, Regime.GENERIC, NonFiniteParameter),
         (-math.inf, Regime.LIMIT_AT_ZERO, NonFiniteParameter),
+        (None, Regime.GENERIC, NonFiniteParameter),
+        ("x", Regime.GENERIC, NonFiniteParameter),
+        ([1.0], Regime.GENERIC, NonFiniteParameter),
+        (1j, Regime.GENERIC, NonFiniteParameter),
     ])
     def test_direct_construction_checked(self, s, regime, error):
-        """A directly built parameter is held to the regime from_value
-        would assign: a mismatched one would evaluate the wrong branch (the
-        s = 0 value at s = 2) or divide by s(s - 1) = 0."""
+        """SParameter(s) is the one constructor.  It raises a typed error
+        for an s that is not a finite real, and it takes no regime: that
+        follows from s, so a parameter that evaluates the wrong branch (the
+        s = 0 value at s = 2) cannot be built."""
         with pytest.raises(error):
+            SParameter(s)
+        with pytest.raises(TypeError):
             SParameter(s, regime)
+
+    @pytest.mark.parametrize("s, message", [
+        (None, "not 'NoneType'"),
+        ([1.0], "not 'list'"),
+        ("x", "could not convert string to float: 'x'"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["None", "list", "str", "huge-int"])
+    def test_non_real_rejected(self, s, message, std_pair):
+        """An s that float cannot read is a typed error with float's own
+        message, from the constructor and from every evaluation."""
+        with pytest.raises(NonFiniteParameter, match=re.escape(message)):
+            SParameter(s)
+        for fn in (omega_s, phi_s):
+            with pytest.raises(NonFiniteParameter):
+                fn(std_pair, s)
+        for fn in (psi_s, psi_s_d1, psi_s_d2, psi_s_d3):
+            with pytest.raises(NonFiniteParameter):
+                fn(2.0, s)
+        with pytest.raises(NonFiniteParameter):
+            generator(s)
 
 
 class TestPhi:
@@ -234,7 +264,7 @@ class TestPsi:
 def _psi_d1_reference(x, s):
     """psi_s' written out per call, as the generator evaluated it before
     the per-parameter kernel: the fast path must match it bit for bit."""
-    sp = SParameter.from_value(s)
+    sp = SParameter(s)
     u = (x + 1.0) / (2.0 * x)
     if sp.regime is Regime.LIMIT_AT_ZERO:
         return 0.5 * (1.0 - x) / (1.0 + x) - math.log(u)
