@@ -115,8 +115,9 @@ def _json_rows(text: str):
     """(pair_id, (raw_p, raw_q)) per JSON record, in input order."""
     try:
         doc = json.loads(text)
-    # nesting deeper than the recursion limit raises RecursionError
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # a JSONDecodeError, an integer literal past the int-to-str digit limit
+    # (both ValueError) or nesting deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise CliInputError(f"JSON parse failure: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
         raise CliInputError('JSON input must be {"pairs": [...]}')
@@ -235,19 +236,16 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
         token = raw.strip()
         if not token:
             continue
-        if ":" in token:
-            base, _, arg = token.partition(":")
-            if base not in _PARAMETRIC_MEASURES:
-                raise CliInputError(f"unknown parametric measure {base!r}")
-            params = ((token, arg),)
-        elif token in _PARAMETRIC_MEASURES:
-            base, params = token, ((f"{token}:{s:g}", s) for s in s_list)
-        elif token in _SIMPLE_MEASURES:
-            resolved.setdefault(token, (None, _SIMPLE_MEASURES[token]))
+        base, colon, arg = token.partition(":")
+        if not colon and base in _SIMPLE_MEASURES:
+            resolved.setdefault(base, (None, _SIMPLE_MEASURES[base]))
             continue
-        else:
-            raise CliInputError(f"unknown measure {token!r}")
+        if base not in _PARAMETRIC_MEASURES:
+            raise CliInputError(("unknown parametric measure" if colon else
+                                 "unknown measure") + f" {base!r}")
         fn = _PARAMETRIC_MEASURES[base]
+        params = (((token, arg),) if colon else
+                  ((f"{base}:{s:g}", s) for s in s_list))
         for label, arg in params:
             try:
                 param = SParameter(arg).s

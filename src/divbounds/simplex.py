@@ -24,7 +24,7 @@ class SimplexError(ValueError):
 
 
 class DimensionTooSmall(SimplexError):
-    """Fewer than two components."""
+    """Fewer than two components, or a generation dimension below two."""
 
 
 class NonPositiveComponent(SimplexError):
@@ -37,10 +37,6 @@ class SumOutOfTolerance(SimplexError):
 
 class DimensionMismatch(SimplexError):
     """Paired distributions have different dimensions."""
-
-
-class InvalidDimension(SimplexError):
-    """Requested generation dimension is below two."""
 
 
 class InvalidRatioBounds(SimplexError):
@@ -170,7 +166,7 @@ def random_pair(n: int, seed: int) -> DistributionPair:
     The same (n, seed) always yields bit-identical output.
     """
     if n < 2:
-        raise InvalidDimension(f"need dimension >= 2, got {n}")
+        raise DimensionTooSmall(f"need dimension >= 2, got {n}")
     rng = random.Random(seed)
     p_values = _draw_point(rng, n)
     q_values = _draw_point(rng, n)

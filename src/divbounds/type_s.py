@@ -51,11 +51,12 @@ _GENERIC, _LIMIT_AT_ZERO, _LIMIT_AT_ONE = Regime
 
 @dataclass(frozen=True)
 class SParameter:
-    """A finite family parameter, read with ``float`` (-0.0 as 0.0), and
-    the evaluation regime it selects."""
+    """A finite family parameter, read with ``float`` (-0.0 as 0.0), its
+    regime, and ``canonical``: 0, 1 or s, the parameter that is evaluated."""
 
     s: float
     regime: Regime = field(init=False)
+    canonical: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -66,40 +67,26 @@ class SParameter:
             raise NonFiniteParameter(str(exc)) from None
         if not isfinite(s):
             raise NonFiniteParameter(f"s must be finite, got {s!r}")
+        regime, canonical = (
+            (_LIMIT_AT_ZERO, 0.0) if abs(s) <= S_SWITCH else
+            (_LIMIT_AT_ONE, 1.0) if abs(s - 1.0) <= S_SWITCH else
+            (_GENERIC, s))
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "regime", (
-            _LIMIT_AT_ZERO if abs(s) <= S_SWITCH else
-            _LIMIT_AT_ONE if abs(s - 1.0) <= S_SWITCH else _GENERIC))
-
-    @property
-    def canonical(self) -> float:
-        """The parameter value actually evaluated: 0 or 1 in the limit
-        regimes, s itself otherwise."""
-        if self.regime is _LIMIT_AT_ZERO:
-            return 0.0
-        if self.regime is _LIMIT_AT_ONE:
-            return 1.0
-        return self.s
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "canonical", canonical)
 
 
 def _sparam(s: float | SParameter) -> SParameter:
     return s if isinstance(s, SParameter) else SParameter(s)
 
 
-def _log_q_over_p(p: float, q: float) -> float:
-    # log1p of the exact small difference is accurate near ratio one, but
-    # ill-conditioned when the ratio is far from one; there the direct log
-    # of the quotient is the accurate form.
-    if abs(q - p) <= 0.5 * p:
-        return log1p((q - p) / p)
-    return log(q / p)
-
-
-def _log_mid_over_p(p: float, q: float) -> float:
-    # same split for (p + q)/(2p) = 1 + (q - p)/(2p)
-    if abs(q - p) <= p:
-        return log1p((q - p) / (2.0 * p))
-    return log((p + q) / (2.0 * p))
+def _log_ratio(num: float, den: float, diff: float) -> float:
+    # log(num/den), num = den + diff: log1p of the exact small difference is
+    # accurate near ratio one, but ill-conditioned far from one, where the
+    # direct log of the quotient is the accurate form.
+    if abs(diff) <= 0.5 * den:
+        return log1p(diff / den)
+    return log(num / den)
 
 
 def phi_s(pair: DistributionPair, s: float | SParameter) -> float:
@@ -116,7 +103,7 @@ def phi_s(pair: DistributionPair, s: float | SParameter) -> float:
     # Each term of the "sum minus one" core is p ((q/p)^(1-s) - 1), kept
     # cancellation-free via expm1 so near-equal pairs lose nothing to the
     # trailing subtraction of one.
-    core = fsum(p * expm1((1.0 - sv) * _log_q_over_p(p, q))
+    core = fsum(p * expm1((1.0 - sv) * _log_ratio(q, p, q - p))
                 for p, q in zip(pair.p.values, pair.q.values) if p != q)
     return core / (sv * (sv - 1.0))
 
@@ -133,7 +120,7 @@ def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     if sp.regime is _LIMIT_AT_ONE:
         return relative_ag_divergence(pair)
     sv = sp.s
-    core = fsum([p * expm1(sv * _log_mid_over_p(p, q))
+    core = fsum([p * expm1(sv * _log_ratio(p + q, 2.0 * p, q - p))
                  for p, q in zip(pair.p.values, pair.q.values) if p != q])
     return core / (sv * (sv - 1.0))
 

@@ -23,6 +23,7 @@ from divbounds import (
     generator,
     lp_power,
     omega_s,
+    phi_s,
     psi3_sup,
     psi_s_d2,
     psi_s_d3,
@@ -47,7 +48,7 @@ from divbounds.cli import DEFAULT_S_LIST
 from divbounds.csiszar import DegenerateInterval, IntervalNotStraddlingOne
 from divbounds.divergences import power_difference_divergence
 from divbounds.means import BRANCH_SWITCH
-from divbounds.type_s import NonFiniteParameter
+from divbounds.type_s import NonFiniteParameter, SParameter
 from divbounds.simplex import RatioBounds
 
 from closed_forms import lp_mean
@@ -374,6 +375,28 @@ class TestPinnedBits:
         powers = (lp_power(p, a, b) for p in exponents for a, b in endpoints)
         assert digest(powers) == (
             "cc3049afeff3da54a9dbda8b2aee4214b3026a03e15143df2e95e224ee3e17a0")
+
+    def test_family_sums(self, make_pairs):
+        """Frozen from the implementation in which phi_s and omega_s each
+        had their own log-ratio helper: phi_s, omega_s and the evaluated
+        parameter in every regime, on random pairs and on pairs whose first
+        component puts |q - p| just below, at and just above p/2 and p (the
+        switch points of the log1p/log split of each family), or nearly
+        zero."""
+        pairs = list(make_pairs(63, seed=101))
+        for a in (0.1, 0.3, 0.37):
+            for target in (0.5 * a, 1.5 * a, 2.0 * a, a * (1.0 + 1e-12)):
+                for q0 in (math.nextafter(target, 0.0), target,
+                           math.nextafter(target, 1.0)):
+                    pairs.append(DistributionPair(validate((a, 1.0 - a)),
+                                                  validate((q0, 1.0 - q0))))
+        s_values = (-3.0, -1.0, -0.5, -1e-6, 0.0, 2e-5, 0.5, 0.999999, 1.0,
+                    1.00002, 2.0, 3.7)
+        sums = [f(pair, s) for pair in pairs for s in s_values
+                for f in (phi_s, omega_s)]
+        sums += [SParameter(s).canonical for s in s_values]
+        assert digest(sums) == (
+            "40948ec9d5cc5a0f2e178d0cf3ba4be5ef7101d1c65cf3359c57874a7ac860e7")
 
     def test_verify_all_records(self, make_pairs):
         """Frozen from the implementation that read every Regime and

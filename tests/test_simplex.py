@@ -15,7 +15,6 @@ from divbounds import (
 from divbounds.simplex import (
     DimensionMismatch,
     DimensionTooSmall,
-    InvalidDimension,
     InvalidRatioBounds,
     NonPositiveComponent,
     SimplexError,
@@ -181,8 +180,9 @@ class TestRandomPair:
         assert a.p.values != b.p.values or a.q.values != b.q.values
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidDimension):
-            random_pair(1, seed=0)
+        for n in (1, 0, -3):
+            with pytest.raises(DimensionTooSmall, match=f"got {n}$"):
+                random_pair(n, seed=0)
 
     def test_direct_construction_checks(self):
         with pytest.raises(SumOutOfTolerance):

@@ -30,7 +30,8 @@ PUBLIC = {
 
 #: Names the package no longer carries, by their old module.  The
 #: test-only code lives in tests/generators.py and tests/closed_forms.py;
-#: RegimeMismatch went with SParameter's regime argument.
+#: RegimeMismatch went with SParameter's regime argument; random_pair
+#: raises DimensionTooSmall in place of InvalidDimension.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -42,6 +43,7 @@ REMOVED = [
     ("type_s", "omega_special_cases"),
     ("type_s", "SpecialCaseRow"),
     ("type_s", "RegimeMismatch"),
+    ("simplex", "InvalidDimension"),
 ]
 
 
@@ -90,3 +92,44 @@ def test_no_unused_imports(path):
     """Every name a module imports is read in it (``__init__.py`` imports
     to re-export); stands in for a linter, which neither host nor CI has."""
     assert _unused_imports(path) == []
+
+
+def _module_names(tree):
+    """(name, line) of each module-level def, class or assignment target."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def _unread_private_names(paths):
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{path.name}:{line}: {name}"
+                  for path, tree in trees.items()
+                  for name, line in _module_names(tree)
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+
+
+def test_no_unread_private_names():
+    """Every private module-level name (one leading underscore) of the
+    package is read somewhere in it, as a name or as an attribute, so a
+    helper left behind by a merge fails here; stands in for a linter's
+    dead-code check."""
+    paths = sorted(pathlib.Path(divbounds.__file__).parent.glob("*.py"))
+    assert _unread_private_names(paths) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -64,6 +65,33 @@ class TestSParameter:
         assert SParameter(1e-6).canonical == 0.0
         assert SParameter(1.0 - 1e-6).canonical == 1.0
         assert SParameter(0.5).canonical == 0.5
+
+    def test_canonical_set_with_the_regime(self):
+        """canonical is a field set with the regime: 0.0 and 1.0 up to the
+        switch points, s itself (the same float) past them."""
+        (field,) = (f for f in dataclasses.fields(SParameter)
+                    if f.name == "canonical")
+        assert not (field.init or field.repr or field.compare)
+        for s, canonical in ((-1e-5, 0.0), (1e-5, 0.0), (1.0 - 1e-5, 1.0),
+                             (1.0 + 5e-6, 1.0)):
+            assert type(SParameter(s).canonical) is float
+            assert SParameter(s).canonical == canonical
+        for s in (2e-5, 1.00002, -3.7):
+            sp = SParameter(s)
+            assert sp.regime is Regime.GENERIC and sp.canonical is sp.s
+
+    def test_repr_eq_hash_read_s_and_regime(self):
+        """repr, == and hash read s and the regime, nothing more."""
+        assert repr(SParameter(0.5)) == (
+            "SParameter(s=0.5, regime=<Regime.GENERIC: 'generic'>)")
+        assert repr(SParameter(1e-6)) == (
+            "SParameter(s=1e-06, regime=<Regime.LIMIT_AT_ZERO: "
+            "'limit_at_zero'>)")
+        for a, b in ((1, 1.0), ("0.5", 0.5), (-0.0, 0.0), (1e-6, "1e-6")):
+            assert SParameter(a) == SParameter(b)
+            assert hash(SParameter(a)) == hash(SParameter(b))
+        # equal canonical values, different s: different parameters
+        assert SParameter(1e-6) != SParameter(0.0)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, "nan"])
     def test_non_finite_rejected(self, s, std_pair):
