@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
@@ -273,8 +273,17 @@ def _output(path: str):
     errors."""
     to_stdout = path == "-"
     try:
-        with (contextlib.nullcontext(sys.stdout) if to_stdout
-              else open(path, "w", encoding="utf-8", newline="")) as out:
+        if not to_stdout:
+            target = open(path, "w", encoding="utf-8", newline="")
+        elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+            # under ``python -u`` the text layer drops a short write's count;
+            # a buffered writer writes the rest, so it meets a closed pipe
+            target = open(sys.stdout.fileno(), "w",
+                          encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, closefd=False)
+        else:
+            target = contextlib.nullcontext(sys.stdout)
+        with target as out:
             yield out
             out.flush()
     except OSError as exc:
@@ -291,13 +300,28 @@ def _output(path: str):
 
 
 def _write_records(records, columns, args) -> None:
-    with _output(args.output) as out:
-        if args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(records)
-        else:
-            out.writelines(_jsonl_chunks(records, columns))
+    """Write the records to a temporary file as they are iterated, then
+    copy it to the output, which is not opened if iterating raises."""
+    # imported here: importing the CLI and building its parser need neither
+    import shutil
+    import tempfile
+
+    try:
+        # surrogatepass keeps every str for the output's encoder to judge
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
+                                    errors="surrogatepass") as spool:
+            if args.format == "csv":
+                writer = csv.writer(spool, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(records)
+            else:
+                spool.writelines(_jsonl_chunks(records, columns))
+            spool.seek(0)
+            # _output reports its own write errors as CliInputError
+            with _output(args.output) as out:
+                shutil.copyfileobj(spool, out)
+    except OSError as exc:
+        raise CliInputError(f"cannot write a temporary file: {exc}") from None
 
 
 class _Spellings(dict):
@@ -341,33 +365,42 @@ def _jsonl_chunks(records, columns):
     """
     template = "{%s}\n" % ",".join(
         _JSON.encode(column).replace("%", "%%") + ":%s" for column in columns)
-    for start in range(0, len(records), _CHUNK_RECORDS):
-        chunk = records[start:start + _CHUNK_RECORDS]
+    records = iter(records)
+    while chunk := list(islice(records, _CHUNK_RECORDS)):
         yield (template * len(chunk)) % tuple(
             map(_Spellings().__getitem__, chain.from_iterable(chunk)))
 
 
-def _write_groups(args, columns, pairs, rows, *always: str):
-    """Write ``rows(pair_id, pairs)`` of each pair_id group and return the
-    records.  Groups go in sorted id order with input order kept within a
-    group, since JSON input may repeat an id; every id in ``always`` gets a
-    group even when no pair carries it.  A domain error of the library and
-    an overflow or a division by zero at the edge of the simplex are input
-    errors naming the group, raised before any record is written."""
-    groups: dict[str, list[DistributionPair]] = {pid: [] for pid in always}
-    for pid, pair in pairs:
-        groups.setdefault(pid, []).append(pair)
-    records = []
-    for pid, group in sorted(groups.items()):
-        try:
-            records += rows(pid, group)
-        except ArithmeticError as exc:
-            raise CliInputError(f"pair {pid}: numeric failure "
-                                f"({type(exc).__name__}): {exc}") from None
-        except ValueError as exc:
-            raise CliInputError(f"pair {pid}: {exc}") from None
-    _write_records(records, columns, args)
-    return records
+class _Records:
+    """The records ``rows(pair_id, pairs)`` of each pair_id group, in sorted
+    id order with input order kept within a group, since JSON input may
+    repeat an id; every id in ``always`` gets a group even when no pair
+    carries it.  A group is evaluated only when iteration reaches it, so
+    the records held are one group's and one output chunk's; ``len`` is
+    the number yielded so far.  A domain error of the library and an
+    overflow or a division by zero at the edge of the simplex are input
+    errors naming the group."""
+
+    def __init__(self, pairs, rows, *always: str):
+        self.groups = {pid: [] for pid in always}
+        for pid, pair in pairs:
+            self.groups.setdefault(pid, []).append(pair)
+        self.rows, self.count = rows, 0
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        for pid, group in sorted(self.groups.items()):
+            try:
+                for self.count, row in enumerate(self.rows(pid, group),
+                                                 self.count + 1):
+                    yield row
+            except ArithmeticError as exc:
+                raise CliInputError(f"pair {pid}: numeric failure "
+                                    f"({type(exc).__name__}): {exc}") from None
+            except ValueError as exc:
+                raise CliInputError(f"pair {pid}: {exc}") from None
 
 
 def _cmd_compute(args) -> int:
@@ -375,10 +408,10 @@ def _cmd_compute(args) -> int:
     # each group's rows by (parameter, measure id), then input order
     measures = sorted(resolve_measures(args.measures.split(","), args.s_list),
                       key=lambda measure: (_s_key(measure[1]), measure[0]))
-    _write_groups(args, ("pair_id", "measure", "value"), pairs,
-                  lambda pid, group: [(pid, measure_id, fn(pair))
-                                      for measure_id, _, fn in measures
-                                      for pair in group])
+    _write_records(_Records(pairs, lambda pid, group: [
+        (pid, measure_id, fn(pair))
+        for measure_id, _, fn in measures for pair in group]),
+        ("pair_id", "measure", "value"), args)
     return 0
 
 
@@ -426,9 +459,9 @@ def _cmd_sweep(args) -> int:
                           else (gap.minimum for gap in gaps))
                 yield (pid, sp.s, sp.regime.value, *family, *minima)
 
-    _write_groups(args, ("pair_id", "s", "regime", "omega", "e", "e_star",
-                         "a", "b", "gap_half_e_bound", "gap_e_star_bound"),
-                  pairs, rows)
+    _write_records(_Records(pairs, rows),
+                   ("pair_id", "s", "regime", "omega", "e", "e_star", "a",
+                    "b", "gap_half_e_bound", "gap_e_star_bound"), args)
     return 0
 
 
@@ -437,6 +470,7 @@ def _cmd_verify(args) -> int:
     # Self-test of the failure path: corrupt the first checked entry of
     # the first pair read.
     corrupt = pairs[0][1] if args.inject_violation else None
+    failed = []
 
     def rows(pid, group):
         runs = [[(pid, None, "note", None, None, None, "info", note)
@@ -455,15 +489,16 @@ def _cmd_verify(args) -> int:
                     args.tolerance)
                 run[run.index(first)] = entry
             runs.append(run)
+            failed.extend(rec for rec in run if rec.verdict == "fail")
         # Rows within a pair_id go by (s, inequality_id), pair-level first,
         # then input order; each report is already so ordered, so they
         # merge.  The notes (pair-level, id "note") follow a "*" pair's
         # abs_chi rows.
         return heapq.merge(*runs, key=lambda row: (_s_key(row[1]), row[2]))
 
-    records = _write_groups(args, bounds_mod.BoundEntry._fields, pairs, rows,
-                            "*")
-    return 2 if any(row[6] == "fail" for row in records) else 0
+    _write_records(_Records(pairs, rows, "*"), bounds_mod.BoundEntry._fields,
+                   args)
+    return 2 if failed else 0
 
 
 def _cmd_gen(args) -> int:
@@ -564,10 +599,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    # Every domain error of the library is a ValueError subclass;
-    # _write_groups turns one raised while a group is evaluated, and an
-    # ArithmeticError, into a CliInputError naming the pair.  All are raised
-    # before any record is written.
+    # Every domain error of the library is a ValueError subclass; _Records
+    # turns one raised while a group is evaluated, and an ArithmeticError,
+    # into a CliInputError naming the pair.  All are raised before the
+    # output is opened.
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

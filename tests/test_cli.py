@@ -643,21 +643,32 @@ class TestVerify:
         assert out == jsonl_lines(expected, BoundEntry._fields)
 
 
+ARITHMETIC_ARGVS = [("verify",),
+                    ("sweep", "--s-min=-1", "--s-max=1", "--s-step=1"),
+                    ("compute", "--measures", "omega:2")]
+
+
 # r = 2e-300: r^3 underflows to zero in delta_omega (verify, sweep), and
-# ((p + q)/(2p))^2 overflows in omega_s (compute omega:2).
-@pytest.mark.parametrize("argv", [("verify",),
-                                  ("sweep", "--s-min=-1", "--s-max=1",
-                                   "--s-step=1"),
-                                  ("compute", "--measures", "omega:2")])
-def test_arithmetic_error_is_input_error(tmp_path, capsys, argv):
+# ((p + q)/(2p))^2 overflows in omega_s (compute omega:2).  Each command
+# writes to standard output, and to an --output file that already exists.
+@pytest.mark.parametrize("argv, to_file", [
+    *(pytest.param(argv, False, id=f"argv{i}")
+      for i, argv in enumerate(ARITHMETIC_ARGVS)),
+    *(pytest.param(argv, True, id=f"argv{i}-existing-output")
+      for i, argv in enumerate(ARITHMETIC_ARGVS))])
+def test_arithmetic_error_is_input_error(tmp_path, capsys, argv, to_file):
     # the valid group "a" is evaluated first, and no record of it is written
     path = tmp_path / "tiny.json"
     path.write_text('{"pairs": [{"id": "a", "p": [0.5, 0.5], '
                     '"q": [0.25, 0.75]}, {"id": "z", "p": [1e-300, 1.0], '
                     '"q": [0.5, 0.5]}]}')
-    code, out, err = run(capsys, *argv, "--input", str(path))
+    target = tmp_path / "out"
+    target.write_bytes(b"kept\r\n")
+    output = ("--output", str(target)) if to_file else ()
+    code, out, err = run(capsys, *argv, "--input", str(path), *output)
     assert_input_error(code, out, err, "pair z: numeric failure")
     assert "pair a" not in err
+    assert target.read_bytes() == b"kept\r\n"
 
 
 # Pair b sums to 1 within SUM_TOLERANCE, but its ratios are all
@@ -872,10 +883,19 @@ def assert_write_error(proc, *words):
     assert all(word in err for word in words), err
 
 
-def test_reader_closing_pipe_is_input_error(tmp_path):
-    # 40 pairs print about 1 MB, more than a pipe holds
+# 40 pairs print about 1 MB in many JSONL chunks, 7 pairs about 190 KB in
+# one; both are more than a pipe holds.  PYTHONUNBUFFERED=1 leaves standard
+# output without a buffered layer.
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("count", [40, 7])
+def test_reader_closing_pipe_is_input_error(tmp_path, monkeypatch, count,
+                                            unbuffered):
+    if unbuffered is None:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     pairs = tmp_path / "pairs.csv"
-    assert main(["gen", "--n", "2", "--count", "40", "--output",
+    assert main(["gen", "--n", "2", "--count", str(count), "--output",
                  str(pairs)]) == 0
     proc = cli_process("verify", "--input", str(pairs),
                        stdout=subprocess.PIPE)
@@ -893,6 +913,39 @@ def test_full_device_is_input_error(std_csv, capsys):
     with open("/dev/full", "wb") as full:
         proc = cli_process("gen", "--n", "3", "--count", "3", stdout=full)
     assert_write_error(proc, "standard output", "No space left")
+
+
+def test_unwritable_spool_is_input_error(std_csv, tmp_path, capsys,
+                                        monkeypatch):
+    missing = str(tmp_path / "missing")
+    monkeypatch.setattr(tempfile, "tempdir", missing)
+    assert_input_error(*run(capsys, "verify", "--input", std_csv),
+                       "cannot write", missing)
+    target = tmp_path / "out"
+    assert_input_error(*run(capsys, "verify", "--input", std_csv,
+                            "--output", str(target)),
+                       "cannot write", missing)
+    assert not target.exists()
+
+
+def test_memory_does_not_grow_with_records(tmp_path):
+    """verify holds the pairs, one group's records and one output chunk,
+    so its traced peak grows by far less per pair than the 37 records
+    (about 7 KB) that each pair prints at one s."""
+    peaks = {}
+    for count in (100, 400):
+        pairs, out = tmp_path / f"pairs{count}.csv", tmp_path / "out.jsonl"
+        assert main(["gen", "--n", "2", "--count", str(count), "--output",
+                     str(pairs)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--s-list=0.5", "--input", str(pairs),
+                         "--output", str(out)]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n") == 37 * count + 2
+    assert (peaks[400] - peaks[100]) / 300 < 2048
 
 
 class TestLoadPairs:
