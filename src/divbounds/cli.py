@@ -20,7 +20,6 @@ import heapq
 import io
 import json
 import math
-import os
 import sys
 from itertools import chain, islice
 from typing import Callable, Sequence
@@ -131,6 +130,11 @@ def _json_rows(text: str):
             raise CliInputError(
                 f"pairs[{i}]: id must be a string or an integer")
         pid = str(pid)
+        try:
+            pid.encode()
+        except UnicodeEncodeError:  # JSON spells a lone surrogate "\ud800"
+            raise CliInputError(
+                f"pairs[{i}]: id is not valid Unicode") from None
         try:
             raw = rec["p"], rec["q"]
         except KeyError as exc:
@@ -265,51 +269,20 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             for measure_id, (param, fn) in resolved.items()]
 
 
-@contextlib.contextmanager
-def _output(path: str):
-    """Standard output for "-", else the file at ``path`` opened for
-    writing and closed on exit.  A path that cannot be opened and a write
-    that fails (a full device, a reader that closed the pipe) are input
-    errors."""
-    to_stdout = path == "-"
-    try:
-        if not to_stdout:
-            target = open(path, "w", encoding="utf-8", newline="")
-        elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
-            # under ``python -u`` the text layer drops a short write's count;
-            # a buffered writer writes the rest, so it meets a closed pipe
-            target = open(sys.stdout.fileno(), "w",
-                          encoding=sys.stdout.encoding,
-                          errors=sys.stdout.errors, closefd=False)
-        else:
-            target = contextlib.nullcontext(sys.stdout)
-        with target as out:
-            yield out
-            out.flush()
-    except OSError as exc:
-        if to_stdout:
-            # The interpreter flushes standard output again at exit; point
-            # it at the null device so that flush cannot fail a second time.
-            with contextlib.suppress(OSError, ValueError):
-                fd = sys.stdout.fileno()
-                null = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(null, fd)
-                os.close(null)
-        name = "standard output" if to_stdout else path
-        raise CliInputError(f"cannot write {name}: {exc}") from None
-
-
 def _write_records(records, columns, args) -> None:
     """Write the records to a temporary file as they are iterated, then
-    copy it to the output, which is not opened if iterating raises."""
+    copy it to standard output for "-", else to the file at ``args.output``,
+    which is not opened if iterating raises.  A temporary file or an output
+    that cannot be opened or written (a full device, a reader that closed
+    the pipe) is an input error."""
     # imported here: importing the CLI and building its parser need neither
     import shutil
     import tempfile
 
+    name = "a temporary file"
     try:
-        # surrogatepass keeps every str for the output's encoder to judge
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="",
-                                    errors="surrogatepass") as spool:
+        with tempfile.TemporaryFile("w+", encoding="utf-8",
+                                    newline="") as spool:
             if args.format == "csv":
                 writer = csv.writer(spool, lineterminator="\n")
                 writer.writerow(columns)
@@ -317,11 +290,26 @@ def _write_records(records, columns, args) -> None:
             else:
                 spool.writelines(_jsonl_chunks(records, columns))
             spool.seek(0)
-            # _output reports its own write errors as CliInputError
-            with _output(args.output) as out:
-                shutil.copyfileobj(spool, out)
+            if args.output != "-":
+                name = args.output
+                out = open(name, "w", encoding="utf-8", newline="")
+            else:
+                name = "standard output"
+                try:
+                    fd = sys.stdout.fileno()
+                except ValueError:  # no descriptor, as in io.StringIO
+                    out = contextlib.nullcontext(sys.stdout)
+                else:
+                    # written after whatever sys.stdout holds, through one
+                    # buffered writer whether or not python -u is in force
+                    sys.stdout.flush()
+                    out = open(fd, "w", encoding=sys.stdout.encoding,
+                               errors=sys.stdout.errors, closefd=False)
+            with out as target:
+                shutil.copyfileobj(spool, target)
+                target.flush()
     except OSError as exc:
-        raise CliInputError(f"cannot write a temporary file: {exc}") from None
+        raise CliInputError(f"cannot write {name}: {exc}") from None
 
 
 class _Spellings(dict):
@@ -470,9 +458,10 @@ def _cmd_verify(args) -> int:
     # Self-test of the failure path: corrupt the first checked entry of
     # the first pair read.
     corrupt = pairs[0][1] if args.inject_violation else None
-    failed = []
+    failed = False
 
     def rows(pid, group):
+        nonlocal failed
         runs = [[(pid, None, "note", None, None, None, "info", note)
                  for note in REPORT_NOTES]] if pid == "*" else []
         for pair in group:
@@ -489,7 +478,7 @@ def _cmd_verify(args) -> int:
                     args.tolerance)
                 run[run.index(first)] = entry
             runs.append(run)
-            failed.extend(rec for rec in run if rec.verdict == "fail")
+            failed = failed or any(rec.verdict == "fail" for rec in run)
         # Rows within a pair_id go by (s, inequality_id), pair-level first,
         # then input order; each report is already so ordered, so they
         # merge.  The notes (pair-level, id "note") follow a "*" pair's
@@ -507,15 +496,16 @@ def _cmd_gen(args) -> int:
     if args.count < 1:
         raise CliInputError(f"count must be >= 1, got {args.count}")
     width = max(4, len(str(args.count)))
-    with _output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["pair_id", "role"]
-                        + [f"v{i + 1}" for i in range(args.n)])
+
+    def rows():
         for i in range(args.count):
             pair = random_pair(args.n, args.seed + i)
             pid = f"pair-{i:0{width}d}"
-            writer.writerow([pid, "P"] + [repr(v) for v in pair.p.values])
-            writer.writerow([pid, "Q"] + [repr(v) for v in pair.q.values])
+            yield (pid, "P", *map(repr, pair.p.values))
+            yield (pid, "Q", *map(repr, pair.q.values))
+
+    _write_records(rows(), ("pair_id", "role",
+                            *(f"v{i + 1}" for i in range(args.n))), args)
     return 0
 
 
@@ -590,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", default="-",
                        help="output path (default: standard output)")
-    p_gen.set_defaults(handler=_cmd_gen)
+    p_gen.set_defaults(handler=_cmd_gen, format="csv")
     return parser
 
 

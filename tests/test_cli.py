@@ -744,6 +744,10 @@ INPUT_ERRORS = {
                       ID_ERROR),
     "json-id-object": (json_second_id({"k": [1]}),
                        ("compute", "--measures", "kl"), ID_ERROR),
+    # a lone surrogate has no UTF-8 encoding, so no output could spell it
+    "json-id-lone-surrogate": (json_second_id("\ud800"),
+                               ("compute", "--measures", "kl"),
+                               ("pairs[1]: id is not valid Unicode",)),
     "json-string-components": (json_pair(["0.5", "0.5"], [0.25, 0.75]),
                                ("verify",),
                                ("pair x", "components must be numbers")),
@@ -883,25 +887,46 @@ def assert_write_error(proc, *words):
     assert all(word in err for word in words), err
 
 
-# 40 pairs print about 1 MB in many JSONL chunks, 7 pairs about 190 KB in
-# one; both are more than a pipe holds.  PYTHONUNBUFFERED=1 leaves standard
-# output without a buffered layer.
+# verify prints about 1 MB in many JSONL chunks for 40 pairs and about
+# 190 KB in one for 7; gen prints about 0.5 MB of CSV for 200 pairs of
+# dimension 64.  Each is more than a pipe holds.  PYTHONUNBUFFERED=1 leaves
+# standard output without a buffered layer.
 @pytest.mark.parametrize("unbuffered", [None, "1"])
-@pytest.mark.parametrize("count", [40, 7])
+@pytest.mark.parametrize("count", [40, 7, "gen"])
 def test_reader_closing_pipe_is_input_error(tmp_path, monkeypatch, count,
                                             unbuffered):
     if unbuffered is None:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     else:
         monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
-    pairs = tmp_path / "pairs.csv"
-    assert main(["gen", "--n", "2", "--count", str(count), "--output",
-                 str(pairs)]) == 0
-    proc = cli_process("verify", "--input", str(pairs),
-                       stdout=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"{")
+    if count == "gen":
+        argv = ("gen", "--n", "64", "--count", "200")
+    else:
+        pairs = tmp_path / "pairs.csv"
+        assert main(["gen", "--n", "2", "--count", str(count), "--output",
+                     str(pairs)]) == 0
+        argv = ("verify", "--input", str(pairs))
+    proc = cli_process(*argv, stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"pair_id" if count == "gen"
+                                             else b"{")
     proc.stdout.close()
     assert_write_error(proc, "standard output", "Broken pipe")
+
+
+def test_stdout_written_after_what_it_holds(tmp_path, monkeypatch):
+    """Output printed before main, and held in standard output's buffer,
+    comes before the command's output."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    src = os.path.dirname(os.path.dirname(divbounds.__file__))
+    out = tmp_path / "out"
+    with open(out, "wb") as fh:
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from divbounds import cli; "
+                        "print('first'); sys.exit(cli.main(['gen', '--n', "
+                        "'2', '--count', '3']))"],
+                       stdout=fh, env=dict(os.environ, PYTHONPATH=src),
+                       check=True, timeout=120)
+    assert out.read_text().startswith("first\npair_id,role,v1,v2\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -928,24 +953,40 @@ def test_unwritable_spool_is_input_error(std_csv, tmp_path, capsys,
     assert not target.exists()
 
 
-def test_memory_does_not_grow_with_records(tmp_path):
-    """verify holds the pairs, one group's records and one output chunk,
-    so its traced peak grows by far less per pair than the 37 records
-    (about 7 KB) that each pair prints at one s."""
-    peaks = {}
+def traced_peak_growth(tmp_path, *argv):
+    """Bytes per pair by which verify's traced peak grows from 100 to 400
+    pairs, and its exit code and number of lines printed for each count."""
+    peaks, lines = {}, {}
     for count in (100, 400):
         pairs, out = tmp_path / f"pairs{count}.csv", tmp_path / "out.jsonl"
         assert main(["gen", "--n", "2", "--count", str(count), "--output",
                      str(pairs)]) == 0
         tracemalloc.start()
         try:
-            assert main(["verify", "--s-list=0.5", "--input", str(pairs),
-                         "--output", str(out)]) == 0
+            code = main(["verify", *argv, "--input", str(pairs),
+                         "--output", str(out)])
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.read_text().count("\n") == 37 * count + 2
-    assert (peaks[400] - peaks[100]) / 300 < 2048
+        lines[count] = (code, out.read_text().count("\n"))
+    return (peaks[400] - peaks[100]) / 300, lines
+
+
+def test_memory_does_not_grow_with_records(tmp_path):
+    """verify holds the pairs, one group's records and one output chunk,
+    so its traced peak grows by far less per pair than the 37 records
+    (about 7 KB) that each pair prints at one s."""
+    growth, lines = traced_peak_growth(tmp_path, "--s-list=0.5")
+    assert lines == {count: (0, 37 * count + 2) for count in (100, 400)}
+    assert growth < 2048
+
+
+def test_memory_does_not_grow_with_failures(tmp_path):
+    """At --tolerance=0 many records fail, and verify keeps only the fact
+    that one did, not the records."""
+    growth, lines = traced_peak_growth(tmp_path, "--tolerance=0")
+    assert [code for code, _ in lines.values()] == [2, 2]
+    assert growth < 1536
 
 
 class TestLoadPairs:
