@@ -491,8 +491,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 2:
-        raise CliInputError(f"dimension must be >= 2, got {args.n}")
     if args.count < 1:
         raise CliInputError(f"count must be >= 1, got {args.count}")
     width = max(4, len(str(args.count)))

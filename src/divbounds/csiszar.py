@@ -217,14 +217,6 @@ def _d3_scan(gen: GeneratorFunction, r: float,
     return max(best_val, refined), saw_pos, saw_neg
 
 
-def d3_sup(gen: GeneratorFunction, rb: RatioBounds) -> float:
-    """Supremum of |f'''| over [r, R]: dense grid plus golden-section
-    refinement of the best cell."""
-    if rb.r == rb.R:
-        return abs(gen.d3(rb.r))
-    return _d3_scan(gen, rb.r, rb.R)[0]
-
-
 def _gap_functional(pair: DistributionPair, gen: GeneratorFunction,
                     target: GapTarget) -> float:
     # the functional a target's gap is measured against: E for HALF_E,

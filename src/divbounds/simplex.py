@@ -166,7 +166,7 @@ def random_pair(n: int, seed: int) -> DistributionPair:
     The same (n, seed) always yields bit-identical output.
     """
     if n < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {n}")
+        raise DimensionTooSmall(f"dimension must be >= 2, got {n}")
     rng = random.Random(seed)
     p_values = _draw_point(rng, n)
     q_values = _draw_point(rng, n)

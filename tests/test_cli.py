@@ -1230,9 +1230,21 @@ class TestGen:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_dimension_guard(self, capsys):
-        code, _, _ = run(capsys, "gen", "--n", "1", "--count", "3")
-        assert code == 1
+    def test_dimension_guard(self, tmp_path, capsys):
+        # random_pair's check, raised on the first row: nothing is written
+        # and an existing output keeps its bytes
+        assert run(capsys, "gen", "--n", "1", "--count", "3") == (
+            1, "", "error: dimension must be >= 2, got 1\n")
+        out = tmp_path / "pairs.csv"
+        out.write_bytes(b"kept\n")
+        assert run(capsys, "gen", "--n", "1", "--count", "3",
+                   "--output", str(out)) == (
+            1, "", "error: dimension must be >= 2, got 1\n")
+        assert out.read_bytes() == b"kept\n"
+
+    def test_count_is_checked_first(self, capsys):
+        assert run(capsys, "gen", "--n", "1", "--count", "0") == (
+            1, "", "error: count must be >= 1, got 0\n")
 
     def test_roundtrip_compute_full_registry(self, tmp_path, capsys):
         path = tmp_path / "pairs.csv"

