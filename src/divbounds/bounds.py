@@ -243,17 +243,17 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
 
 
 def _family_at(pair: DistributionPair, rb: RatioBounds,
-               moments: PairMoments | None, sp: SParameter):
+               moments: PairMoments, sp: SParameter):
     """(omega, e, e_star, a, b, gaps) of the family at sp for one pair.
 
-    a, b and gaps are None when ``moments`` is None (P = Q, no ratio
-    interval); gaps is also None for s < -1.  Otherwise gaps holds the
-    theorem42_bounds bundles for HALF_E and E_STAR, in that order.
+    a, b and gaps are None when r = R (P = Q, no ratio interval); gaps is
+    also None for s < -1.  Otherwise gaps holds the theorem42_bounds
+    bundles for HALF_E and E_STAR, in that order.
     """
     omega = omega_s(pair, sp)
     e = e_omega(pair, sp)
     e_star = e_star_omega(pair, sp)
-    if moments is None:
+    if rb.r == rb.R:
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
     gaps = None if sp.s < -1.0 else tuple(
@@ -369,7 +369,7 @@ _GAP_IDS = tuple((f"{tag}_le_min", tuple(f"{tag}_{name}_le_cap" for name in (
 
 
 def _pair_checks(pair: DistributionPair, rb: RatioBounds,
-                 moments: PairMoments | None):
+                 moments: PairMoments):
     """verify_all's pair-level checks, as (inequality_id, lhs, rhs), and
     skips, as (inequality_id, reason)."""
     # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
@@ -378,7 +378,7 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds,
     chi2_swap = chi_squared(pair.swapped())
     checks = [("tri_half_le_rel_j_swap", half_tri, rel_j_swap),
               ("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap)]
-    if moments is None:
+    if rb.r == rb.R:
         return checks, _MOMENT_SKIPS
     # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
     # chi-square: the same nonzero terms, so fsum returns the same value.
@@ -404,7 +404,7 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds,
 
 
 def _family_checks(pair: DistributionPair, rb: RatioBounds,
-                   moments: PairMoments | None, sp: SParameter):
+                   moments: PairMoments, sp: SParameter):
     """verify_all's checks at one s, as (inequality_id, lhs, rhs), and
     skips, as (inequality_id, reason)."""
     value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
@@ -417,7 +417,7 @@ def _family_checks(pair: DistributionPair, rb: RatioBounds,
         _agreement("e_star_closed_form_agrees",
                    e_star_omega_closed_form(pair, sp), e_star_val),
     ]
-    if moments is None:
+    if rb.r == rb.R:
         return checks, [("gap_bounds", _DEGENERATE),
                         ("interval_bounds", _DEGENERATE)]
     checks += [
@@ -460,7 +460,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     """
     _check_tolerance(violation_tolerance)
     rb = ratio_bounds(pair)
-    moments = None if rb.r == rb.R else PairMoments.of(pair)
+    moments = PairMoments.of(pair)
     blocks = [((pair_id, None), *_pair_checks(pair, rb, moments))]
     # one block per distinct s, in s order; SParameter reads -0.0 as 0.0
     params = {sp.s: sp for sp in map(_sparam, s_values)}

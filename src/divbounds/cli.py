@@ -438,8 +438,8 @@ def _cmd_sweep(args) -> int:
 
     def rows(pid, group):
         # each group's rows by s, then input order
-        bounded = [(pair, rb, None if rb.r == rb.R else PairMoments.of(pair))
-                   for pair in group for rb in (ratio_bounds(pair),)]
+        bounded = [(pair, ratio_bounds(pair), PairMoments.of(pair))
+                   for pair in group]
         for sp in grid:
             for pair, rb, moments in bounded:
                 *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)

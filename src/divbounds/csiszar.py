@@ -103,12 +103,10 @@ class GapBounds:
     the actual gap, which must not exceed ``minimum``.
     """
 
-    target: GapTarget
     observed: float
     candidates: tuple[float, float, float]
     minimum: float
     cap_candidates: tuple[float, float, float]
-    cap_minimum: float
     curvature_sign: int
 
 
@@ -231,7 +229,7 @@ def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
                 sup3: float, moments: PairMoments) -> GapBounds:
     # The one body of the gap bounds.  The generator-specific inputs come
     # from the caller: the divergence, the target's functional (E or E*),
-    # the signed curvature spread k (f''(R) - f''(r)) with its sign k, and
+    # the curvature spread k * (f''(R) - f''(r)) and its sign k, and
     # the sup of |f'''| on [r, R].
     if target is _HALF_E:
         observed = abs(div - 0.5 * functional)
@@ -251,8 +249,7 @@ def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
         third_factor * sup3 * (width ** 3 / 8.0),
         first_factor * d1_spread * (width / 2.0),
     )
-    return GapBounds(target, observed, candidates, min(candidates),
-                     caps, min(caps), k)
+    return GapBounds(observed, candidates, min(candidates), caps, k)
 
 
 def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from math import exp, expm1, fsum, isfinite, log, log1p, pow
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .csiszar import GeneratorFunction
 from .divergences import (
@@ -125,18 +125,17 @@ def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     return core / (sv * (sv - 1.0))
 
 
-def _check_positive(x: float) -> None:
-    # Raises for an argument outside (0, inf).  The generator maps run once
-    # per component, so each tests its argument inline and calls this only
-    # to raise.
-    if not (isfinite(x) and x > 0.0):
-        raise NonPositiveArgument(f"argument must be in (0, inf), got {x!r}")
+def _raise_non_positive(x: float) -> NoReturn:
+    # The error for an argument outside (0, inf).  The generator maps run
+    # once per component, so each tests its argument inline and calls this
+    # only to raise.
+    raise NonPositiveArgument(f"argument must be in (0, inf), got {x!r}")
 
 
 def psi_s(x: float, s: float | SParameter) -> float:
     """Generator of the unified AG/JS family, normalized so psi_s(1) = 0."""
     if not (isfinite(x) and x > 0.0):
-        _check_positive(x)
+        _raise_non_positive(x)
     # _sparam inlined: the generator maps hand an SParameter on every call
     sp = s if isinstance(s, SParameter) else SParameter(s)
     u = (x + 1.0) / (2.0 * x)
@@ -154,12 +153,12 @@ def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
     if sp.regime is _LIMIT_AT_ZERO:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
-                _check_positive(x)
+                _raise_non_positive(x)
             return 0.5 * (1.0 - x) / (1.0 + x) - log((x + 1.0) / (2.0 * x))
     elif sp.regime is _LIMIT_AT_ONE:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
-                _check_positive(x)
+                _raise_non_positive(x)
             return 0.5 * (1.0 - 1.0 / x + log((x + 1.0) / (2.0 * x)))
     else:
         sv = sp.s
@@ -167,7 +166,7 @@ def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
 
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
-                _check_positive(x)
+                _raise_non_positive(x)
             lu = log((x + 1.0) / (2.0 * x))
             power_term = expm1(sv * lu) / sv  # (u^s - 1)/s
             return (power_term + 0.5 * (1.0 - exp(sv_m1 * lu) / x)) / sv_m1
@@ -183,7 +182,7 @@ def psi_s_d2(x: float, s: float | SParameter) -> float:
     """Second derivative of psi_s; strictly positive on (0, inf), which is
     what makes the whole family convex."""
     if not (isfinite(x) and x > 0.0):
-        _check_positive(x)
+        _raise_non_positive(x)
     sp = s if isinstance(s, SParameter) else SParameter(s)
     regime = sp.regime
     if regime is _GENERIC:
@@ -197,7 +196,7 @@ def psi_s_d3(x: float, s: float | SParameter) -> float:
     """Third derivative of psi_s.  One formula covers all s (the limit
     regimes are plain evaluations); nonpositive whenever s >= -1."""
     if not (isfinite(x) and x > 0.0):
-        _check_positive(x)
+        _raise_non_positive(x)
     sp = s if isinstance(s, SParameter) else SParameter(s)
     u = (x + 1.0) / (2.0 * x)
     one_plus = 1.0 + x

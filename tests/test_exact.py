@@ -38,6 +38,7 @@ from divbounds import (
     DistributionPair,
     chi_squared,
     random_pair,
+    ratio_bounds,
     total_variation,
     triangular_discrimination,
     vajda_abs_chi,
@@ -100,6 +101,15 @@ def _psi(x, s):
     return (x * u**s - x - Fraction(s, 2) * (1 - x)) / (s * (s - 1))
 
 
+def _chord(psi, r, R, s):
+    return ((R - 1) * psi(r, s) + (1 - r) * psi(R, s)) / (R - r)
+
+
+def _interval(r, R):
+    # the m = 3 moment interval
+    return (1 - r) * (R - 1) / (R - r) * ((1 - r) ** 2 + (R - 1) ** 2)
+
+
 def _exact_slacks(pair):
     """{(s, inequality_id): rhs - lhs} of the exact statements."""
     p = [Fraction(v) for v in pair.p.values]
@@ -110,12 +120,10 @@ def _exact_slacks(pair):
     ratios = [a / b for a, b in zip(p, q)]
     r, R = min(ratios), max(ratios)
     moment = sum(abs(a - b) ** 3 / (b * b) for a, b in zip(p, q))
-    interval = (1 - r) * (R - 1) / (R - r) * ((1 - r) ** 2 + (R - 1) ** 2)
-    slacks = {(None, "abs_chi[m=3]_le_interval"): interval - moment}
+    slacks = {(None, "abs_chi[m=3]_le_interval"): _interval(r, R) - moment}
     for s in EXACT_S:
         omega = sum(b * _psi(x, s) for b, x in zip(q, ratios))
-        chord = ((R - 1) * _psi(r, s) + (1 - r) * _psi(R, s)) / (R - r)
-        slacks[float(s), "omega_le_b"] = chord - omega
+        slacks[float(s), "omega_le_b"] = _chord(_psi, r, R, s) - omega
     return slacks
 
 
@@ -137,3 +145,63 @@ def test_exact_slack_decides_rational_verdicts(n, count):
                 assert slack == 0, (i, key, float(slack))
             if slack > 0:
                 assert verdicts[key] == "pass", (i, key, float(slack))
+
+
+# Side by side.  A verdict alone is weak: a wrong right-hand side that stays
+# above the left-hand side still passes.  So each printed right-hand side is
+# also held to the exact value of the same expression on the float r and R
+# that ratio_bounds gives, within the rounding bound of its evaluation.  Two
+# more facts enter the count besides the model above: libm's pow is
+# accurate to within 1 ulp, at most 2u relative, so each pow counts as two
+# roundings; and a rounded divisor contributes a factor (1 + d)^-1, which
+# differs from 1 by up to u/(1 - u), just above u, so one spare rounding
+# covers these excesses and every second-order term.
+#
+# The interval, ((1 - r)(R - 1)/(R - r)) ((1 - r)**2 + (R - 1)**2): 1 - r,
+# R - 1, their product, R - r and the quotient give 5; each square carries
+# its difference twice and the pow (4), and their sum one more (5); the
+# final product 1; the spare 1: k = 12.  Every factor is >= 0, so the scale
+# is the exact value.
+#
+# The chord, ((R - 1) psi(r) + (1 - r) psi(R))/(R - r) with psi(x) =
+# (x * u**s - x - s * 0.5 * (1 - x))/(s (s - 1)) and u = (x + 1)/(2x): u
+# carries 2 (the sum and the quotient; 2x is exact), u**s at |s| <= 2 twice
+# that and the pow (6), times x (7), minus x (8), minus the s term (one
+# rounding for 1 - x and one for its product, then the subtraction: 9),
+# divided by s (s - 1), which is exact at s in {-1, 2} (10).  Each weight
+# R - 1 or 1 - r and its product with psi add 2 (12), their sum 1 (13), R -
+# r and the quotient 2 (15), the spare 1: k = 16.  The terms of psi have
+# mixed signs, so the scale is the chord of their magnitudes, |x u^s| + |x|
+# + |s (1 - x)/2| over |s (s - 1)|, whose weights are >= 0.
+K_INTERVAL = 12
+K_CHORD = 16
+
+
+def _psi_magnitude(x, s):
+    u = (x + 1) / (2 * x)
+    return (abs(x * u**s) + abs(x) + abs(Fraction(s, 2) * (1 - x))) / abs(
+        s * (s - 1))
+
+
+@pytest.mark.parametrize("n, count", [(2, 1000), (64, 100)])
+def test_printed_bounds_match_exact_expression(n, count):
+    """On the same seed-7 pairs: the printed rhs of
+    abs_chi[m=3]_le_interval and of omega_le_b at s in {-1, 2} is within
+    ((1 + u)^k - 1) * scale of its expression evaluated exactly on the
+    float r and R."""
+    for i in range(count):
+        pair = random_pair(n, 7 + i)
+        rb = ratio_bounds(pair)
+        r, R = Fraction(rb.r), Fraction(rb.R)
+        rhs = {(e.s, e.inequality_id): e.rhs
+               for e in verify_all(pair, EXACT_S).records}
+        interval = _interval(r, R)
+        expected = [((None, "abs_chi[m=3]_le_interval"), interval, interval,
+                     K_INTERVAL)]
+        expected += [((float(s), "omega_le_b"), _chord(_psi, r, R, s),
+                      _chord(_psi_magnitude, r, R, s), K_CHORD)
+                     for s in EXACT_S]
+        for key, exact, scale, k in expected:
+            error = abs(Fraction(rhs[key]) - exact)
+            assert error <= ((1 + U) ** k - 1) * scale, (
+                i, key, float(error / (U * scale)))

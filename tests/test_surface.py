@@ -3,6 +3,7 @@
 """
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
@@ -67,9 +68,13 @@ def test_removed_name_is_gone(module, name):
 
 
 def test_removed_attributes_are_gone():
-    # SParameter(s) is the one constructor; a pair's dimension is p.n
+    # SParameter(s) is the one constructor; a pair's dimension is p.n; a
+    # gap bundle's caller holds its target, and min(cap_candidates) was
+    # read by nothing
     assert not hasattr(divbounds.SParameter, "from_value")
     assert not hasattr(divbounds.DistributionPair, "n")
+    names = {f.name for f in dataclasses.fields(divbounds.GapBounds)}
+    assert not names & {"target", "cap_minimum"}
 
 
 def _unused_imports(path):
@@ -148,3 +153,28 @@ def test_every_public_name_is_exported_or_read():
     so a public function that lost its last caller fails here too."""
     assert _unread_names(MODULES, lambda name: not name.startswith("_")
                          and name not in divbounds.__all__) == []
+
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a package dataclass is read as an attribute somewhere
+    in the package, the tests or the benchmark, so a result field that lost
+    its last reader fails here.  This module is left out of the scan: it
+    reads ``node.target`` from the AST.  BoundEntry is a NamedTuple whose
+    fields are output columns, read through ``_fields``, and is not
+    checked."""
+    paths = [*MODULES, *(ROOT / "perfbench").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    read = {node.attr for path in paths if path.name != "test_surface.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    classes = {cls for path in MODULES if path.name != "__init__.py"
+               for cls in vars(importlib.import_module(
+                   f"divbounds.{path.stem}")).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    assert sorted(f"{cls.__name__}.{field.name}" for cls in classes
+                  for field in dataclasses.fields(cls)
+                  if field.name not in read) == []
