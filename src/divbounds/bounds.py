@@ -5,7 +5,7 @@ The generic f-divergence engine is authoritative: every closed form here is
 evaluated against it as a cross-check, and the one display whose printed
 orientation disagrees with the generic evaluation (the s = 1 branch of the
 directed first-derivative functional) is implemented in the corrected,
-swapped-argument form with the correction surfaced in the report notes.
+swapped-argument form with the correction stated in ``REPORT_NOTES``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .divergences import (
 )
 from .means import lp_power
 from .simplex import DistributionPair, RatioBounds, ratio_bounds
-from .type_s import (_LIMIT_AT_ONE, _LIMIT_AT_ZERO, SParameter, _sparam,
-                     generator, omega_s, psi_s_d3)
+from .type_s import (_GENERIC, _LIMIT_AT_ONE, _LIMIT_AT_ZERO, SParameter,
+                     _sparam, generator, omega_s, psi_s_d3)
 
 #: An inequality entry passes when slack = rhs - lhs >= -VIOLATION_TOLERANCE.
 #: An order of magnitude above worst observed rounding slack in double
@@ -67,7 +67,7 @@ _TV_CHAIN_NOTE = (
     "ceiling, which holds termwise, is checked for the absolute moment."
 )
 
-#: The notes every report carries, in report order.
+#: The notes behind the cross-checks, in the order ``verify`` prints them.
 REPORT_NOTES = (_ORIENTATION_NOTE, _TV_CHAIN_NOTE)
 
 
@@ -130,15 +130,14 @@ def e_star_omega_closed_form(pair: DistributionPair,
     """Closed form of e_star_omega, used as a cross-check."""
     sp = _sparam(s)
     items = tuple(zip(pair.p.values, pair.q.values))
-    if sp.regime is _LIMIT_AT_ZERO:
-        return (fsum((q - p) * log((p + 3.0 * q) / (2.0 * (p + q)))
-                     for p, q in items if p != q)
-                - 0.5 * fsum((p - q) * (p - q) / (p + 3.0 * q)
-                             for p, q in items))
-    if sp.regime is _LIMIT_AT_ONE:
-        return (0.5 * triangular_discrimination(pair)
-                + 0.5 * fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
-                             for p, q in items if p != q))
+    if sp.regime is not _GENERIC:
+        # both limits share J* = sum (p - q) log((p + 3q)/(2(p + q)))
+        j = fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
+                 for p, q in items if p != q)
+        if sp.regime is _LIMIT_AT_ZERO:
+            return -j - 0.5 * fsum((p - q) * (p - q) / (p + 3.0 * q)
+                                   for p, q in items)
+        return 0.5 * triangular_discrimination(pair) + 0.5 * j
     sv = sp.s
     core = fsum([(p - q) * math.pow((p + 3.0 * q) / (2.0 * (p + q)), sv)
                  * ((p + (3.0 - 2.0 * sv) * q) / (p + 3.0 * q))
@@ -292,8 +291,6 @@ class BoundReport:
     and its checked (``entries``) and skipped (``skipped``) views."""
 
     records: tuple[BoundEntry, ...]
-    violation_tolerance: float
-    notes: tuple[str, ...]
 
     @property
     def entries(self) -> tuple[BoundEntry, ...]:
@@ -476,4 +473,4 @@ def verify_all(pair: DistributionPair, s_values, *,
                   for inequality_id, reason in skips]
         block.sort(key=_by_id)
         records += block
-    return BoundReport(tuple(records), violation_tolerance, REPORT_NOTES)
+    return BoundReport(tuple(records))

@@ -179,22 +179,17 @@ def psi_s_d1(x: float, s: float | SParameter) -> float:
 
 
 def psi_s_d2(x: float, s: float | SParameter) -> float:
-    """Second derivative of psi_s; strictly positive on (0, inf), which is
-    what makes the whole family convex."""
+    """Second derivative of psi_s, u^(s-2)/(4x^3) at ``canonical`` in every
+    regime; strictly positive on (0, inf), so the whole family is convex."""
     if not (isfinite(x) and x > 0.0):
         _raise_non_positive(x)
     sp = s if isinstance(s, SParameter) else SParameter(s)
-    regime = sp.regime
-    if regime is _GENERIC:
-        return pow((x + 1.0) / (2.0 * x), sp.s - 2.0) / (4.0 * x * x * x)
-    if regime is _LIMIT_AT_ZERO:
-        return 1.0 / (x * (1.0 + x) * (1.0 + x))
-    return 1.0 / (2.0 * x * x * (1.0 + x))
+    return pow((x + 1.0) / (2.0 * x), sp.canonical - 2.0) / (4.0 * x * x * x)
 
 
 def psi_s_d3(x: float, s: float | SParameter) -> float:
-    """Third derivative of psi_s.  One formula covers all s (the limit
-    regimes are plain evaluations); nonpositive whenever s >= -1."""
+    """Third derivative of psi_s: one formula for all s, evaluated at s
+    itself, not at ``canonical``; nonpositive whenever s >= -1."""
     if not (isfinite(x) and x > 0.0):
         _raise_non_positive(x)
     sp = s if isinstance(s, SParameter) else SParameter(s)

@@ -154,7 +154,9 @@ class TestDomainErrors:
 
     def test_zero_violation_tolerance(self, std_pair):
         report = verify_all(std_pair, (0.0,), violation_tolerance=0.0)
-        assert report.violation_tolerance == 0.0
+        assert report.entries
+        for entry in report.entries:
+            assert (entry.verdict == "pass") is (entry.slack >= 0.0)
 
 
 class TestClosedFormAgreement:
@@ -172,7 +174,7 @@ class TestClosedFormAgreement:
 
     def test_delta_omega_matches_curvature_spread(self):
         for rb in random_intervals(1000, seed=23):
-            for s in (-1.0, 0.0, 1.0, 2.0):
+            for s in (-1.0, 0.0, 1e-6, 1.0 - 1e-6, 1.0, 2.0):
                 spread = psi_s_d2(rb.r, s) - psi_s_d2(rb.R, s)
                 assert close(delta_omega(rb, s), spread, rel=1e-12,
                              abs_=1e-15)
@@ -478,7 +480,6 @@ class TestVerifyAll:
         report = verify_all(std_pair, (-1.0, 0.0, 1.0, 2.0), pair_id="std")
         assert report.all_pass
         assert not report.skipped
-        assert len(report.notes) == 2
 
     def test_triangular_chain_entry_values(self, std_pair):
         report = verify_all(std_pair, (0.0,), pair_id="std")

@@ -75,6 +75,9 @@ def test_removed_attributes_are_gone():
     assert not hasattr(divbounds.DistributionPair, "n")
     names = {f.name for f in dataclasses.fields(divbounds.GapBounds)}
     assert not names & {"target", "cap_minimum"}
+    # the caller holds its tolerance, and the notes are bounds.REPORT_NOTES
+    assert [f.name for f in dataclasses.fields(divbounds.BoundReport)] == [
+        "records"]
 
 
 def _unused_imports(path):
@@ -102,6 +105,37 @@ def test_no_unused_imports(path):
     """Every name a module imports is read in it (``__init__.py`` imports
     to re-export); stands in for a linter, which neither host nor CI has."""
     assert _unused_imports(path) == []
+
+
+def _unread_parameters(path):
+    """``file:line: function(parameter)`` of each parameter of a ``def`` or
+    ``lambda``, ``self`` aside, that its body never reads as a name; a read
+    inside a nested function counts."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  args.vararg, *args.kwonlyargs, args.kwarg)
+                  if a is not None and a.arg != "self"]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for stmt in body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name)
+                and isinstance(name.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"{path.name}:{node.lineno}: {name}({param})"
+                   for param in params if param not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    """Every parameter of every function and lambda in the package is read
+    in its body, so an argument that lost its last use fails here; stands
+    in for a linter's unused-argument check."""
+    assert _unread_parameters(path) == []
 
 
 def _module_names(tree):

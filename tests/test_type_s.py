@@ -4,6 +4,7 @@ import math
 import re
 from math import fsum, sqrt
 
+import mpmath
 import pytest
 
 from divbounds import (
@@ -27,6 +28,7 @@ from divbounds import (
 )
 from divbounds.type_s import NonFiniteParameter, NonPositiveArgument
 
+import oracles
 from closed_forms import omega_special_cases
 
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -273,6 +275,30 @@ class TestPsi:
         for s in ss:
             for x in xs:
                 assert psi_s_d2(x, s) > 0.0
+
+    # psi'' = pow((x + 1)/(2x), c - 2)/(4 x x x) at c = canonical.  Each
+    # float operation is exact times (1 + d), |d| <= u = 2^-53; libm's pow
+    # is within 1 ulp, two roundings.  The base carries x + 1 and the
+    # quotient (2x is exact), and the power raises both to |c - 2|: 2|c - 2|
+    # roundings; pow 2 more; 4x is exact, the two products by x 2 and the
+    # quotient 1.  A rounded divisor gives a factor (1 + d)^-1, just over u
+    # from 1, and one spare rounding covers that and the second-order
+    # terms: k = 2|c - 2| + 6, 10 at s = 0 and 8 at s = 1.
+    X_GRID = [10.0 ** (-6 + 12 * i / 2100) for i in range(2101)]
+
+    @pytest.mark.parametrize("s", (0.0, 1.0))
+    def test_d2_limits_within_rounding_bound(self, s):
+        k = 2 * abs(s - 2.0) + 6
+        bound = (1 + mpmath.mpf(2) ** -53) ** k - 1
+        for x in self.X_GRID:
+            exact = oracles.psi_d2(x, s)
+            assert abs(psi_s_d2(x, s) - exact) <= bound * abs(exact), x
+
+    @pytest.mark.parametrize("s", (-1e-6, 1e-6, 1.0 - 1e-6, 1.0 + 1e-6))
+    def test_d2_in_band_evaluates_canonical(self, s):
+        canonical = SParameter(s).canonical
+        for x in self.X_GRID:
+            assert psi_s_d2(x, s) == psi_s_d2(x, canonical), x
 
     def test_third_derivative_sign(self):
         xs = (0.05, 0.3, 1.0, 2.0, 10.0)
