@@ -37,7 +37,7 @@ from .divergences import (
 from .means import lp_power
 from .simplex import DistributionPair, RatioBounds, ratio_bounds
 from .type_s import (_GENERIC, _LIMIT_AT_ONE, _LIMIT_AT_ZERO, SParameter,
-                     _sparam, generator, omega_s, psi_s_d3)
+                     _sparam, generator, omega_s, psi_s_d2, psi_s_d3)
 
 #: An inequality entry passes when slack = rhs - lhs >= -VIOLATION_TOLERANCE.
 #: An order of magnitude above worst observed rounding slack in double
@@ -186,14 +186,11 @@ def b_omega_closed_form(rb: RatioBounds, s: float | SParameter) -> float:
 
 def delta_omega(rb: RatioBounds, s: float | SParameter) -> float:
     """Second-derivative spread of the family generator over the ratio
-    interval: psi''(r) - psi''(R).  Positive for r < R and s >= -1 because
-    the second derivative is strictly decreasing there."""
+    interval: psi''(r) - psi''(R), read from psi_s_d2.  Positive for r < R
+    and s >= -1 because the second derivative is strictly decreasing there."""
     sp = _gap_parameter(s)
     _require_distinct(rb)
-    sc = sp.canonical
-    r, R = rb.r, rb.R
-    return 0.25 * ((1.0 / (r * r * r)) * math.pow((r + 1.0) / (2.0 * r), sc - 2.0)
-                   - (1.0 / (R * R * R)) * math.pow((R + 1.0) / (2.0 * R), sc - 2.0))
+    return psi_s_d2(rb.r, sp) - psi_s_d2(rb.R, sp)
 
 
 def psi3_sup(rb: RatioBounds, s: float | SParameter) -> float:
@@ -212,8 +209,9 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
                      omega: float | None = None,
                      functional: float | None = None) -> GapBounds:
     """Third-derivative gap bounds specialized to the family generator:
-    theorem33_bounds for psi_s, fed with the closed forms delta_omega and
-    psi3_sup and the curvature sign -1.
+    theorem33_bounds for psi_s, fed with the closed form psi3_sup and the
+    curvature sign -1: ``theorem33_bounds(pair, rb, generator(s), target)``
+    bit for bit in every field but ``observed``, which reads omega_s.
 
     The sign needs no sampling: psi'' is monotonically decreasing for every
     s >= -1 (psi''' <= 0 there), so the curvature candidate is the positive
@@ -229,7 +227,6 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
         target = GapTarget(target)
     sp = _gap_parameter(s)
     _require_straddle(rb)
-    spread = delta_omega(rb, sp)
     sup3 = psi3_sup(rb, sp)
     if moments is None:
         moments = PairMoments.of(pair)
@@ -237,8 +234,7 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     gen = generator(sp)
     if functional is None:
         functional = _gap_functional(pair, gen, target)
-    return _gap_bounds(rb, gen, target, value, functional, spread, -1, sup3,
-                       moments)
+    return _gap_bounds(rb, gen, target, value, functional, -1, sup3, moments)
 
 
 def _family_at(pair: DistributionPair, rb: RatioBounds,

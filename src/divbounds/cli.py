@@ -96,20 +96,6 @@ def _parse_s_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_tolerance(text: str) -> float:
-    """A --tolerance value, checked as verify_all checks it, so a bad one
-    is reported before any input is read and names no pair."""
-    try:
-        tolerance = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    try:
-        return bounds_mod._check_tolerance(tolerance)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
-
-
 def _json_rows(text: str):
     """(pair_id, (raw_p, raw_q)) per JSON record, in input order."""
     try:
@@ -392,10 +378,10 @@ class _Records:
 
 
 def _cmd_compute(args) -> int:
-    pairs = load_pairs(args.input, args.renormalize)
     # each group's rows by (parameter, measure id), then input order
     measures = sorted(resolve_measures(args.measures.split(","), args.s_list),
                       key=lambda measure: (_s_key(measure[1]), measure[0]))
+    pairs = load_pairs(args.input, args.renormalize)
     _write_records(_Records(pairs, lambda pid, group: [
         (pid, measure_id, fn(pair))
         for measure_id, _, fn in measures for pair in group]),
@@ -432,9 +418,9 @@ def _sweep_grid(s_min: float, s_max: float, s_step: float):
 
 
 def _cmd_sweep(args) -> int:
-    pairs = load_pairs(args.input, args.renormalize)
     grid = [SParameter(s)
             for s in _sweep_grid(args.s_min, args.s_max, args.s_step)]
+    pairs = load_pairs(args.input, args.renormalize)
 
     def rows(pid, group):
         # each group's rows by s, then input order
@@ -454,6 +440,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    bounds_mod._check_tolerance(args.tolerance)
     pairs = load_pairs(args.input, args.renormalize)
     # Self-test of the failure path: corrupt the first checked entry of
     # the first pair read.
@@ -561,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_S_LIST,
                           help="comma-separated family parameters "
                                + _DEFAULT_S_HELP)
-    p_verify.add_argument("--tolerance", type=_parse_tolerance,
+    p_verify.add_argument("--tolerance", type=float,
                           default=bounds_mod.VIOLATION_TOLERANCE,
                           help="violation tolerance override (absolute)")
     p_verify.add_argument("--inject-violation", action="store_true",

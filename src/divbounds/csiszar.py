@@ -225,12 +225,12 @@ def _gap_functional(pair: DistributionPair, gen: GeneratorFunction,
 
 
 def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
-                div: float, functional: float, curvature: float, k: int,
-                sup3: float, moments: PairMoments) -> GapBounds:
-    # The one body of the gap bounds.  The generator-specific inputs come
-    # from the caller: the divergence, the target's functional (E or E*),
-    # the curvature spread k * (f''(R) - f''(r)) and its sign k, and
-    # the sup of |f'''| on [r, R].
+                div: float, functional: float, k: int, sup3: float,
+                moments: PairMoments) -> GapBounds:
+    # The one body of the gap bounds; it builds the curvature spread
+    # k * (f''(R) - f''(r)) from gen.  The caller gives the divergence, the
+    # target's functional (E or E*), the curvature sign k and the sup of
+    # |f'''| on [r, R].
     if target is _HALF_E:
         observed = abs(div - 0.5 * functional)
         third_factor, first_factor = 1.0 / 12.0, 1.0
@@ -238,6 +238,7 @@ def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
         observed = abs(div - functional)
         third_factor, first_factor = 1.0 / 24.0, 0.5
     d1_spread = gen.d1(rb.R) - gen.d1(rb.r)
+    curvature = k * (gen.d2(rb.R) - gen.d2(rb.r))
     candidates = (
         curvature * moments.chi2 / 8.0,
         third_factor * sup3 * moments.abs_chi3,
@@ -272,6 +273,5 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
     k = -1 if saw_neg else 1
     moments = PairMoments.of(pair)
     return _gap_bounds(rb, gen, target, csiszar_divergence(pair, gen),
-                       _gap_functional(pair, gen, target),
-                       k * (gen.d2(R) - gen.d2(r)), k, sup3, moments)
+                       _gap_functional(pair, gen, target), k, sup3, moments)
 

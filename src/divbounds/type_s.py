@@ -180,11 +180,13 @@ def psi_s_d1(x: float, s: float | SParameter) -> float:
 
 def psi_s_d2(x: float, s: float | SParameter) -> float:
     """Second derivative of psi_s, u^(s-2)/(4x^3) at ``canonical`` in every
-    regime; strictly positive on (0, inf), so the whole family is convex."""
+    regime; strictly positive on (0, inf), so the whole family is convex.
+    The one psi'' formula: generator(s).d2 and delta_omega read it."""
     if not (isfinite(x) and x > 0.0):
         _raise_non_positive(x)
     sp = s if isinstance(s, SParameter) else SParameter(s)
-    return pow((x + 1.0) / (2.0 * x), sp.canonical - 2.0) / (4.0 * x * x * x)
+    return 0.25 * ((1.0 / (x * x * x))
+                   * pow((x + 1.0) / (2.0 * x), sp.canonical - 2.0))
 
 
 def psi_s_d3(x: float, s: float | SParameter) -> float:

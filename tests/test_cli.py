@@ -553,6 +553,22 @@ class TestVerify:
         assert_input_error(code, out, err, *words)
         assert "cannot read" not in err
 
+    @pytest.mark.parametrize("argv, words", [
+        (("compute", "--measures", "bogus"), ("unknown measure 'bogus'",)),
+        (("compute", "--measures", "omega:nan"),
+         ("bad parameter in measure 'omega:nan'",)),
+        (("sweep", "--s-min=1", "--s-max=0", "--s-step=1"),
+         ("empty grid: s_min=1.0 >= s_max=0.0",)),
+        (("sweep", "--s-min=0", "--s-max=1", "--s-step=1e-9"),
+         ("exceeds the limit",)),
+    ])
+    def test_bad_option_reported_before_input(self, tmp_path, capsys, argv,
+                                              words):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(capsys, *argv, "--input", missing)
+        assert_input_error(code, out, err, *words)
+        assert "cannot read" not in err
+
     def test_library_domain_error_is_input_error(self, tmp_path, capsys):
         # 0.5 / 1e-320 overflows, so the ratio bounds are rejected
         path = tmp_path / "overflow.json"
@@ -648,7 +664,8 @@ ARITHMETIC_ARGVS = [("verify",),
                     ("compute", "--measures", "omega:2")]
 
 
-# r = 2e-300: r^3 underflows to zero in delta_omega (verify, sweep), and
+# r = 2e-300: r^2 underflows to zero in psi3_sup's psi_s_d3, before r^3 in
+# psi_s_d2 (theorem42_bounds in verify and sweep), and
 # ((p + q)/(2p))^2 overflows in omega_s (compute omega:2).  Each command
 # writes to standard output, and to an --output file that already exists.
 @pytest.mark.parametrize("argv, to_file", [

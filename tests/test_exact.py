@@ -320,8 +320,18 @@ def test_positive_exact_slack_passes(pair):
 # r and the quotient 2 (15), the spare 1: k = 16.  The terms of psi have
 # mixed signs, so the scale is the chord of their magnitudes, |x u^s| + |x|
 # + |s (1 - x)/2| over |s (s - 1)|, whose weights are >= 0.
+#
+# The curvature cap of gap_half_e, delta ((R - r) * (R - r)/4)/8 with
+# delta = psi''(r) - psi''(R) and psi''(x) = 0.25 ((1/(x x x)) u**(s - 2)):
+# u carries 2, u**(s - 2) at |s - 2| <= 3 three times that and the pow (8);
+# x x x 2 and its reciprocal 1 (11); their product 1 (12), and 0.25 is
+# exact.  The difference of the two psi'' adds 1 (13); R - r twice and the
+# square 3 (16), and /4, /8 are exact; the product 1 (17), the spare 1: k =
+# 18.  delta is a difference of positive terms, so the scale is their sum
+# times the rest, (psi''(r) + psi''(R)) (R - r)^2/32.
 K_INTERVAL = 12
 K_CHORD = 16
+K_CURVATURE_CAP = 18
 
 
 def _psi_magnitude(x, s):
@@ -333,7 +343,8 @@ def _psi_magnitude(x, s):
 @pytest.mark.parametrize("n, count", [(2, 1000), (64, 100)])
 def test_printed_bounds_match_exact_expression(n, count):
     """On the same seed-7 pairs: the printed rhs of
-    abs_chi[m=3]_le_interval and of omega_le_b at s in {-1, 2} is within
+    abs_chi[m=3]_le_interval, and of omega_le_b and
+    gap_half_e_curvature_le_cap at s in {-1, 2}, is within
     ((1 + u)^k - 1) * scale of its expression evaluated exactly on the
     float r and R."""
     for i in range(count):
@@ -347,6 +358,11 @@ def test_printed_bounds_match_exact_expression(n, count):
                      K_INTERVAL)]
         expected += [((float(s), "omega_le_b"), _chord(_psi, r, R, s),
                       _chord(_psi_magnitude, r, R, s), K_CHORD)
+                     for s in EXACT_S]
+        expected += [((float(s), "gap_half_e_curvature_le_cap"),
+                      (_psi_d2(r, s) - _psi_d2(R, s)) * ((R - r) ** 2 / 4) / 8,
+                      (_psi_d2(r, s) + _psi_d2(R, s)) * (R - r) ** 2 / 32,
+                      K_CURVATURE_CAP)
                      for s in EXACT_S]
         for key, exact, scale, k in expected:
             error = abs(Fraction(rhs[key]) - exact)

@@ -276,19 +276,20 @@ class TestPsi:
             for x in xs:
                 assert psi_s_d2(x, s) > 0.0
 
-    # psi'' = pow((x + 1)/(2x), c - 2)/(4 x x x) at c = canonical.  Each
-    # float operation is exact times (1 + d), |d| <= u = 2^-53; libm's pow
-    # is within 1 ulp, two roundings.  The base carries x + 1 and the
+    # psi'' = 0.25 ((1/(x x x)) pow((x + 1)/(2x), c - 2)) at c = canonical.
+    # Each float operation is exact times (1 + d), |d| <= u = 2^-53; libm's
+    # pow is within 1 ulp, two roundings.  The base carries x + 1 and the
     # quotient (2x is exact), and the power raises both to |c - 2|: 2|c - 2|
-    # roundings; pow 2 more; 4x is exact, the two products by x 2 and the
-    # quotient 1.  A rounded divisor gives a factor (1 + d)^-1, just over u
-    # from 1, and one spare rounding covers that and the second-order
-    # terms: k = 2|c - 2| + 6, 10 at s = 0 and 8 at s = 1.
+    # roundings; pow 2 more; the two products x x x 2, the reciprocal 1 and
+    # the product with the power 1; 0.25 is exact.  A rounded divisor gives
+    # a factor (1 + d)^-1, just over u from 1, and one spare rounding covers
+    # that and the second-order terms: k = 2|c - 2| + 7, 11 at s = 0 and 9
+    # at s = 1.
     X_GRID = [10.0 ** (-6 + 12 * i / 2100) for i in range(2101)]
 
     @pytest.mark.parametrize("s", (0.0, 1.0))
     def test_d2_limits_within_rounding_bound(self, s):
-        k = 2 * abs(s - 2.0) + 6
+        k = 2 * abs(s - 2.0) + 7
         bound = (1 + mpmath.mpf(2) ** -53) ** k - 1
         for x in self.X_GRID:
             exact = oracles.psi_d2(x, s)
