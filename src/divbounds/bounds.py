@@ -25,7 +25,6 @@ from .csiszar import (
     _HALF_E,
     _gap_bounds,
     _gap_functional,
-    _require_distinct,
     _require_straddle,
 )
 from .divergences import (
@@ -151,7 +150,7 @@ def a_omega(rb: RatioBounds, s: float | SParameter) -> float:
 
     Equals the generic bound_a with the family generator.
     """
-    _require_distinct(rb)
+    _require_straddle(rb)
     sc = _sparam(s).canonical
     r, R = rb.r, rb.R
     end_a, end_b = (r + 1.0) / r, (R + 1.0) / R
@@ -186,10 +185,10 @@ def b_omega_closed_form(rb: RatioBounds, s: float | SParameter) -> float:
 
 def delta_omega(rb: RatioBounds, s: float | SParameter) -> float:
     """Second-derivative spread of the family generator over the ratio
-    interval: psi''(r) - psi''(R), read from psi_s_d2.  Positive for r < R
-    and s >= -1 because the second derivative is strictly decreasing there."""
+    interval: psi''(r) - psi''(R), read from psi_s_d2.  Requires r < 1 < R;
+    positive for s >= -1, where the second derivative strictly decreases."""
     sp = _gap_parameter(s)
-    _require_distinct(rb)
+    _require_straddle(rb)
     return psi_s_d2(rb.r, sp) - psi_s_d2(rb.R, sp)
 
 
@@ -241,14 +240,15 @@ def _family_at(pair: DistributionPair, rb: RatioBounds,
                moments: PairMoments, sp: SParameter):
     """(omega, e, e_star, a, b, gaps) of the family at sp for one pair.
 
-    a, b and gaps are None when r = R (P = Q, no ratio interval); gaps is
-    also None for s < -1.  Otherwise gaps holds the theorem42_bounds
-    bundles for HALF_E and E_STAR, in that order.
+    a, b and gaps are None unless r < 1 < R (on the simplex r or R is 1
+    only when P = Q, or P equals Q up to rounding); gaps is also None for
+    s < -1.  Otherwise gaps holds the theorem42_bounds bundles for HALF_E
+    and E_STAR, in that order.
     """
     omega = omega_s(pair, sp)
     e = e_omega(pair, sp)
     e_star = e_star_omega(pair, sp)
-    if rb.r == rb.R:
+    if not rb.r < 1.0 < rb.R:
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
     gaps = None if sp.s < -1.0 else tuple(
@@ -346,6 +346,7 @@ def _s_key(s: float | None):
 
 _by_id = attrgetter("inequality_id")
 
+# why interval entries skip when r < 1 < R fails (P = Q up to rounding)
 _DEGENERATE = "ratio interval degenerate (P = Q)"
 
 # Every id a report can carry, built once: all records share these strings.
@@ -371,7 +372,7 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds,
     chi2_swap = chi_squared(pair.swapped())
     checks = [("tri_half_le_rel_j_swap", half_tri, rel_j_swap),
               ("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap)]
-    if rb.r == rb.R:
+    if not rb.r < 1.0 < rb.R:
         return checks, _MOMENT_SKIPS
     # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
     # chi-square: the same nonzero terms, so fsum returns the same value.
@@ -410,7 +411,7 @@ def _family_checks(pair: DistributionPair, rb: RatioBounds,
         _agreement("e_star_closed_form_agrees",
                    e_star_omega_closed_form(pair, sp), e_star_val),
     ]
-    if rb.r == rb.R:
+    if a_val is None:
         return checks, [("gap_bounds", _DEGENERATE),
                         ("interval_bounds", _DEGENERATE)]
     checks += [
@@ -444,12 +445,12 @@ def verify_all(pair: DistributionPair, s_values, *,
     nonnegativity, first-derivative, ratio-interval and chord bounds, the
     closed-form/generic agreement checks, and the third-derivative gap
     bounds (the latter only for s >= -1; other s are skipped, not
-    extrapolated).  Degenerate pairs (P = Q, so r = R = 1) skip every
-    interval-dependent entry with a recorded reason.  Each distinct s is
-    checked once, and -0.0 and 0.0 are one s, reported as 0.0.  Records,
-    checked and skipped alike, are ordered by (s, inequality_id), each key
-    once, with pair-level records first.  The tolerance must be finite and
-    >= 0.
+    extrapolated).  Every interval-dependent entry is skipped with a
+    recorded reason unless r < 1 < R, which fails when P = Q or P equals Q
+    up to rounding, so that r or R is exactly 1.  Each distinct s is checked
+    once, and -0.0 and 0.0 are one s, reported as 0.0.  Records, checked and
+    skipped alike, are ordered by (s, inequality_id), each key once, with
+    pair-level records first.  The tolerance must be finite and >= 0.
     """
     _check_tolerance(violation_tolerance)
     rb = ratio_bounds(pair)

@@ -40,10 +40,6 @@ class GeneratorNotConvex(ValueError):
     """f'' is negative at a probe point."""
 
 
-class DegenerateInterval(ValueError):
-    """Ratio interval has r = R."""
-
-
 class IntervalNotStraddlingOne(ValueError):
     """Ratio interval does not satisfy r < 1 < R."""
 
@@ -127,11 +123,6 @@ class PairMoments:
                    total_variation(pair))
 
 
-def _require_distinct(rb: RatioBounds) -> None:
-    if rb.r == rb.R:
-        raise DegenerateInterval("requires r < R")
-
-
 def _require_straddle(rb: RatioBounds) -> None:
     if not (rb.r < 1.0 < rb.R):
         raise IntervalNotStraddlingOne(
@@ -159,8 +150,8 @@ def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
 
 
 def bound_a(rb: RatioBounds, gen: GeneratorFunction) -> float:
-    """Ratio-interval bound (R - r)(f'(R) - f'(r))/4, requires r < R."""
-    _require_distinct(rb)
+    """Ratio-interval bound (R - r)(f'(R) - f'(r))/4, requires r < 1 < R."""
+    _require_straddle(rb)
     return 0.25 * (rb.R - rb.r) * (gen.d1(rb.R) - gen.d1(rb.r))
 
 

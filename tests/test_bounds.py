@@ -15,6 +15,7 @@ from divbounds import (
     a_omega,
     b_omega,
     bound_a,
+    bound_b,
     chi_squared,
     delta_omega,
     e_omega,
@@ -44,7 +45,7 @@ from divbounds.bounds import (
     e_star_omega_closed_form,
 )
 from divbounds.cli import DEFAULT_S_LIST
-from divbounds.csiszar import DegenerateInterval, IntervalNotStraddlingOne
+from divbounds.csiszar import IntervalNotStraddlingOne
 from divbounds.divergences import power_difference_divergence
 from divbounds.means import BRANCH_SWITCH
 from divbounds.type_s import NonFiniteParameter, SParameter
@@ -64,6 +65,21 @@ def random_intervals(count, seed=17, r_max=0.98, big_r=50.0):
     rng = random.Random(seed)
     for _ in range(count):
         yield RatioBounds(rng.uniform(0.02, r_max), rng.uniform(1.02, big_r))
+
+
+#: Each function of the ratio interval, called on (pair, rb).
+INTERVAL_BOUNDS = {
+    "bound_a": lambda pair, rb: bound_a(rb, kl_generator()),
+    "bound_b": lambda pair, rb: bound_b(rb, kl_generator()),
+    "theorem33_bounds": lambda pair, rb: theorem33_bounds(
+        pair, rb, generator(1.0), GapTarget.HALF_E),
+    "a_omega": lambda pair, rb: a_omega(rb, 1.0),
+    "b_omega": lambda pair, rb: b_omega(rb, 1.0),
+    "b_omega_closed_form": lambda pair, rb: b_omega_closed_form(rb, 1.0),
+    "delta_omega": lambda pair, rb: delta_omega(rb, 1.0),
+    "theorem42_bounds": lambda pair, rb: theorem42_bounds(
+        pair, rb, 1.0, GapTarget.HALF_E),
+}
 
 
 def by_id(report, inequality_id):
@@ -132,19 +148,18 @@ class TestDomainErrors:
         with pytest.raises(SOutOfRange):
             theorem42_bounds(std_pair, std_rb, -1.5, GapTarget.HALF_E)
 
-    def test_degenerate_interval(self):
-        rb = RatioBounds(1.0, 1.0)
-        with pytest.raises(DegenerateInterval):
-            a_omega(rb, 1.0)
-        with pytest.raises(DegenerateInterval):
-            delta_omega(rb, 1.0)
-
-    def test_interval_must_straddle(self, std_pair):
-        rb = RatioBounds(1.0, 2.0)
-        with pytest.raises(IntervalNotStraddlingOne):
-            b_omega(rb, 1.0)
-        with pytest.raises(IntervalNotStraddlingOne):
-            theorem42_bounds(std_pair, rb, 1.0, GapTarget.HALF_E)
+    @pytest.mark.parametrize("r, R", [(1.0, 1.0), (1.0, 2.0), (0.5, 1.0),
+                                      (0.5, 2.0)])
+    @pytest.mark.parametrize("name", sorted(INTERVAL_BOUNDS))
+    def test_interval_must_straddle_one(self, std_pair, name, r, R):
+        """Every function of the ratio interval requires r < 1 < R, and
+        raises the one IntervalNotStraddlingOne otherwise."""
+        call = INTERVAL_BOUNDS[name]
+        if r < 1.0 < R:
+            call(std_pair, RatioBounds(r, R))
+        else:
+            with pytest.raises(IntervalNotStraddlingOne):
+                call(std_pair, RatioBounds(r, R))
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf,
                                            -1.0, -1e-300])
@@ -527,6 +542,36 @@ class TestVerifyAll:
         signs = {math.copysign(1.0, rec.s) for rec in records
                  if rec.s is not None}
         assert signs == {1.0}
+
+    @given(st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=2,
+                    max_size=64), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pair_equal_up_to_ulps_skips_interval_entries(self, raw, data):
+        """P is Q with a strict subset of its components moved 1-4 ulps,
+        all up or all down, so r or R is exactly 1: the interval does not
+        straddle 1, every interval entry is skipped and the rest pass."""
+        q = validate(raw, renormalize=True)
+        n = len(q.values)
+        moved = data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                  max_size=n - 1))
+        toward = data.draw(st.sampled_from((0.0, math.inf)))
+        p = list(q.values)
+        for i in moved:
+            for _ in range(data.draw(st.integers(1, 4))):
+                p[i] = math.nextafter(p[i], toward)
+        pair = DistributionPair(validate(p), q)
+        rb = ratio_bounds(pair)
+        assert not rb.r < 1.0 < rb.R
+        report = verify_all(pair, DEFAULT_S_LIST)
+        assert report.all_pass
+        assert {(e.inequality_id, e.reason) for e in report.skipped} == {
+            (name, "ratio interval degenerate (P = Q)") for name in (
+                "abs_chi[m=1]", "abs_chi[m=2]", "abs_chi[m=3]",
+                "gap_bounds", "interval_bounds")}
+        assert {e.inequality_id for e in report.entries} == {
+            "tri_half_le_rel_j_swap", "rel_j_swap_le_chi2_swap",
+            "omega_nonneg", "omega_le_e", "e_closed_form_agrees",
+            "e_star_closed_form_agrees"}
 
     def test_gap_entries_skipped_below_minus_one(self, std_pair):
         report = verify_all(std_pair, (-2.0,), pair_id="std")

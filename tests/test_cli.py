@@ -449,7 +449,7 @@ class TestSweep:
                 row = [pid, s, SParameter(s).regime.value,
                        omega_s(pair, s), e_omega(pair, s),
                        e_star_omega(pair, s)]
-                if rb.r == rb.R:
+                if not rb.r < 1.0 < rb.R:
                     row += [None] * 4
                 else:
                     row += [a_omega(rb, s), b_omega(rb, s)]
@@ -701,6 +701,27 @@ def test_library_domain_error_names_the_pair(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, "--input", str(path))
     assert_input_error(code, out, err, "pair b: require 0 < r <= 1 <= R")
     assert "pair a" not in err
+
+
+def test_near_equal_pair_skips_interval_entries(tmp_path, capsys):
+    """P equals Q up to one ulp, so r = 0.9999999999999999 and R = 1.0:
+    the interval does not straddle 1, and both commands skip the interval
+    entries instead of failing on the pair."""
+    path = tmp_path / "near_equal.json"
+    path.write_text('{"pairs":[{"id":"d","p":[0.3,0.7],'
+                    '"q":[0.3,0.7000000000000001]}]}')
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert any(r["verdict"] == "skip" and "degenerate" in r["reason"]
+               for r in jsonl(out))
+    code, out, err = run(capsys, "sweep", "--s-min=-1", "--s-max=1",
+                         "--s-step=1", "--input", str(path))
+    assert (code, err) == (0, "")
+    rows = jsonl(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert [row[k] for k in ("a", "b", "gap_half_e_bound",
+                                 "gap_e_star_bound")] == [None] * 4
 
 
 def json_pair(p, q):

@@ -47,6 +47,7 @@ REMOVED = [
     ("type_s", "RegimeMismatch"),
     ("simplex", "InvalidDimension"),
     ("csiszar", "d3_sup"),
+    ("csiszar", "DegenerateInterval"),
 ]
 
 
