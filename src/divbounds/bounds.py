@@ -39,8 +39,9 @@ from .type_s import (_GENERIC, _LIMIT_AT_ONE, _LIMIT_AT_ZERO, SParameter,
                      _sparam, generator, omega_s, psi_s_d2, psi_s_d3)
 
 #: An inequality entry passes when slack = rhs - lhs >= -VIOLATION_TOLERANCE.
-#: An order of magnitude above worst observed rounding slack in double
-#: precision at dimension 64, well below any genuine violation.
+#: An absolute floor, blind to the scale of the values: rounding alone
+#: reaches -1.49e-8 on values near 3.1e7 (README, "Known false failures";
+#: ROADMAP item 3).
 VIOLATION_TOLERANCE = 1e-10
 
 #: Relative tolerance for closed-form versus generic-engine agreement.

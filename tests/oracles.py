@@ -129,8 +129,7 @@ def delta_omega(r, R, s):
 
 
 def psi3_sup(r, s):
-    r, s = mp.mpf(r), mp.mpf(s)
-    return (s + 1 + 3 * r) / (r ** 2 * (r + 1) ** 3) * ((r + 1) / (2 * r)) ** s
+    return abs(psi_d3(r, s))
 
 
 def lp_power(p, a, b):

@@ -635,23 +635,3 @@ class TestVerifyAll:
         assert list(report.entries) == sorted(report.entries, key=key)
         assert list(report.skipped) == sorted(report.skipped, key=key)
         assert len({key(e) for e in report.entries}) == len(report.entries)
-
-    def test_binary_tightness(self):
-        """Two-point pairs attain the chord bound and the first interval
-        inequalities exactly."""
-        for seed in range(100):
-            pair = random_pair(2, seed=200 + seed)
-            rb = ratio_bounds(pair)
-            r, R = rb.r, rb.R
-            for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-                assert close(omega_s(pair, s), b_omega(rb, s), rel=1e-12,
-                             abs_=1e-15)
-            assert close(chi_squared(pair), (R - 1.0) * (1.0 - r), rel=1e-12,
-                         abs_=1e-15)
-            assert close(vajda_abs_chi(pair, 3.0),
-                         ((R - 1.0) * (1.0 - r) / (R - r))
-                         * ((1.0 - r) ** 2 + (R - 1.0) ** 2),
-                         rel=1e-12, abs_=1e-15)
-            assert close(vajda_abs_chi(pair, 1.0),
-                         2.0 * (R - 1.0) * (1.0 - r) / (R - r),
-                         rel=1e-12, abs_=1e-15)

@@ -1150,10 +1150,7 @@ def write_jsonl(records, columns):
 
 def assert_json_dumps_lines(records, columns):
     # each line as json.dumps spells the record's dict, compact separators
-    lines = write_jsonl(records, columns).split("\n")
-    assert lines.pop() == ""
-    assert lines == [json.dumps(dict(zip(columns, row)), separators=(",", ":"))
-                     for row in records]
+    assert write_jsonl(records, columns) == jsonl_lines(records, columns)
 
 
 class TestJsonlSpelling:

@@ -28,11 +28,6 @@ def close(a, b, rel=1e-12, abs_=1e-14):
     return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
 
 
-def self_pair(values):
-    dist = validate(values, renormalize=True)
-    return DistributionPair(dist, dist)
-
-
 # Frozen from the extended-precision direct-summation oracle (tests/oracles.py)
 # at the reference pair P=(1/2,1/2), Q=(1/4,3/4).
 GOLDEN = {
@@ -135,17 +130,6 @@ def test_symmetry_exact(make_pairs):
         assert jensen_shannon(pair) == jensen_shannon(sw)
         assert ag_mean_divergence(pair) == ag_mean_divergence(sw)
         assert triangular_discrimination(pair) == triangular_discrimination(sw)
-
-
-def test_j_identities(make_pairs):
-    """J equals the sum of the two directed J values and 4(I + T)."""
-    for pair in make_pairs(500, seed=11):
-        j = j_divergence(pair)
-        via_directed = (relative_j_divergence(pair)
-                        + relative_j_divergence(pair.swapped()))
-        via_i_t = 4.0 * (jensen_shannon(pair) + ag_mean_divergence(pair))
-        assert close(j, via_directed, rel=1e-12, abs_=1e-15)
-        assert close(j, via_i_t, rel=1e-12, abs_=1e-15)
 
 
 def test_hellinger_two_forms_agree(make_pairs):

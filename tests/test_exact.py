@@ -232,10 +232,10 @@ def _exact_verdicts(pair, s_values):
     report's records with its ids, that no exact slack is negative (that
     would be a counterexample to the paper or a wrong formula), and that
     the identities are exact: the m = 1 chain on every pair, and on binary
-    pairs the moment intervals, the chord and B - omega.  Returns (key,
-    exact slack) of each positive exact slack whose verdict is not
-    ``pass``.  A float ``fail`` at exact slack 0 (seed 7's pair-0648,
-    abs_chi[m=3]) is not reported here."""
+    pairs the moment intervals, the chord and B - omega.  Returns the number
+    of records refereed and the (key, exact slack) of each positive exact
+    slack whose verdict is not ``pass``.  A float ``fail`` at exact slack 0
+    (seed 7's pair-0648, abs_chi[m=3]) is not reported here."""
     slacks = _exact_slacks(pair, s_values)
     ids = {inequality_id for _, inequality_id in slacks}
     verdicts = {(e.s, e.inequality_id): e.verdict
@@ -247,8 +247,8 @@ def _exact_verdicts(pair, s_values):
         zeros |= _binary_zeros(s_values) & slacks.keys()
     assert {key: float(slack) for key, slack in slacks.items()
             if slack < 0 or key in zeros and slack != 0} == {}
-    return [(key, float(slack)) for key, slack in slacks.items()
-            if slack > 0 and verdicts[key] != "pass"]
+    return len(slacks), [(key, float(slack)) for key, slack in slacks.items()
+                         if slack > 0 and verdicts[key] != "pass"]
 
 
 @pytest.mark.parametrize("n, count", [(2, 1000), (64, 100)])
@@ -258,8 +258,7 @@ def test_exact_slack_decides_rational_verdicts(n, count):
     verdict ``pass``."""
     for i in range(count):
         pair = random_pair(n, 7 + i)
-        assert len(_exact_slacks(pair, EXACT_S)) == 47
-        assert _exact_verdicts(pair, EXACT_S) == [], i
+        assert _exact_verdicts(pair, EXACT_S) == (47, []), i
 
 
 PROPERTY_S = (-1, 2, 3, 4)
@@ -304,7 +303,7 @@ def test_positive_exact_slack_passes(pair):
     in [-1, 4] other than 0 and 1.  Hypothesis found NEAR_BINARY, a false
     failure of the absolute tolerance; a scale-aware pass rule mends it
     and must remove the marker."""
-    assert _exact_verdicts(pair, PROPERTY_S) == []
+    assert _exact_verdicts(pair, PROPERTY_S)[1] == []
 
 
 # Side by side.  A verdict alone is weak: a wrong right-hand side that stays

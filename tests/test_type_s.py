@@ -11,7 +11,6 @@ from divbounds import (
     DistributionPair,
     Regime,
     SParameter,
-    chi_squared,
     csiszar_divergence,
     generator,
     hellinger,
@@ -22,11 +21,10 @@ from divbounds import (
     psi_s_d2,
     psi_s_d3,
     relative_ag_divergence,
-    relative_information,
     relative_js_divergence,
     validate,
 )
-from divbounds.type_s import NonFiniteParameter, NonPositiveArgument
+from divbounds.type_s import S_SWITCH, NonFiniteParameter, NonPositiveArgument
 
 import oracles
 from closed_forms import omega_special_cases
@@ -148,17 +146,6 @@ class TestPhi:
         assert close(phi_s(std_pair, 0.5), 0.13629669484372685)
         assert close(phi_s(std_pair, 0.5), 4.0 * hellinger(std_pair))
 
-    def test_special_cases(self, make_pairs):
-        """The five closed special cases against their independent
-        base-measure evaluations."""
-        for pair in make_pairs(200, seed=51):
-            swapped = pair.swapped()
-            assert close(phi_s(pair, -1.0), 0.5 * chi_squared(swapped))
-            assert close(phi_s(pair, 0.0), relative_information(swapped))
-            assert close(phi_s(pair, 0.5), 4.0 * hellinger(pair))
-            assert close(phi_s(pair, 1.0), relative_information(pair))
-            assert close(phi_s(pair, 2.0), 0.5 * chi_squared(pair))
-
     def test_swap_dualities(self, make_pairs):
         for pair in make_pairs(100, seed=53):
             swapped = pair.swapped()
@@ -188,11 +175,6 @@ class TestOmega:
         assert close(rows[1].family_value, 0.032269260568785586)
         assert close(rows[3].family_value, 0.03158394240196325)
 
-    def test_special_case_table_bulk(self, make_pairs):
-        for pair in make_pairs(300, seed=57):
-            for row in omega_special_cases(pair):
-                assert close(row.family_value, row.reference_value)
-
     def test_special_cases_zero_at_equal(self):
         base = validate((0.25, 0.3, 0.45))
         pair = DistributionPair(base, base)
@@ -212,18 +194,30 @@ class TestOmega:
             assert close(omega_s(pair, -0.5), half_neg, rel=1e-12, abs_=1e-13)
             assert close(omega_s(pair, -2.0), two_neg, rel=1e-12, abs_=1e-13)
 
-    def test_csiszar_consistency(self, make_pairs):
-        for pair in make_pairs(300, seed=61):
-            for s in S_GRID:
-                assert close(omega_s(pair, s),
-                             csiszar_divergence(pair, generator(s)))
-
-    def test_continuity_at_removable_points(self, std_pair):
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2")
+    def test_branches_meet_at_the_switch(self, std_pair, make_pairs):
+        """Acceptance criterion 8's targets and allowance, at the first
+        float on each side of s0 in {0, 1} that takes the generic branch:
+        the generic value there is within 1e-6 (1 + f(s0)) of the limit
+        value, for f = omega_s and phi_s.  The limit branch holds f(s0)
+        across the band, so the generic value is up to 2.7 allowances off
+        for omega and 8.2 for phi; a fix for ROADMAP item 2 must remove the
+        marker."""
+        targets = [std_pair, *make_pairs(20, seed=9600, min_dim=2,
+                                         max_dim=12)]
         for s0 in (0.0, 1.0):
-            base = omega_s(std_pair, s0)
-            for eps in (1e-6, -1e-6):
-                assert abs(omega_s(std_pair, s0 + eps) - base) <= (
-                    1e-6 * (1.0 + base))
+            for side in (1.0, -1.0):
+                s = s0 + side * S_SWITCH
+                while SParameter(s).regime is Regime.GENERIC:
+                    s = math.nextafter(s, s0)
+                while SParameter(s).regime is not Regime.GENERIC:
+                    s = math.nextafter(s, side * math.inf)
+                for fn in (omega_s, phi_s):
+                    for pair in targets:
+                        base = fn(pair, s0)
+                        assert abs(fn(pair, s) - base) <= (
+                            1e-6 * (1.0 + base)), (fn.__name__, s)
 
     def test_nonnegativity_bulk(self, make_pairs):
         """omega and phi stay nonnegative across sampled parameters."""
@@ -255,19 +249,6 @@ class TestPsi:
                 for x in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
                     with pytest.raises(NonPositiveArgument, match=message):
                         fn(x)
-
-    def test_derivative_chain(self):
-        """d1/d2/d3 match central finite differences of the next lower
-        order at the probe grid."""
-        h = 1e-5
-        for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-            for x in (0.3, 0.7, 1.0, 1.6, 3.0):
-                fd1 = (psi_s(x + h, s) - psi_s(x - h, s)) / (2.0 * h)
-                fd2 = (psi_s_d1(x + h, s) - psi_s_d1(x - h, s)) / (2.0 * h)
-                fd3 = (psi_s_d2(x + h, s) - psi_s_d2(x - h, s)) / (2.0 * h)
-                assert close(psi_s_d1(x, s), fd1, rel=1e-6, abs_=1e-9)
-                assert close(psi_s_d2(x, s), fd2, rel=1e-6, abs_=1e-9)
-                assert close(psi_s_d3(x, s), fd3, rel=1e-6, abs_=1e-9)
 
     def test_convexity_witness(self):
         xs = [10.0 ** (-3 + 6 * i / 24) for i in range(25)]
