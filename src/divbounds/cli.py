@@ -43,9 +43,10 @@ _DEFAULT_S_HELP = f"(default: {','.join(f'{s:g}' for s in DEFAULT_S_LIST)})"
 #: Most points a sweep grid may have; checked before the grid is built.
 MAX_GRID_POINTS = 10**6
 
-#: One encoder for every JSONL line: ``json.dumps`` builds a new encoder on
-#: each call that passes ``separators``.
-_JSON = json.JSONEncoder(separators=(",", ":"))
+#: The one JSON speller.  A list of scalars encodes as "[v1\nv2\n...]",
+#: and with the default ensure_ascii no spelled scalar holds a raw newline,
+#: so splitting on "\n" gives one ``json.dumps`` spelling per value.
+_SPELL = json.JSONEncoder(separators=("\n", ":"))
 
 #: JSONL records joined into one string per write.
 _CHUNK_RECORDS = 1024
@@ -298,51 +299,22 @@ def _write_records(records, columns, args) -> None:
         raise CliInputError(f"cannot write {name}: {exc}") from None
 
 
-class _Spellings(dict):
-    """JSON spelling of each value looked up: a finite float as
-    ``float.__repr__`` spells it, as the encoder does, anything else as
-    ``_JSON`` spells it.
-
-    A spelling is kept only for a value that no differently spelled value
-    equals: a string, None, or a finite float that is not a whole number.
-    1, 1.0 and True are equal, and so are 0.0 and -0.0, yet each has its
-    own spelling, so whole floats, ints and bools are spelled on every
-    lookup.
-    """
-
-    __slots__ = ()
-
-    # the defaults bind the spellers as locals: a report's values are
-    # about a third first sightings, so this runs for every third value
-    def __missing__(self, value, isfinite=math.isfinite,
-                    float_repr=float.__repr__, encode=_JSON.encode):
-        if type(value) is float and isfinite(value):
-            spelled = float_repr(value)
-            if not value.is_integer():
-                self[value] = spelled
-            return spelled
-        spelled = encode(value)
-        if type(value) is str or value is None:
-            self[value] = spelled
-        return spelled
-
-
 def _jsonl_chunks(records, columns):
-    """The records as JSON lines, each spelled as ``_JSON`` spells
-    ``dict(zip(columns, row))`` (columns distinct, one value per column in
-    every row), joined in chunks of _CHUNK_RECORDS lines.
+    """The records as JSON lines, each spelled as ``json.dumps`` spells
+    ``dict(zip(columns, row))`` with separators ``(",", ":")`` (columns
+    distinct, one value per column in every row), joined in chunks of
+    _CHUNK_RECORDS lines.
 
-    Every line fills one template built from the column names, and a
-    chunk is one format of the template repeated once per line.  Each
-    chunk has its own ``_Spellings``, so a value repeated within a chunk is
-    spelled once and no more than one chunk's spellings are held.
+    Every line fills one template built from the column names, and a chunk
+    is one format of the template repeated once per line, filled from one
+    ``_SPELL`` call on the chunk's values.
     """
     template = "{%s}\n" % ",".join(
-        _JSON.encode(column).replace("%", "%%") + ":%s" for column in columns)
+        _SPELL.encode(column).replace("%", "%%") + ":%s" for column in columns)
     records = iter(records)
     while chunk := list(islice(records, _CHUNK_RECORDS)):
         yield (template * len(chunk)) % tuple(
-            map(_Spellings().__getitem__, chain.from_iterable(chunk)))
+            _SPELL.encode(list(chain.from_iterable(chunk)))[1:-1].split("\n"))
 
 
 class _Records:
@@ -399,8 +371,10 @@ def _sweep_grid(s_min: float, s_max: float, s_step: float):
     if not s_step > 0.0:
         raise CliInputError(f"s_step must be positive, got {s_step!r}")
     points = (s_max - s_min) / s_step + 1.0
+    # the count's repr reads back as the same float, so it never prints as
+    # a number within the limit
     if not points <= MAX_GRID_POINTS:
-        raise CliInputError(f"grid of {points:.3g} points exceeds the limit "
+        raise CliInputError(f"grid of {points!r} points exceeds the limit "
                             f"of {MAX_GRID_POINTS}")
     values = []
     k = 0

@@ -418,6 +418,17 @@ class TestSweep:
         with pytest.raises(CliInputError, match="exceeds"):
             _sweep_grid(0.0, 1.0, 0.099)
 
+    @pytest.mark.parametrize("s_max, count", [
+        ("1e6", "1000001.0"), ("999999.0001", "1000000.0001")])
+    def test_count_past_the_limit_reads_past_it(self, capsys, tmp_path,
+                                                s_max, count):
+        # the count is not rounded to a spelling that reads as the limit
+        code, out, err = run(capsys, "sweep", "--s-min=0", f"--s-max={s_max}",
+                             "--s-step=1", "--input", str(tmp_path / "no"))
+        assert_input_error(code, out, err)
+        assert err == (f"error: grid of {count} points exceeds the limit of "
+                       f"{cli.MAX_GRID_POINTS}\n")
+
     @given(st.floats(-1e3, 1e3), st.floats(1e-12, 1e3),
            st.integers(1, 2000), st.floats(0.5, 2.0))
     @settings(max_examples=200, deadline=None)
@@ -1240,6 +1251,28 @@ class TestJsonlSpelling:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_CHUNK_RECORDS", chunk)
             assert_json_dumps_lines(rows, ("a", "b", "c", "d"))
+
+    @pytest.mark.parametrize("c_encoder", ["as is", "pure Python"])
+    @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+               st.just(width),
+               st.lists(st.tuples(*[st.one_of(st.text(), st.floats(),
+                                              st.none())] * width),
+                        max_size=12))),
+           st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_float_or_null(self, c_encoder, table, chunk):
+        """One encoder call spells a chunk, split on the newlines between
+        its values: any text (newline, NUL, lone surrogate), float or null
+        comes back as json.dumps spells it, with the C encoder and with the
+        pure-Python one."""
+        width, rows = table
+        columns = tuple(f"c{i}" for i in range(width))
+        expected = jsonl_lines(rows, columns)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK_RECORDS", chunk)
+            if c_encoder == "pure Python":
+                patch.setattr(json.encoder, "c_make_encoder", None)
+            assert write_jsonl(rows, columns) == expected
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
