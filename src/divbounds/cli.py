@@ -14,6 +14,7 @@ inequality violation.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import heapq
@@ -21,7 +22,7 @@ import io
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
@@ -370,24 +371,21 @@ def _sweep_grid(s_min: float, s_max: float, s_step: float):
         raise CliInputError(f"empty grid: s_min={s_min!r} >= s_max={s_max!r}")
     if not s_step > 0.0:
         raise CliInputError(f"s_step must be positive, got {s_step!r}")
-    points = (s_max - s_min) / s_step + 1.0
-    # the count's repr reads back as the same float, so it never prints as
-    # a number within the limit
-    if not points <= MAX_GRID_POINTS:
-        raise CliInputError(f"grid of {points!r} points exceeds the limit "
-                            f"of {MAX_GRID_POINTS}")
-    values = []
-    k = 0
-    while True:
-        s = s_min + k * s_step
-        if s > s_max + 1e-9 * s_step:
-            break
-        if values and not s > values[-1]:
+    # point k, s_min + k * s_step, never decreases as k grows, so bisection
+    # counts the points up to the end without building one, at most one
+    # past the limit
+    end = s_max + 1e-9 * s_step
+    count = bisect.bisect_right(range(MAX_GRID_POINTS + 1), end,
+                                key=lambda k: s_min + k * s_step)
+    if count > MAX_GRID_POINTS:
+        raise CliInputError(
+            f"grid exceeds the limit of {MAX_GRID_POINTS} points")
+    values = [s_min + k * s_step for k in range(count)]
+    for previous, s in pairwise(values):
+        if not s > previous:
             raise CliInputError(f"s_step={s_step!r} is below the float "
                                 f"spacing of s near {s!r}: the grid repeats "
                                 "a point")
-        values.append(s)
-        k += 1
     return values
 
 

@@ -33,11 +33,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class GeneratorNotNormalized(ValueError):
-    """f(1) differs from zero beyond tolerance."""
+    """f(1) differs from zero beyond tolerance, or is NaN."""
 
 
 class GeneratorNotConvex(ValueError):
-    """f'' is negative at a probe point."""
+    """f'' is negative or NaN at a probe point."""
 
 
 class IntervalNotStraddlingOne(ValueError):
@@ -66,15 +66,15 @@ class GeneratorFunction:
 
     def __post_init__(self) -> None:
         at_one = self.fn(1.0)
-        if abs(at_one) > NORMALIZATION_TOL:
+        if not abs(at_one) <= NORMALIZATION_TOL:
             raise GeneratorNotNormalized(
                 f"{self.label}: f(1) = {at_one!r}, must vanish")
         d2 = self.d2
         for x in CONVEXITY_PROBES:
             curvature = d2(x)
-            if curvature < 0.0:
+            if not curvature >= 0.0:
                 raise GeneratorNotConvex(
-                    f"{self.label}: f''({x}) = {curvature!r} < 0")
+                    f"{self.label}: f''({x}) = {curvature!r}, must be >= 0")
 
 
 class GapTarget(enum.Enum):

@@ -379,27 +379,6 @@ class TestSweep:
         assert regimes[1.0] == "limit_at_one"
         assert regimes[0.5] == "generic"
 
-    def test_empty_grid(self, std_csv, capsys):
-        code, _, err = run(capsys, "sweep", "--input", std_csv,
-                           "--s-min", "2", "--s-max", "1", "--s-step", "1")
-        assert code == 1
-        assert "grid" in err
-
-    def test_bad_step(self, std_csv, capsys):
-        code, _, _ = run(capsys, "sweep", "--input", std_csv,
-                         "--s-min", "0", "--s-max", "1", "--s-step", "0")
-        assert code == 1
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--s-min", "nan"), ("--s-max", "inf"), ("--s-min", "-inf"),
-        ("--s-step", "inf"), ("--s-step", "nan")])
-    def test_non_finite_grid(self, std_csv, capsys, flag, value):
-        grid = {"--s-min": "0", "--s-max": "1", "--s-step": "0.5",
-                flag: value}
-        argv = [f"{k}={v}" for k, v in grid.items()]
-        assert_input_error(*run(capsys, "sweep", "--input", std_csv, *argv),
-                           "finite")
-
     @pytest.mark.parametrize("s_min, s_max, s_step", [
         (0.0, 1.0, 1e-12), (-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)])
     def test_grid_size_checked_before_building(self, s_min, s_max, s_step):
@@ -415,19 +394,22 @@ class TestSweep:
     def test_grid_size_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
         assert len(_sweep_grid(0.0, 1.0, 0.1)) == 11
+        assert len(_sweep_grid(0.0, 1.0, 0.099)) == 11
         with pytest.raises(CliInputError, match="exceeds"):
-            _sweep_grid(0.0, 1.0, 0.099)
+            _sweep_grid(0.0, 1.0, 0.09)
 
-    @pytest.mark.parametrize("s_max, count", [
-        ("1e6", "1000001.0"), ("999999.0001", "1000000.0001")])
+    @pytest.mark.parametrize("s_max, head", [
+        pytest.param("1e6", "grid exceeds the limit of 1000000 points\n",
+                     id="1e6"),
+        pytest.param("999999.0001", "cannot read ", id="999999.0001")])
     def test_count_past_the_limit_reads_past_it(self, capsys, tmp_path,
-                                                s_max, count):
-        # the count is not rounded to a spelling that reads as the limit
+                                                s_max, head):
+        # 10^6 + 1 points are refused; 10^6 points, the last short of s_max,
+        # are a grid, so the missing input is what is reported
         code, out, err = run(capsys, "sweep", "--s-min=0", f"--s-max={s_max}",
                              "--s-step=1", "--input", str(tmp_path / "no"))
         assert_input_error(code, out, err)
-        assert err == (f"error: grid of {count} points exceeds the limit of "
-                       f"{cli.MAX_GRID_POINTS}\n")
+        assert err.startswith(f"error: {head}")
 
     @given(st.floats(-1e3, 1e3), st.floats(1e-12, 1e3),
            st.integers(1, 2000), st.floats(0.5, 2.0))
@@ -435,12 +417,23 @@ class TestSweep:
     def test_accepted_grid_strictly_increasing(self, s_min, width, points,
                                                scale):
         """Every grid _sweep_grid accepts is strictly increasing, also when
-        the step is below the float spacing of s."""
+        the step is below the float spacing of s; its points are
+        s_min + k * s_step up to s_max + 1e-9 * s_step, and the limit
+        counts exactly these points."""
+        s_max, s_step = s_min + width, width / points * scale
         try:
-            grid = _sweep_grid(s_min, s_min + width, width / points * scale)
+            grid = _sweep_grid(s_min, s_max, s_step)
         except CliInputError:
             return
         assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert grid == [s_min + k * s_step for k in range(len(grid))]
+        assert grid[-1] <= s_max + 1e-9 * s_step < s_min + len(grid) * s_step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "MAX_GRID_POINTS", len(grid))
+            assert _sweep_grid(s_min, s_max, s_step) == grid
+            patch.setattr(cli, "MAX_GRID_POINTS", len(grid) - 1)
+            with pytest.raises(CliInputError, match="exceeds"):
+                _sweep_grid(s_min, s_max, s_step)
 
     @given(POOL_PAIRS, st.sampled_from((-3.0, -2.0, -1.25)),
            st.sampled_from((-0.5, 0.0, 1.0, 2.0)),
@@ -888,6 +881,27 @@ INPUT_ERRORS = {
                     ("no measures requested",)),
     "gen-count": (None, ("gen", "--n", "2", "--count", "0"),
                   ("count must be >= 1", "got 0")),
+    "sweep-empty-grid": (STD_CSV, ("sweep", "--s-min=2", "--s-max=1",
+                                   "--s-step=1"),
+                         ("grid", "empty grid: s_min=2.0 >= s_max=1.0")),
+    "sweep-step-zero": (STD_CSV, ("sweep", "--s-min=0", "--s-max=1",
+                                  "--s-step=0"),
+                        ("s_step must be positive, got 0.0",)),
+    "sweep-s-min-nan": (STD_CSV, ("sweep", "--s-min=nan", "--s-max=1",
+                                  "--s-step=0.5"),
+                        ("finite", "s_min must be finite, got nan")),
+    "sweep-s-min-minus-inf": (STD_CSV, ("sweep", "--s-min=-inf", "--s-max=1",
+                                        "--s-step=0.5"),
+                              ("finite", "s_min must be finite, got -inf")),
+    "sweep-s-max-inf": (STD_CSV, ("sweep", "--s-min=0", "--s-max=inf",
+                                  "--s-step=0.5"),
+                        ("finite", "s_max must be finite, got inf")),
+    "sweep-s-step-inf": (STD_CSV, ("sweep", "--s-min=0", "--s-max=1",
+                                   "--s-step=inf"),
+                         ("finite", "s_step must be finite, got inf")),
+    "sweep-s-step-nan": (STD_CSV, ("sweep", "--s-min=0", "--s-max=1",
+                                   "--s-step=nan"),
+                         ("finite", "s_step must be finite, got nan")),
     # 1e-17 is below the float spacing of s near 3, so s repeats
     "sweep-step-below-spacing": (STD_CSV, ("sweep", "--s-min", "3",
                                            "--s-max", "3.0000000000000004",

@@ -82,17 +82,26 @@ def lorentzian_generator(c, w, base, height, curvature):
 
 class TestGeneratorConstruction:
     def test_not_normalized(self):
-        with pytest.raises(GeneratorNotNormalized):
-            GeneratorFunction(fn=lambda x: x, d1=lambda x: 1.0,
-                              d2=lambda x: 0.0, d3=lambda x: 0.0,
-                              label="affine")
+        # f(1) = 1, and f(1) = NaN, which is within no tolerance of zero
+        for fn, label in ((lambda x: x, "affine"),
+                          (lambda x: math.nan, "nan")):
+            with pytest.raises(GeneratorNotNormalized):
+                GeneratorFunction(fn=fn, d1=lambda x: 1.0,
+                                  d2=lambda x: 0.0, d3=lambda x: 0.0,
+                                  label=label)
 
     def test_not_convex(self):
-        with pytest.raises(GeneratorNotConvex):
-            GeneratorFunction(fn=lambda x: -(x - 1.0) ** 2,
-                              d1=lambda x: -2.0 * (x - 1.0),
-                              d2=lambda x: -2.0, d3=lambda x: 0.0,
-                              label="concave")
+        # f'' < 0 at every probe, and f'' = NaN at the probe 5 alone
+        for fn, d1, d2, label, message in (
+                (lambda x: -(x - 1.0) ** 2, lambda x: -2.0 * (x - 1.0),
+                 lambda x: -2.0, "concave",
+                 r"f''\(0.1\) = -2.0, must be >= 0"),
+                (lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
+                 lambda x: math.nan if x == 5.0 else 2.0, "nan-at-5",
+                 r"f''\(5.0\) = nan, must be >= 0")):
+            with pytest.raises(GeneratorNotConvex, match=message):
+                GeneratorFunction(fn=fn, d1=d1, d2=d2, d3=lambda x: 0.0,
+                                  label=label)
 
     def test_registry_builds(self):
         gens = builtin_generators()
