@@ -33,7 +33,7 @@ from .simplex import (
     ratio_bounds,
     validate,
 )
-from .type_s import SParameter, omega_s, phi_s
+from .type_s import SParameter, _param_label, omega_s, phi_s
 from .bounds import REPORT_NOTES, PairMoments, _s_key, verify_all
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -246,10 +246,7 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
             except ValueError as exc:
                 raise CliInputError(
                     f"bad parameter in measure {label!r}: {exc}") from None
-            # the short spelling only where it reads back as the same float
-            short = f"{param:g}"
-            label = short if float(short) == param else repr(param)
-            resolved.setdefault(f"{base}:{label}", (
+            resolved.setdefault(f"{base}:{_param_label(param)}", (
                 param, lambda pair, f=fn, v=param: f(pair, v)))
     if not resolved:
         raise CliInputError("no measures requested")

@@ -10,6 +10,7 @@ equals omega_s, carried with analytic derivatives through order three.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from math import exp, expm1, fsum, isfinite, log, log1p, pow
 from typing import Callable, NoReturn
@@ -176,8 +177,8 @@ def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
 
 
 def psi_s_d1(x: float, s: float | SParameter) -> float:
-    """First derivative of psi_s."""
-    return _psi_d1_kernel(_sparam(s))(x)
+    """First derivative of psi_s: the kernel that is generator(s).d1."""
+    return _generator_parts(_sparam(s).s)[1](x)
 
 
 def psi_s_d2(x: float, s: float | SParameter) -> float:
@@ -202,14 +203,25 @@ def psi_s_d3(x: float, s: float | SParameter) -> float:
     return -(sp.s + 1.0 + 3.0 * x) / (x * x * one_plus ** 3) * pow(u, sp.s)
 
 
-def generator(s: float | SParameter) -> GeneratorFunction:
-    """The unified AG/JS family member as a generic f-divergence generator."""
-    sp = _sparam(s)
-    return GeneratorFunction(
-        fn=lambda x: psi_s(x, sp),
-        d1=_psi_d1_kernel(sp),
-        d2=lambda x: psi_s_d2(x, sp),
-        d3=lambda x: psi_s_d3(x, sp),
-        label=f"unified_ag_js[s={sp.s:g}]",
-    )
+def _param_label(value: float) -> str:
+    """``value`` spelled with ``%g`` where that reads back as the same
+    float, else its ``repr``: %g alone spells 0.5000001 as 0.5."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
+
+@functools.lru_cache(maxsize=64)
+def _generator_parts(s: float) -> tuple:
+    """generator(s)'s callables and label, made once per classified s.  The
+    maps look psi_s, psi_s_d2 and psi_s_d3 up as module names when called,
+    so a wrapper installed later still sees every call."""
+    sp = SParameter(s)
+    return (lambda x: psi_s(x, sp), _psi_d1_kernel(sp),
+            lambda x: psi_s_d2(x, sp), lambda x: psi_s_d3(x, sp),
+            f"unified_ag_js[s={_param_label(s)}]")
+
+
+def generator(s: float | SParameter) -> GeneratorFunction:
+    """The unified AG/JS family member as a generic f-divergence generator,
+    built and validated on every call from the parts made once per s."""
+    return GeneratorFunction(*_generator_parts(_sparam(s).s))

@@ -6,6 +6,8 @@ from math import fsum, sqrt
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from divbounds import (
     DistributionPair,
@@ -23,7 +25,10 @@ from divbounds import (
     relative_ag_divergence,
     relative_js_divergence,
     validate,
+    verify_all,
 )
+from divbounds import type_s
+from divbounds.csiszar import CONVEXITY_PROBES
 from divbounds.type_s import S_SWITCH, NonFiniteParameter, NonPositiveArgument
 
 import oracles
@@ -292,9 +297,54 @@ class TestPsi:
 
     def test_generator_wraps_family(self, std_pair):
         gen = generator(0.5)
-        assert gen.label == "unified_ag_js[s=0.5]"
         assert close(csiszar_divergence(std_pair, gen),
                      omega_s(std_pair, 0.5))
+
+    # |s| up to 100: far larger s overflow psi'' at the convexity probes
+    @given(st.floats(min_value=-100.0, max_value=100.0))
+    @example(0.5000001)
+    @example(0.30000000000000004)
+    @example(-0.0)
+    def test_generator_label_names_its_parameter(self, s):
+        # %g alone spells 0.5000001 as 0.5 and 0.30000000000000004 as 0.3
+        label = generator(s).label
+        spelled = label.removeprefix("unified_ag_js[s=").removesuffix("]")
+        assert float(spelled).hex() == SParameter(s).s.hex(), label
+
+    def test_generator_parts_made_once_per_s(self, monkeypatch, make_pairs):
+        assert generator(0.5).d1 is generator(0.5).d1
+        parts = ("fn", "d1", "d2", "d3", "label")
+        zero, signed = generator(0.0), generator(-0.0)
+        assert all(getattr(zero, f) is getattr(signed, f) for f in parts)
+        assert zero == signed
+        near = generator(1e-6)
+        assert near.label != zero.label
+        assert near.d3(2.0) != zero.d3(2.0)
+        assert not any(getattr(near, f) is getattr(zero, f) for f in parts)
+        # the maps read the kernels as module names when called, so a
+        # wrapper installed on a warm cache still counts every call
+        calls = {"psi_s": 0, "psi_s_d2": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(type_s, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(type_s, name, counting)
+        generator(0.5)
+        assert calls == {"psi_s": 1, "psi_s_d2": len(CONVEXITY_PROBES)}
+        monkeypatch.undo()
+        bound = type_s._generator_parts.cache_info().maxsize
+        for k in range(2 * bound):
+            generator(2.0 + k / bound)
+        assert type_s._generator_parts.cache_info().currsize <= bound
+        # more s-values than the cache holds: cold and warm agree
+        s_list = [-1.0 + 0.04 * k for k in range(100)]
+        assert len(s_list) > bound
+        pairs = list(make_pairs(3, seed=35))
+        cleared = []
+        for pair in pairs:
+            type_s._generator_parts.cache_clear()
+            cleared.append(verify_all(pair, s_list).records)
+        assert [verify_all(pair, s_list).records for pair in pairs] == cleared
 
 
 def _psi_d1_reference(x, s):
