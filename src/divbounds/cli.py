@@ -237,12 +237,12 @@ def resolve_measures(tokens: Sequence[str], s_list: tuple[float, ...]):
                                  "unknown measure") + f" {base!r}")
         fn = _PARAMETRIC_MEASURES[base]
         params = (((token, arg),) if colon else
-                  ((f"{base}:{s:g}", s) for s in s_list))
+                  ((f"{base}:{_param_label(s)}", s) for s in s_list))
         for label, arg in params:
             try:
+                if base == "vajda":  # the order m, not a family parameter
+                    div._check_exponent(float(arg))
                 param = SParameter(arg).s
-                if base == "vajda":
-                    div._check_exponent(param)
             except ValueError as exc:
                 raise CliInputError(
                     f"bad parameter in measure {label!r}: {exc}") from None
@@ -387,15 +387,14 @@ def _sweep_grid(s_min: float, s_max: float, s_step: float):
 
 
 def _cmd_sweep(args) -> int:
-    grid = [SParameter(s)
-            for s in _sweep_grid(args.s_min, args.s_max, args.s_step)]
+    grid = _sweep_grid(args.s_min, args.s_max, args.s_step)
     pairs = load_pairs(args.input, args.renormalize)
 
     def rows(pid, group):
         # each group's rows by s, then input order
         bounded = [(pair, ratio_bounds(pair), PairMoments.of(pair))
                    for pair in group]
-        for sp in grid:
+        for sp in map(SParameter, grid):
             for pair, rb, moments in bounded:
                 *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)
                 minima = ((None, None) if gaps is None

@@ -10,6 +10,7 @@ zero to the difference-weighted sums and are skipped outright.
 from __future__ import annotations
 
 from math import fsum, isfinite, log, sqrt
+from sys import float_info
 
 from .simplex import DistributionPair
 
@@ -91,7 +92,9 @@ def vajda_abs_chi(pair: DistributionPair, m: float) -> float:
     diffs = [(abs(p - q), q) for p, q in _items(pair) if p != q]
     if m == 3.0:
         return fsum(ad * ad * ad / (q * q) for ad, q in diffs)
-    return fsum(ad ** m / q ** (m - 1.0) for ad, q in diffs)
+    # q ** (m - 1) below the normal range has lost bits or is zero: use ad / q
+    return fsum(ad ** m / qm if (qm := q ** (m - 1.0)) >= float_info.min
+                else ad * (ad / q) ** (m - 1.0) for ad, q in diffs)
 
 
 def power_difference_divergence(pair: DistributionPair, m: float) -> float:
@@ -109,7 +112,9 @@ def power_difference_divergence(pair: DistributionPair, m: float) -> float:
         return fsum(abs(p * p - q * q) / q for p, q in items)
     if m == 3.0:
         return fsum(abs(p * p * p - q * q * q) / (q * q) for p, q in items)
-    return fsum(abs(p ** m - q ** m) / q ** (m - 1.0) for p, q in items)
+    return fsum(abs(p ** m - q ** m) / qm
+                if (qm := q ** (m - 1.0)) >= float_info.min
+                else abs(p * (p / q) ** (m - 1.0) - q) for p, q in items)
 
 
 def symmetric_chi_squared(pair: DistributionPair) -> float:

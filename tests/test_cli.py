@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -29,9 +30,11 @@ from divbounds import (
     e_omega,
     e_star_omega,
     omega_s,
+    random_pair,
     ratio_bounds,
     theorem42_bounds,
     validate,
+    vajda_abs_chi,
     verify_all,
 )
 from divbounds.bounds import REPORT_NOTES, VIOLATION_TOLERANCE, _s_key
@@ -264,6 +267,19 @@ class TestCompute:
         for label, param, _ in cli.resolve_measures(tokens, (s,)):
             assert float(label.partition(":")[2]).hex() == param.hex(), label
 
+    def test_vajda_at_large_order(self, tmp_path, capsys):
+        # gen's pair-0000 at seed 1 is random_pair(5, 1), whose smallest q
+        # to the power 199 underflows to zero
+        path = str(tmp_path / "pairs.csv")
+        assert main(["gen", "--n", "5", "--count", "1", "--seed", "1",
+                     "--output", path]) == 0
+        code, out, err = run(capsys, "compute", "--input", path,
+                             "--measures", "vajda:200")
+        assert (code, err) == (0, "")
+        (rec,) = jsonl(out)
+        assert rec["measure"] == "vajda:200"
+        assert rec["value"] == vajda_abs_chi(random_pair(5, 1), 200.0)
+
     def test_csv_output(self, std_csv, capsys):
         code, out, _ = run(capsys, "compute", "--input", std_csv,
                            "--measures", "kl", "--format", "csv")
@@ -293,21 +309,6 @@ class TestCompute:
         assert [r["pair_id"] for r in jsonl(out)] == [
             "-3", "1000000000000000000000000000000", "7", "pair-2"]
 
-    def test_component_count_mismatch(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("pair_id,role,v1,v2,v3\n"
-                        "p7,P,0.2,0.3,0.5\n"
-                        "p7,Q,0.5,0.5,\n")
-        assert_input_error(*run(capsys, "compute", "--input", str(path),
-                                "--measures", "kl"),
-                           "pair p7", "P has dimension 3, Q has dimension 2")
-
-    def test_unknown_measure(self, std_csv, capsys):
-        code, _, err = run(capsys, "compute", "--input", std_csv,
-                           "--measures", "wat")
-        assert code == 1
-        assert "wat" in err
-
     def test_renormalize_flag(self, tmp_path, capsys):
         path = tmp_path / "raw.csv"
         path.write_text("pair_id,role,v1,v2\nraw,P,1,3\nraw,Q,1,1\n")
@@ -318,33 +319,6 @@ class TestCompute:
                            "--measures", "delta", "--renormalize")
         assert code == 0
         assert abs(jsonl(out)[0]["value"] - (0.0625 / 0.75 + 0.0625 / 1.25)) < 1e-12
-
-    @pytest.mark.parametrize("measure", ["omega:nan", "phi:inf", "omega:-inf",
-                                         "vajda:inf"])
-    def test_non_finite_parameter(self, std_csv, capsys, measure):
-        assert_input_error(*run(capsys, "compute", "--input", std_csv,
-                                "--measures", measure), measure, "finite")
-
-    def test_non_finite_s_list(self, std_csv, capsys):
-        assert_input_error(*run(capsys, "compute", "--input", std_csv,
-                                "--measures", "omega", "--s-list", "0,inf"),
-                           "finite")
-
-    @pytest.mark.parametrize("measures, s_list", [("vajda:0.5", "1"),
-                                                  ("vajda", "2,0.5")])
-    def test_vajda_exponent_below_one(self, std_csv, capsys, measures,
-                                      s_list):
-        assert_input_error(*run(capsys, "compute", "--input", std_csv,
-                                "--measures", measures, "--s-list", s_list),
-                           "vajda:0.5", "m >= 1")
-
-    def test_json_boolean_component(self, tmp_path, capsys):
-        path = tmp_path / "bool.json"
-        path.write_text('{"pairs": [{"id": "t", "p": [true, 1e-7], '
-                        '"q": [0.5, 0.5]}]}')
-        assert_input_error(*run(capsys, "compute", "--input", str(path),
-                                "--measures", "kl", "--renormalize"),
-                           "pair t", "components must be numbers")
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "compute", "--input",
@@ -410,6 +384,22 @@ class TestSweep:
                              "--s-step=1", "--input", str(tmp_path / "no"))
         assert_input_error(code, out, err)
         assert err.startswith(f"error: {head}")
+
+    def test_grid_held_once_before_the_input_is_read(self, capsys, tmp_path):
+        """Until the input is read, sweep holds its grid as one list of
+        floats, 32 bytes a point; one SParameter per point as well would
+        take more than 100 more."""
+        points = 10**5
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "sweep", "--s-min=0",
+                                 f"--s-max={points - 1}", "--s-step=1",
+                                 "--input", str(tmp_path / "no"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_input_error(code, out, err, "cannot read ")
+        assert peak < 64 * points
 
     @given(st.floats(-1e3, 1e3), st.floats(1e-12, 1e3),
            st.integers(1, 2000), st.floats(0.5, 2.0))
@@ -532,10 +522,6 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--input", std_csv,
                          "--s-list", "0", "--tolerance", "1e-6")
         assert code == 0
-
-    def test_non_finite_s_list(self, std_csv, capsys):
-        assert_input_error(*run(capsys, "verify", "--input", std_csv,
-                                "--s-list", "nan"), "s-list", "finite")
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
     def test_bad_tolerance(self, std_csv, capsys, tolerance):
@@ -879,6 +865,50 @@ INPUT_ERRORS = {
                          "convert string to float: ''",)),
     "no-measures": (STD_CSV, ("compute", "--measures", ","),
                     ("no measures requested",)),
+    "compute-component-count-mismatch": (
+        "pair_id,role,v1,v2,v3\np7,P,0.2,0.3,0.5\np7,Q,0.5,0.5,\n",
+        ("compute", "--measures", "kl"),
+        ("pair p7: P has dimension 3, Q has dimension 2",)),
+    # a JSON true is an int to Python, but not a number to the schema
+    "compute-json-boolean-component": (
+        '{"pairs": [{"id": "t", "p": [true, 1e-7], "q": [0.5, 0.5]}]}',
+        ("compute", "--measures", "kl", "--renormalize"),
+        ("pair t: components must be numbers",)),
+    "compute-omega-nan": (STD_CSV, ("compute", "--measures", "omega:nan"),
+                          ("bad parameter in measure 'omega:nan': s must be "
+                           "finite, got nan",)),
+    "compute-phi-inf": (STD_CSV, ("compute", "--measures", "phi:inf"),
+                        ("bad parameter in measure 'phi:inf': s must be "
+                         "finite, got inf",)),
+    "compute-omega-minus-inf": (STD_CSV, ("compute", "--measures",
+                                          "omega:-inf"),
+                                ("bad parameter in measure 'omega:-inf': s "
+                                 "must be finite, got -inf",)),
+    # a vajda parameter is the order m, so its own rule names it
+    "compute-vajda-inf": (STD_CSV, ("compute", "--measures", "vajda:inf"),
+                          ("bad parameter in measure 'vajda:inf': exponent "
+                           "must be finite, got inf",)),
+    "compute-s-list-inf": (STD_CSV, ("compute", "--measures", "omega",
+                                     "--s-list", "0,inf"),
+                           ("bad s-list '0,inf': s must be finite, got inf",)),
+    "compute-vajda-below-one": (STD_CSV, ("compute", "--measures",
+                                          "vajda:0.5", "--s-list", "1"),
+                                ("bad parameter in measure 'vajda:0.5': "
+                                 "exponent must satisfy m >= 1, got 0.5",)),
+    "compute-vajda-s-list-below-one": (STD_CSV, ("compute", "--measures",
+                                                 "vajda", "--s-list", "2,0.5"),
+                                       ("bad parameter in measure "
+                                        "'vajda:0.5': exponent must satisfy "
+                                        "m >= 1, got 0.5",)),
+    # a bare vajda's label spells each s as the measure ids do, not as %g,
+    # which spells 0.5000001 as 0.5
+    "compute-vajda-s-list-label": (STD_CSV, ("compute", "--measures",
+                                             "vajda", "--s-list=0.5000001"),
+                                   ("bad parameter in measure "
+                                    "'vajda:0.5000001': exponent must "
+                                    "satisfy m >= 1, got 0.5000001",)),
+    "verify-s-list-nan": (STD_CSV, ("verify", "--s-list", "nan"),
+                          ("bad s-list 'nan': s must be finite, got nan",)),
     "gen-count": (None, ("gen", "--n", "2", "--count", "0"),
                   ("count must be >= 1", "got 0")),
     "sweep-empty-grid": (STD_CSV, ("sweep", "--s-min=2", "--s-max=1",
@@ -1355,3 +1385,26 @@ class TestGen:
         lines = out.splitlines()
         assert lines[0] == "pair_id,role,v1,v2"
         assert len(lines) == 3
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Each ``divbounds`` line of README.md's "Command line" block runs as
+    a shell would split it, in order, in one directory: gen writes the
+    pairs file that the later commands read."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("divbounds ")]
+    assert [argv[0] for argv in commands] == [
+        "gen", "compute", "sweep", "verify"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        if "--output" in argv:
+            with open(argv[argv.index("--output") + 1]) as fh:
+                out = fh.read()
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines(), argv

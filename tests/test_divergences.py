@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+import oracles
 from divbounds import (
     DistributionPair,
     ag_mean_divergence,
@@ -97,6 +99,29 @@ def test_vajda_m_below_one_rejected(std_pair):
 def test_moment_exponent_not_finite_rejected(std_pair, fn, m):
     with pytest.raises(MOutOfRange):
         fn(std_pair, m)
+
+
+# q ** (m - 1) underflows for the smallest q of each pair: to zero for
+# q = 0.0086 at m = 200, and to a subnormal for q = 1e-13 at m = 25, where
+# the sums are near the largest float and (|p - q| / q) ** m overflows
+LARGE_ORDER_CASES = {
+    "random-5-1-m200": (random_pair(5, 1), 200.0),
+    "near-overflow-m25": (
+        DistributionPair(validate((0.63 + 1e-13, 0.37 - 1e-13)),
+                         validate((1e-13, 1.0 - 1e-13))), 25.0),
+}
+
+
+@pytest.mark.parametrize("fn, oracle", [
+    (vajda_abs_chi, oracles.vajda),
+    (power_difference_divergence, oracles.power_diff),
+])
+@pytest.mark.parametrize("case", sorted(LARGE_ORDER_CASES))
+def test_moment_sums_at_large_order(fn, oracle, case):
+    pair, m = LARGE_ORDER_CASES[case]
+    assert min(pair.q.values) ** (m - 1.0) < sys.float_info.min
+    expected = oracle(pair.p.values, pair.q.values, m)
+    assert close(fn(pair, m), float(expected))
 
 
 def test_total_variation_aliases(std_pair):
