@@ -221,26 +221,22 @@ def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
     # The one body of the gap bounds; it builds the curvature spread
     # k * (f''(R) - f''(r)) from gen.  The caller gives the divergence, the
     # target's functional (E or E*), the curvature sign k and the sup of
-    # |f'''| on [r, R].
+    # |f'''| on [r, R].  Each term is a coefficient times a moment (chi^2,
+    # |chi|^3, V); its cap puts the moment's bound on [r, R] in its place.
     if target is _HALF_E:
         observed = abs(div - 0.5 * functional)
         third_factor, first_factor = 1.0 / 12.0, 1.0
     else:
         observed = abs(div - functional)
         third_factor, first_factor = 1.0 / 24.0, 0.5
-    d1_spread = gen.d1(rb.R) - gen.d1(rb.r)
-    curvature = k * (gen.d2(rb.R) - gen.d2(rb.r))
-    candidates = (
-        curvature * moments.chi2 / 8.0,
-        third_factor * sup3 * moments.abs_chi3,
-        first_factor * d1_spread * moments.variation,
-    )
+    c2 = k * (gen.d2(rb.R) - gen.d2(rb.r)) / 8.0
+    c3 = third_factor * sup3
+    c1 = first_factor * (gen.d1(rb.R) - gen.d1(rb.r))
+    candidates = (c2 * moments.chi2, c3 * moments.abs_chi3,
+                  c1 * moments.variation)
     width = rb.R - rb.r
-    caps = (
-        curvature * (width * width / 4.0) / 8.0,
-        third_factor * sup3 * (width ** 3 / 8.0),
-        first_factor * d1_spread * (width / 2.0),
-    )
+    caps = (c2 * (width * width / 4.0), c3 * (width ** 3 / 8.0),
+            c1 * (width / 2.0))
     return GapBounds(observed, candidates, min(candidates), caps, k)
 
 

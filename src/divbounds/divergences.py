@@ -92,9 +92,12 @@ def vajda_abs_chi(pair: DistributionPair, m: float) -> float:
     diffs = [(abs(p - q), q) for p, q in _items(pair) if p != q]
     if m == 3.0:
         return fsum(ad * ad * ad / (q * q) for ad, q in diffs)
-    # q ** (m - 1) below the normal range has lost bits or is zero: use ad / q
-    return fsum(ad ** m / qm if (qm := q ** (m - 1.0)) >= float_info.min
-                else ad * (ad / q) ** (m - 1.0) for ad, q in diffs)
+    # a power below the normal range has lost bits or is zero: use ad / q,
+    # squaring the root of the term so only a term past the range overflows
+    return fsum(am / qm if (am := ad ** m) >= float_info.min
+                and (qm := q ** (m - 1.0)) >= float_info.min
+                else (sqrt(ad) * (ad / q) ** ((m - 1.0) / 2.0)) ** 2
+                for ad, q in diffs)
 
 
 def power_difference_divergence(pair: DistributionPair, m: float) -> float:
@@ -114,7 +117,8 @@ def power_difference_divergence(pair: DistributionPair, m: float) -> float:
         return fsum(abs(p * p * p - q * q * q) / (q * q) for p, q in items)
     return fsum(abs(p ** m - q ** m) / qm
                 if (qm := q ** (m - 1.0)) >= float_info.min
-                else abs(p * (p / q) ** (m - 1.0) - q) for p, q in items)
+                else abs((sqrt(p) * (p / q) ** ((m - 1.0) / 2.0)) ** 2 - q)
+                for p, q in items)
 
 
 def symmetric_chi_squared(pair: DistributionPair) -> float:

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,7 @@ from divbounds.means import BRANCH_SWITCH
 from divbounds.type_s import NonFiniteParameter, SParameter
 from divbounds.simplex import RatioBounds
 
+import oracles
 from closed_forms import lp_mean
 from generators import hellinger_generator, kl_generator
 
@@ -262,6 +264,37 @@ class TestGapBundles:
                     assert close(closed.observed, grid.observed, rel=1e-11,
                                  abs_=1e-13)
 
+    def test_terms_and_caps_match_mpmath(self, make_pairs):
+        """An mpmath referee on the float r and R: each candidate is its
+        coefficient times chi2, |chi|^3 or V, and each cap the same
+        coefficient times (w/2)^2, (w/2)^3 or w/2, w = R - r.  The
+        coefficients are (psi''(r) - psi''(R))/8, |psi'''(r)|/12 (HALF_E) or
+        /24 (E_STAR), and psi'(R) - psi'(r) (HALF_E) or half of it
+        (E_STAR)."""
+        factors = {GapTarget.HALF_E: (mp.mpf(1) / 12, 1),
+                   GapTarget.E_STAR: (mp.mpf(1) / 24, mp.mpf(1) / 2)}
+        for pair in make_pairs(40, seed=81):
+            rb = ratio_bounds(pair)
+            r, R, p, q = rb.r, rb.R, pair.p.values, pair.q.values
+            moments = (oracles.chi2(p, q), oracles.vajda(p, q, 3),
+                       oracles.vajda(p, q, 1))
+            half = (mp.mpf(R) - mp.mpf(r)) / 2
+            moment_bounds = (half ** 2, half ** 3, half)
+            for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                curvature = (oracles.psi_d2(r, s) - oracles.psi_d2(R, s)) / 8
+                sup3 = oracles.psi3_sup(r, s)
+                d1_spread = oracles.psi_d1(R, s) - oracles.psi_d1(r, s)
+                for target, (third, first) in factors.items():
+                    bundle = theorem42_bounds(pair, rb, s, target)
+                    coefficients = (curvature, third * sup3, first * d1_spread)
+                    for term, cap, c, moment, bound in zip(
+                            bundle.candidates, bundle.cap_candidates,
+                            coefficients, moments, moment_bounds):
+                        assert math.isclose(term, float(c * moment),
+                                            rel_tol=1e-12), (s, target)
+                        assert math.isclose(cap, float(c * bound),
+                                            rel_tol=1e-12), (s, target)
+
     def test_caps_dominate_and_hold(self, make_pairs):
         for pair in make_pairs(400, seed=73):
             rb = ratio_bounds(pair)
@@ -474,6 +507,22 @@ class TestPassRule:
 
 
 class TestAbsoluteMomentChains:
+    def test_tv_chain_factors_match_mpmath(self, make_pairs):
+        """The floor of power_diff[m] is (1 - r^m)/(1 - r) V and its
+        ceiling (R^m - 1)/(R - 1) V, against mpmath on the float r and R."""
+        for pair in make_pairs(40, seed=83):
+            rb = ratio_bounds(pair)
+            r, R = mp.mpf(rb.r), mp.mpf(rb.R)
+            variation = oracles.vajda(pair.p.values, pair.q.values, 1)
+            report = verify_all(pair, (0.0,))
+            for m in (1, 2, 3):
+                (floor,) = by_id(report, f"power_diff[m={m}]_ge_tv_floor")
+                (ceiling,) = by_id(report, f"power_diff[m={m}]_le_tv_ceiling")
+                assert math.isclose(floor.lhs, float(
+                    (1 - r ** m) / (1 - r) * variation), rel_tol=1e-12)
+                assert math.isclose(ceiling.rhs, float(
+                    (R ** m - 1) / (R - 1) * variation), rel_tol=1e-12)
+
     def test_interval_chain_fractional_exponent(self, make_pairs):
         """The interval chain also holds at the fractional exponent 2.5."""
         for pair in make_pairs(2000, seed=79):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -11,13 +12,16 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divbounds
+import oracles
 from divbounds import (
     BoundEntry,
     DistributionPair,
@@ -279,6 +283,25 @@ class TestCompute:
         (rec,) = jsonl(out)
         assert rec["measure"] == "vajda:200"
         assert rec["value"] == vajda_abs_chi(random_pair(5, 1), 200.0)
+
+    # At m = 19.2, (|p - q| / q) ** (m - 1) passes the largest float on the
+    # first pair while its sum, 2.51e306, does not; at m = 40, |p - q|^m
+    # underflows on the second pair while q^(m - 1) is normal, and its sum
+    # is 1.0e-127
+    @pytest.mark.parametrize("m, p, q", [
+        ("19.2", (0.001, 0.999), (1e-20, 1.0)),
+        ("40", (1e-7 + 1e-10, 1 - 1e-7 - 1e-10), (1e-7, 1 - 1e-7))])
+    def test_vajda_at_the_edges_of_the_float_range(self, tmp_path, capsys, m,
+                                                   p, q):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"pairs": [{"id": "e", "p": p, "q": q}]}))
+        code, out, err = run(capsys, "compute", "--measures", f"vajda:{m}",
+                             "--input", str(path))
+        assert (code, err) == (0, "")
+        (rec,) = jsonl(out)
+        assert rec["measure"] == f"vajda:{m}"
+        assert math.isclose(rec["value"], float(oracles.vajda(p, q, m)),
+                            rel_tol=1e-12)
 
     def test_csv_output(self, std_csv, capsys):
         code, out, _ = run(capsys, "compute", "--input", std_csv,
@@ -1144,6 +1167,52 @@ class TestLoadPairs:
                 loaded.append(cli.load_pairs(path, renormalize=True))
         assert loaded[0] == loaded[1]
         assert [pid for pid, _ in loaded[0]] == [pid for pid, _ in pairs]
+
+    @given(st.sampled_from(("", "pair_id,role,v1\n", "pair_id,role,v1\r\n")),
+           st.lists(st.sampled_from((
+               "x,P,0.5", "x,Q,0.5", '"y\x85",P,0.5', '"y\u2028",Q,0.5', "P",
+               " ", ",", '"', "\n", "\n", "\r", "\x0c", "\x85", "\u2028")),
+               max_size=30).map("".join))
+    @example("pair_id,role,v1\n", "\x0c\nx,P\n")
+    @example("pair_id,role,v1\n",
+             '"a\x85b",P,0.5\r\n"a\u2028",Q,0.5\x0c\n"a\x85b",Q,0.5\n'
+             '"a\u2028",P,0.5\n')
+    @settings(max_examples=300, deadline=None)
+    def test_csv_lines_are_the_stringio_lines(self, header, body):
+        """_csv_rows feeds its reader the lines io.StringIO(text) would,
+        split at "\\n" only: the same pairs, or the same error with the same
+        line N, as a reader of io.StringIO(text) on text that also holds
+        the breaks str.splitlines knows (\\x0c, \\x85, \\u2028)."""
+        text = header + body
+
+        def outcome():
+            try:
+                return list(cli._csv_rows(text))
+            except CliInputError as exc:
+                return str(exc)
+
+        got = outcome()
+        reference = types.SimpleNamespace(
+            reader=lambda lines: csv.reader(io.StringIO(text)),
+            Error=csv.Error)
+        with mock.patch.object(cli, "csv", reference):
+            assert got == outcome()
+
+    def test_csv_intake_holds_no_wide_copy(self, tmp_path):
+        """load_pairs reads the CSV text once, as one byte a character, and
+        does not copy it into the 4-byte-per-character buffer io.StringIO
+        builds, which alone took about 4 bytes per file byte."""
+        path = tmp_path / "pairs.csv"
+        assert main(["gen", "--n", "64", "--count", "500", "--seed", "7",
+                     "--output", str(path)]) == 0
+        tracemalloc.start()
+        try:
+            pairs = cli.load_pairs(str(path), renormalize=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 500
+        assert peak < 5 * path.stat().st_size
 
     def test_trailing_empty_cells_ignored(self, tmp_path):
         # as spreadsheet exports pad short rows

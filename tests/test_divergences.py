@@ -109,6 +109,11 @@ LARGE_ORDER_CASES = {
     "near-overflow-m25": (
         DistributionPair(validate((0.63 + 1e-13, 0.37 - 1e-13)),
                          validate((1e-13, 1.0 - 1e-13))), 25.0),
+    # the sums are 2.51e306: (|p - q| / q) ** (m - 1) alone passes the
+    # largest float, and only the factor |p - q| (or p) brings it back
+    "past-range-power-m19.2": (
+        DistributionPair(validate((0.001, 0.999)),
+                         validate((1e-20, 1.0))), 19.2),
 }
 
 
@@ -122,6 +127,30 @@ def test_moment_sums_at_large_order(fn, oracle, case):
     assert min(pair.q.values) ** (m - 1.0) < sys.float_info.min
     expected = oracle(pair.p.values, pair.q.values, m)
     assert close(fn(pair, m), float(expected))
+
+
+# |p - q|^m underflows while q^(m - 1) is still normal: from m = 32.5 on,
+# |p - q|^m is zero, and at m = 32 it is a subnormal with few bits left
+LOST_TERM_PAIR = DistributionPair(validate((1e-7 + 1e-10, 1 - 1e-7 - 1e-10)),
+                                  validate((1e-7, 1 - 1e-7)))
+
+
+@pytest.mark.parametrize("m", [32.0, 40.0, 44.9])
+def test_vajda_keeps_a_term_whose_numerator_underflows(m):
+    p, q = LOST_TERM_PAIR.p.values, LOST_TERM_PAIR.q.values
+    assert abs(p[0] - q[0]) ** m < sys.float_info.min <= q[0] ** (m - 1.0)
+    expected = float(oracles.vajda(p, q, m))
+    assert close(vajda_abs_chi(LOST_TERM_PAIR, m), expected, abs_=0.0)
+
+
+@pytest.mark.parametrize("fn", [vajda_abs_chi, power_difference_divergence])
+def test_moment_sum_past_the_float_range_overflows(fn):
+    # termwise |p^m - q^m| >= |p - q|^m, so both sums pass the largest float
+    pair = random_pair(5, 1)
+    true_sum = oracles.vajda(pair.p.values, pair.q.values, 400)
+    assert true_sum > sys.float_info.max
+    with pytest.raises(OverflowError):
+        fn(pair, 400.0)
 
 
 def test_total_variation_aliases(std_pair):
