@@ -25,7 +25,6 @@ from .csiszar import (
     _HALF_E,
     _gap_bounds,
     _gap_functional,
-    _require_straddle,
 )
 from .divergences import (
     chi_squared,
@@ -80,12 +79,11 @@ class InvalidTolerance(ValueError):
     """Violation tolerance that is NaN, infinite or negative."""
 
 
-def _check_tolerance(tolerance: float) -> float:
-    """The violation tolerance, if it is finite and >= 0."""
+def _check_tolerance(tolerance: float) -> None:
+    """Raise InvalidTolerance unless the tolerance is finite and >= 0."""
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidTolerance(f"violation tolerance must be finite and >= 0, "
                                f"got {tolerance!r}")
-    return tolerance
 
 
 def _gap_parameter(s: float | SParameter) -> SParameter:
@@ -151,7 +149,6 @@ def a_omega(rb: RatioBounds, s: float | SParameter) -> float:
 
     Equals the generic bound_a with the family generator.
     """
-    _require_straddle(rb)
     sc = _sparam(s).canonical
     r, R = rb.r, rb.R
     end_a, end_b = (r + 1.0) / r, (R + 1.0) / R
@@ -168,7 +165,6 @@ def b_omega(rb: RatioBounds, s: float | SParameter) -> float:
 
 def b_omega_closed_form(rb: RatioBounds, s: float | SParameter) -> float:
     """Closed form of b_omega, used as a cross-check."""
-    _require_straddle(rb)
     sp = _sparam(s)
     r, R = rb.r, rb.R
     end_a, end_b = (r + 1.0) / (2.0 * r), (R + 1.0) / (2.0 * R)
@@ -186,10 +182,9 @@ def b_omega_closed_form(rb: RatioBounds, s: float | SParameter) -> float:
 
 def delta_omega(rb: RatioBounds, s: float | SParameter) -> float:
     """Second-derivative spread of the family generator over the ratio
-    interval: psi''(r) - psi''(R), read from psi_s_d2.  Requires r < 1 < R;
-    positive for s >= -1, where the second derivative strictly decreases."""
+    interval: psi''(r) - psi''(R), read from psi_s_d2.  Positive for
+    s >= -1, where the second derivative strictly decreases."""
     sp = _gap_parameter(s)
-    _require_straddle(rb)
     return psi_s_d2(rb.r, sp) - psi_s_d2(rb.R, sp)
 
 
@@ -226,7 +221,6 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     if type(target) is not GapTarget:
         target = GapTarget(target)
     sp = _gap_parameter(s)
-    _require_straddle(rb)
     sup3 = psi3_sup(rb, sp)
     if moments is None:
         moments = PairMoments.of(pair)
@@ -237,19 +231,18 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     return _gap_bounds(rb, gen, target, value, functional, -1, sup3, moments)
 
 
-def _family_at(pair: DistributionPair, rb: RatioBounds,
+def _family_at(pair: DistributionPair, rb: RatioBounds | None,
                moments: PairMoments, sp: SParameter):
     """(omega, e, e_star, a, b, gaps) of the family at sp for one pair.
 
-    a, b and gaps are None unless r < 1 < R (on the simplex r or R is 1
-    only when P = Q, or P equals Q up to rounding); gaps is also None for
-    s < -1.  Otherwise gaps holds the theorem42_bounds bundles for HALF_E
+    a, b and gaps are None when rb is None (P = Q, or P equals Q up to
+    rounding); gaps is also None for s < -1.  Otherwise gaps holds the theorem42_bounds bundles for HALF_E
     and E_STAR, in that order.
     """
     omega = omega_s(pair, sp)
     e = e_omega(pair, sp)
     e_star = e_star_omega(pair, sp)
-    if not rb.r < 1.0 < rb.R:
+    if rb is None:
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
     gaps = None if sp.s < -1.0 else tuple(
@@ -347,7 +340,7 @@ def _s_key(s: float | None):
 
 _by_id = attrgetter("inequality_id")
 
-# why interval entries skip when r < 1 < R fails (P = Q up to rounding)
+# why interval entries skip when ratio_bounds(pair) is None
 _DEGENERATE = "ratio interval degenerate (P = Q)"
 
 # Every id a report can carry, built once: all records share these strings.
@@ -363,7 +356,7 @@ _GAP_IDS = tuple((f"{tag}_le_min", tuple(f"{tag}_{name}_le_cap" for name in (
     for tag in ("gap_half_e", "gap_e_star"))
 
 
-def _pair_checks(pair: DistributionPair, rb: RatioBounds,
+def _pair_checks(pair: DistributionPair, rb: RatioBounds | None,
                  moments: PairMoments):
     """verify_all's pair-level checks, as (inequality_id, lhs, rhs), and
     skips, as (inequality_id, reason)."""
@@ -373,7 +366,7 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds,
     chi2_swap = chi_squared(pair.swapped())
     checks = [("tri_half_le_rel_j_swap", half_tri, rel_j_swap),
               ("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap)]
-    if not rb.r < 1.0 < rb.R:
+    if rb is None:
         return checks, _MOMENT_SKIPS
     # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
     # chi-square: the same nonzero terms, so fsum returns the same value.
@@ -398,7 +391,7 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds,
     return checks, []
 
 
-def _family_checks(pair: DistributionPair, rb: RatioBounds,
+def _family_checks(pair: DistributionPair, rb: RatioBounds | None,
                    moments: PairMoments, sp: SParameter):
     """verify_all's checks at one s, as (inequality_id, lhs, rhs), and
     skips, as (inequality_id, reason)."""
@@ -447,7 +440,7 @@ def verify_all(pair: DistributionPair, s_values, *,
     closed-form/generic agreement checks, and the third-derivative gap
     bounds (the latter only for s >= -1; other s are skipped, not
     extrapolated).  Every interval-dependent entry is skipped with a
-    recorded reason unless r < 1 < R, which fails when P = Q or P equals Q
+    recorded reason when ratio_bounds(pair) is None: P = Q or P equals Q
     up to rounding, so that r or R is exactly 1.  Each distinct s is checked
     once, and -0.0 and 0.0 are one s, reported as 0.0.  Records, checked and
     skipped alike, are ordered by (s, inequality_id), each key once, with

@@ -40,10 +40,6 @@ class GeneratorNotConvex(ValueError):
     """f'' is negative or NaN at a probe point."""
 
 
-class IntervalNotStraddlingOne(ValueError):
-    """Ratio interval does not satisfy r < 1 < R."""
-
-
 class NonMonotoneSecondDerivative(ValueError):
     """f''' changes sign on the ratio interval."""
 
@@ -123,12 +119,6 @@ class PairMoments:
                    total_variation(pair))
 
 
-def _require_straddle(rb: RatioBounds) -> None:
-    if not (rb.r < 1.0 < rb.R):
-        raise IntervalNotStraddlingOne(
-            f"requires r < 1 < R, got ({rb.r!r}, {rb.R!r})")
-
-
 def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """sum of q f(p/q); nonnegative for convex normalized f."""
     return fsum(q * gen.fn(p / q)
@@ -150,14 +140,12 @@ def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
 
 
 def bound_a(rb: RatioBounds, gen: GeneratorFunction) -> float:
-    """Ratio-interval bound (R - r)(f'(R) - f'(r))/4, requires r < 1 < R."""
-    _require_straddle(rb)
+    """Ratio-interval bound (R - r)(f'(R) - f'(r))/4."""
     return 0.25 * (rb.R - rb.r) * (gen.d1(rb.R) - gen.d1(rb.r))
 
 
 def bound_b(rb: RatioBounds, gen: GeneratorFunction) -> float:
-    """Chord bound ((R-1) f(r) + (1-r) f(R))/(R - r), requires r < 1 < R."""
-    _require_straddle(rb)
+    """Chord bound ((R-1) f(r) + (1-r) f(R))/(R - r)."""
     return ((rb.R - 1.0) * gen.fn(rb.r)
             + (1.0 - rb.r) * gen.fn(rb.R)) / (rb.R - rb.r)
 
@@ -245,13 +233,12 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
     """Third-derivative bounds on the gap between the divergence and its
     first-derivative functional (half of E, or the midpoint variant E*).
 
-    Requires r < 1 < R and a monotone second derivative (checked by sign
-    sampling of f'''; bounded variation and essential boundedness of f'''
-    remain the caller's responsibility).  Returns the three data-dependent
-    bound candidates, their minimum, and the ratio-interval-only caps.
+    Requires a monotone second derivative (checked by sign sampling of
+    f'''; bounded variation and essential boundedness of f''' remain the
+    caller's responsibility).  Returns the three data-dependent bound
+    candidates, their minimum, and the ratio-interval-only caps.
     """
     target = GapTarget(target)
-    _require_straddle(rb)
     r, R = rb.r, rb.R
     sup3, saw_pos, saw_neg = _d3_scan(gen, r, R)
     if saw_pos and saw_neg:

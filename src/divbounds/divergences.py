@@ -115,8 +115,11 @@ def power_difference_divergence(pair: DistributionPair, m: float) -> float:
         return fsum(abs(p * p - q * q) / q for p, q in items)
     if m == 3.0:
         return fsum(abs(p * p * p - q * q * q) / (q * q) for p, q in items)
-    return fsum(abs(p ** m - q ** m) / qm
-                if (qm := q ** (m - 1.0)) >= float_info.min
+    # as in vajda_abs_chi: a power below the normal range has lost bits,
+    # so such a term is read from p/q
+    return fsum(abs(pm - qm) / q ** (m - 1.0)
+                if (pm := p ** m) >= float_info.min
+                and (qm := q ** m) >= float_info.min
                 else abs((sqrt(p) * (p / q) ** ((m - 1.0) / 2.0)) ** 2 - q)
                 for p, q in items)
 

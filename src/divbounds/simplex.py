@@ -40,7 +40,7 @@ class DimensionMismatch(SimplexError):
 
 
 class InvalidRatioBounds(SimplexError):
-    """Ratio bounds violating 0 < r <= 1 <= R."""
+    """Ratio bounds violating 0 < r < 1 < R with R finite."""
 
 
 def _check_components(values: tuple[float, ...]) -> None:
@@ -105,19 +105,16 @@ class DistributionPair:
 
 @dataclass(frozen=True)
 class RatioBounds:
-    """Constants r <= p_i/q_i <= R bracketing all component ratios.
-
-    Since both members sum to one, the smallest ratio cannot exceed one and
-    the largest cannot fall below it, so 0 < r <= 1 <= R always.
-    """
+    """Constants r <= p_i/q_i <= R bracketing all component ratios, with
+    0 < r < 1 < R < inf as every ratio-interval result requires."""
 
     r: float
     R: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r <= 1.0 <= self.R and math.isfinite(self.R)):
+        if not (0.0 < self.r < 1.0 < self.R < math.inf):
             raise InvalidRatioBounds(
-                f"require 0 < r <= 1 <= R, got r={self.r!r}, R={self.R!r}")
+                f"require 0 < r < 1 < R, got r={self.r!r}, R={self.R!r}")
 
 
 def validate(raw: Sequence[float] | Iterable[float],
@@ -143,10 +140,16 @@ def validate(raw: Sequence[float] | Iterable[float],
     return Distribution(values)
 
 
-def ratio_bounds(pair: DistributionPair) -> RatioBounds:
-    """Tightest (r, R) with r <= p_i/q_i <= R for every component."""
+def ratio_bounds(pair: DistributionPair) -> RatioBounds | None:
+    """Tightest (r, R) with r <= p_i/q_i <= R for every component, or None
+    when r or R is exactly 1: on the simplex, P = Q or P equals Q up to
+    rounding.  Other bounds outside 0 < r < 1 < R raise InvalidRatioBounds.
+    """
     quotients = [p / q for p, q in zip(pair.p.values, pair.q.values)]
-    return RatioBounds(min(quotients), max(quotients))
+    r, R = min(quotients), max(quotients)
+    if R == 1.0 or (r == 1.0 and R < math.inf):
+        return None
+    return RatioBounds(r, R)
 
 
 def _draw_point(rng: random.Random, n: int) -> tuple[float, ...]:

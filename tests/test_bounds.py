@@ -26,6 +26,7 @@ from divbounds import (
     omega_s,
     phi_s,
     psi3_sup,
+    psi_s_d3,
     random_pair,
     ratio_bounds,
     theorem33_bounds,
@@ -44,11 +45,10 @@ from divbounds.bounds import (
     e_star_omega_closed_form,
 )
 from divbounds.cli import DEFAULT_S_LIST
-from divbounds.csiszar import IntervalNotStraddlingOne
 from divbounds.divergences import power_difference_divergence
 from divbounds.means import BRANCH_SWITCH
 from divbounds.type_s import NonFiniteParameter, SParameter
-from divbounds.simplex import RatioBounds
+from divbounds.simplex import InvalidRatioBounds, RatioBounds
 
 import oracles
 from closed_forms import lp_mean
@@ -134,7 +134,7 @@ class TestFunctionalGoldens:
 
     def test_psi3_sup_degenerate_edge(self):
         for s in (-1.0, 0.0, 2.0):
-            assert close(psi3_sup(RatioBounds(1.0, 1.0), s), (s + 4.0) / 8.0)
+            assert close(abs(psi_s_d3(1.0, s)), (s + 4.0) / 8.0)
 
 
 class TestDomainErrors:
@@ -150,13 +150,14 @@ class TestDomainErrors:
                                       (0.5, 2.0)])
     @pytest.mark.parametrize("name", sorted(INTERVAL_BOUNDS))
     def test_interval_must_straddle_one(self, std_pair, name, r, R):
-        """Every function of the ratio interval requires r < 1 < R, and
-        raises the one IntervalNotStraddlingOne otherwise."""
+        """Every function of the ratio interval takes a RatioBounds, which
+        holds r < 1 < R: an interval that does not straddle 1 meets the one
+        InvalidRatioBounds before any of them runs."""
         call = INTERVAL_BOUNDS[name]
         if r < 1.0 < R:
             call(std_pair, RatioBounds(r, R))
         else:
-            with pytest.raises(IntervalNotStraddlingOne):
+            with pytest.raises(InvalidRatioBounds):
                 call(std_pair, RatioBounds(r, R))
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf,
@@ -316,7 +317,7 @@ class TestGapBundles:
                        GapTarget.E_STAR: e_star_omega}
         for pair in make_pairs(70, seed=75):
             rb = ratio_bounds(pair)
-            if rb.r == rb.R:
+            if rb is None:
                 continue
             moments = PairMoments.of(pair)
             for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
@@ -527,9 +528,9 @@ class TestAbsoluteMomentChains:
         """The interval chain also holds at the fractional exponent 2.5."""
         for pair in make_pairs(2000, seed=79):
             rb = ratio_bounds(pair)
-            r, R = rb.r, rb.R
-            if r == R:
+            if rb is None:
                 continue
+            r, R = rb.r, rb.R
             moment = vajda_abs_chi(pair, 2.5)
             interval = ((1.0 - r) * (R - 1.0) / (R - r)) * (
                 (1.0 - r) ** 1.5 + (R - 1.0) ** 1.5)
@@ -589,8 +590,8 @@ class TestVerifyAll:
     @settings(max_examples=100, deadline=None)
     def test_pair_equal_up_to_ulps_skips_interval_entries(self, raw, data):
         """P is Q with a strict subset of its components moved 1-4 ulps,
-        all up or all down, so r or R is exactly 1: the interval does not
-        straddle 1, every interval entry is skipped and the rest pass."""
+        all up or all down, so r or R is exactly 1: the pair has no ratio
+        interval, every interval entry is skipped and the rest pass."""
         q = validate(raw, renormalize=True)
         n = len(q.values)
         moved = data.draw(st.sets(st.integers(0, n - 1), min_size=1,
@@ -601,8 +602,7 @@ class TestVerifyAll:
             for _ in range(data.draw(st.integers(1, 4))):
                 p[i] = math.nextafter(p[i], toward)
         pair = DistributionPair(validate(p), q)
-        rb = ratio_bounds(pair)
-        assert not rb.r < 1.0 < rb.R
+        assert ratio_bounds(pair) is None
         report = verify_all(pair, DEFAULT_S_LIST)
         assert report.all_pass
         assert {(e.inequality_id, e.reason) for e in report.skipped} == {

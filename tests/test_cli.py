@@ -144,8 +144,13 @@ POOL_PAIRS = st.lists(st.tuples(st.sampled_from(("*", "!", "a", "b")),
 def run_pool(pairs, *argv):
     """(exit code, stdout) of the CLI on a JSON file of POOL_PAIRS pairs,
     in the given order."""
-    doc = {"pairs": [{"id": pid, "p": MERGE_POOL[name][0],
-                      "q": MERGE_POOL[name][1]} for pid, name in pairs]}
+    return run_doc({"pairs": [{"id": pid, "p": MERGE_POOL[name][0],
+                               "q": MERGE_POOL[name][1]}
+                              for pid, name in pairs]}, *argv)
+
+
+def run_doc(doc, *argv):
+    """(exit code, stdout) of the CLI on a JSON file holding doc."""
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "pairs.json")
@@ -466,7 +471,7 @@ class TestSweep:
                 row = [pid, s, SParameter(s).regime.value,
                        omega_s(pair, s), e_omega(pair, s),
                        e_star_omega(pair, s)]
-                if not rb.r < 1.0 < rb.R:
+                if rb is None:
                     row += [None] * 4
                 else:
                     row += [a_omega(rb, s), b_omega(rb, s)]
@@ -712,13 +717,13 @@ def test_library_domain_error_names_the_pair(tmp_path, capsys, argv):
                     '{"id":"b","p":[0.50000000049,0.50000000049],'
                     '"q":[0.49999999951,0.49999999951]}]}')
     code, out, err = run(capsys, *argv, "--input", str(path))
-    assert_input_error(code, out, err, "pair b: require 0 < r <= 1 <= R")
+    assert_input_error(code, out, err, "pair b: require 0 < r < 1 < R")
     assert "pair a" not in err
 
 
 def test_near_equal_pair_skips_interval_entries(tmp_path, capsys):
     """P equals Q up to one ulp, so r = 0.9999999999999999 and R = 1.0:
-    the interval does not straddle 1, and both commands skip the interval
+    the pair has no ratio interval, and both commands skip the interval
     entries instead of failing on the pair."""
     path = tmp_path / "near_equal.json"
     path.write_text('{"pairs":[{"id":"d","p":[0.3,0.7],'
@@ -735,6 +740,54 @@ def test_near_equal_pair_skips_interval_entries(tmp_path, capsys):
     for row in rows:
         assert [row[k] for k in ("a", "b", "gap_half_e_bound",
                                  "gap_e_star_bound")] == [None] * 4
+
+
+#: P = Q, P one ulp off Q in a strict subset of its components (each moved
+#: up or down), or P and Q drawn apart.
+@st.composite
+def near_and_far_pairs(draw):
+    components = st.floats(min_value=1e-12, max_value=1.0)
+    q = validate(draw(st.lists(components, min_size=2, max_size=16)),
+                 renormalize=True)
+    n = len(q.values)
+    kind = draw(st.sampled_from(("equal", "ulp", "apart")))
+    if kind == "apart":
+        p = validate(draw(st.lists(components, min_size=n, max_size=n)),
+                     renormalize=True)
+        return DistributionPair(p, q)
+    p = list(q.values)
+    if kind == "ulp":
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1,
+                              max_size=n - 1)):
+            p[i] = math.nextafter(p[i], draw(st.sampled_from((0.0, 1.0))))
+    return DistributionPair(validate(p), q)
+
+
+@given(near_and_far_pairs())
+@example(DistributionPair(validate((0.3, 0.7)),
+                          validate((0.3, 0.7000000000000001))))
+@settings(max_examples=60, deadline=None)
+def test_no_ratio_interval_iff_interval_entries_skipped(pair):
+    """ratio_bounds(pair) is None exactly when verify_all skips every
+    interval entry and sweep prints null a, b and gap columns; otherwise
+    0 < r < 1 < R."""
+    rb = ratio_bounds(pair)
+    if rb is not None:
+        assert 0.0 < rb.r < 1.0 < rb.R
+    report = verify_all(pair, _sweep_grid(-1.0, 2.0, 0.5))
+    interval_skips = {"abs_chi[m=1]", "abs_chi[m=2]", "abs_chi[m=3]",
+                      "gap_bounds", "interval_bounds"}
+    assert {e.inequality_id for e in report.skipped} == (
+        interval_skips if rb is None else set())
+    doc = {"pairs": [{"id": "x", "p": pair.p.values, "q": pair.q.values}]}
+    code, out = run_doc(doc, "sweep", "--s-min=-1", "--s-max=2",
+                        "--s-step=0.5")
+    assert code == 0
+    rows = jsonl(out)
+    assert len(rows) == 7
+    assert {tuple(row[k] is None for k in ("a", "b", "gap_half_e_bound",
+                                           "gap_e_star_bound"))
+            for row in rows} == {(rb is None,) * 4}
 
 
 def json_pair(p, q):

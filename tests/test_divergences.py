@@ -143,6 +143,21 @@ def test_vajda_keeps_a_term_whose_numerator_underflows(m):
     assert close(vajda_abs_chi(LOST_TERM_PAIR, m), expected, abs_=0.0)
 
 
+# p^m and q^m are subnormal while q^(m - 1) is still normal, so |p^m - q^m|
+# keeps few bits; the term is read from p/q instead
+SUBNORMAL_POWER_PAIR = DistributionPair(validate((1.001e-7, 0.9999999)),
+                                        validate((1e-7, 0.9999999)))
+
+
+@pytest.mark.parametrize("m", [44.0, 44.5, 44.9])
+def test_power_difference_keeps_a_term_whose_powers_are_subnormal(m):
+    p, q = SUBNORMAL_POWER_PAIR.p.values, SUBNORMAL_POWER_PAIR.q.values
+    assert p[0] ** m < sys.float_info.min <= q[0] ** (m - 1.0)
+    expected = float(oracles.power_diff(p, q, m))
+    assert close(power_difference_divergence(SUBNORMAL_POWER_PAIR, m),
+                 expected, abs_=0.0)
+
+
 @pytest.mark.parametrize("fn", [vajda_abs_chi, power_difference_divergence])
 def test_moment_sum_past_the_float_range_overflows(fn):
     # termwise |p^m - q^m| >= |p - q|^m, so both sums pass the largest float

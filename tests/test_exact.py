@@ -146,10 +146,9 @@ def _exact_slacks(pair, s_values):
     """{(s, inequality_id): rhs - lhs} of each record of verify_all(pair,
     s_values) that is rational at the integer s of s_values.  The gap
     observed values, candidates and caps are built as csiszar._gap_bounds
-    builds them.  The interval records exist when the float ratio interval
-    straddles 1, as in the report; on the simplex that implies exact r < R."""
-    float_rb = ratio_bounds(pair)
-    straddles = float_rb.r < 1.0 < float_rb.R
+    builds them.  The interval records exist when ratio_bounds(pair) is not
+    None, as in the report; on the simplex that implies exact r < R."""
+    straddles = ratio_bounds(pair) is not None
     p = [Fraction(v) for v in pair.p.values]
     q = [Fraction(v) for v in pair.q.values]
     p_sum, q_sum = sum(p), sum(q)

@@ -140,8 +140,7 @@ class TestPairsAndRatios:
 
     def test_ratio_bounds_identical_exact(self):
         dist = validate((1 / 3, 1 / 3, 1 / 3), renormalize=True)
-        rb = ratio_bounds(DistributionPair(dist, dist))
-        assert rb.r == 1.0 and rb.R == 1.0
+        assert ratio_bounds(DistributionPair(dist, dist)) is None
 
     def test_ratio_bounds_reversal(self):
         pair = DistributionPair(validate((0.1, 0.9)), validate((0.9, 0.1)))
@@ -156,7 +155,8 @@ class TestPairsAndRatios:
             assert rb.r <= 1.0 <= rb.R
 
     @pytest.mark.parametrize("r, R", [(0.0, 2.0), (1.5, 2.0), (0.5, 0.9),
-                                      (-0.1, 1.0)])
+                                      (-0.1, 1.0), (1.0, 1.0), (1.0, 2.0),
+                                      (0.5, 1.0), (1.0, math.inf)])
     def test_ratio_bounds_type_invariant(self, r, R):
         with pytest.raises(InvalidRatioBounds):
             RatioBounds(r, R)

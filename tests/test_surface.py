@@ -34,7 +34,8 @@ PUBLIC = {
 #: RegimeMismatch went with SParameter's regime argument; random_pair
 #: raises DimensionTooSmall in place of InvalidDimension; theorem33_bounds
 #: and the tests call csiszar._d3_scan, which d3_sup only wrapped;
-#: the JSONL writer spells each chunk with one encoder call, not a cache.
+#: the JSONL writer spells each chunk with one encoder call, not a cache;
+#: RatioBounds holds r < 1 < R itself, so no function re-checks it.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -49,6 +50,8 @@ REMOVED = [
     ("simplex", "InvalidDimension"),
     ("csiszar", "d3_sup"),
     ("csiszar", "DegenerateInterval"),
+    ("csiszar", "IntervalNotStraddlingOne"),
+    ("csiszar", "_require_straddle"),
     ("cli", "_Spellings"),
 ]
 
