@@ -38,7 +38,6 @@ from .csiszar import (
     theorem33_bounds,
 )
 from .type_s import (
-    Regime,
     SParameter,
     generator,
     omega_s,
@@ -75,8 +74,8 @@ __all__ = [
     "GeneratorFunction", "GapBounds", "GapTarget",
     "csiszar_divergence", "dragomir_e", "dragomir_e_star",
     "bound_a", "bound_b", "theorem33_bounds",
-    "Regime", "SParameter", "phi_s", "omega_s", "psi_s",
-    "psi_s_d1", "psi_s_d2", "psi_s_d3", "generator",
+    "SParameter", "phi_s", "omega_s", "psi_s", "psi_s_d1",
+    "psi_s_d2", "psi_s_d3", "generator",
     "BoundEntry", "BoundReport", "PairMoments",
     "e_omega", "e_star_omega", "a_omega", "b_omega",
     "delta_omega", "psi3_sup", "theorem42_bounds", "verify_all",

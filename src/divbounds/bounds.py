@@ -34,8 +34,8 @@ from .divergences import (
 )
 from .means import lp_power
 from .simplex import DistributionPair, RatioBounds, ratio_bounds
-from .type_s import (_GENERIC, _LIMIT_AT_ONE, _LIMIT_AT_ZERO, SParameter,
-                     _sparam, generator, omega_s, psi_s_d2, psi_s_d3)
+from .type_s import (SParameter, _sparam, generator, omega_s, psi_s_d2,
+                     psi_s_d3)
 
 #: An inequality entry passes when slack = rhs - lhs >= -VIOLATION_TOLERANCE.
 #: An absolute floor, blind to the scale of the values: rounding alone
@@ -105,10 +105,10 @@ def e_omega_closed_form(pair: DistributionPair, s: float | SParameter) -> float:
     The s = 1 branch uses chi2 with swapped arguments; see the report note.
     """
     sp = _sparam(s)
-    if sp.regime is _LIMIT_AT_ZERO:
+    if sp.canonical == 0.0:
         return (relative_j_divergence(pair.swapped())
                 - 0.5 * triangular_discrimination(pair))
-    if sp.regime is _LIMIT_AT_ONE:
+    if sp.canonical == 1.0:
         return 0.5 * (chi_squared(pair.swapped())
                       - relative_j_divergence(pair.swapped()))
     sv = sp.s
@@ -128,11 +128,11 @@ def e_star_omega_closed_form(pair: DistributionPair,
     """Closed form of e_star_omega, used as a cross-check."""
     sp = _sparam(s)
     items = tuple(zip(pair.p.values, pair.q.values))
-    if sp.regime is not _GENERIC:
+    if sp.canonical in (0.0, 1.0):
         # both limits share J* = sum (p - q) log((p + 3q)/(2(p + q)))
         j = fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
                  for p, q in items if p != q)
-        if sp.regime is _LIMIT_AT_ZERO:
+        if sp.canonical == 0.0:
             return -j - 0.5 * fsum((p - q) * (p - q) / (p + 3.0 * q)
                                    for p, q in items)
         return 0.5 * triangular_discrimination(pair) + 0.5 * j
@@ -168,10 +168,10 @@ def b_omega_closed_form(rb: RatioBounds, s: float | SParameter) -> float:
     sp = _sparam(s)
     r, R = rb.r, rb.R
     end_a, end_b = (r + 1.0) / (2.0 * r), (R + 1.0) / (2.0 * R)
-    if sp.regime is _LIMIT_AT_ZERO:
+    if sp.canonical == 0.0:
         return ((r * log(end_a) - R * log(end_b)) / (R - r)
                 - 0.5 * lp_power(-1.0, end_a, end_b))
-    if sp.regime is _LIMIT_AT_ONE:
+    if sp.canonical == 1.0:
         return ((r * R - 1.0) / (4.0 * r * R) * lp_power(-1.0, end_a, end_b)
                 + 0.5 * log((R + 1.0) * (r + 1.0) / (4.0 * r * R)))
     sv = sp.s

@@ -7,8 +7,8 @@ parameter grid, ``verify`` runs the consolidated inequality report, and
 (``pair_id,role,v1,...,vn`` with role P or Q) or JSON
 (``{"pairs": [{"id": ..., "p": [...], "q": [...]}]}``); output is
 newline-delimited JSON or CSV with shortest-round-trip decimals so reports
-are diffable.  Exit codes: 0 success, 1 input or usage error, 2 verified
-inequality violation.
+are diffable.  Exit codes: 0 success, 1 input or usage error or out of
+memory, 2 verified inequality violation, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -43,6 +43,16 @@ _DEFAULT_S_HELP = f"(default: {','.join(f'{s:g}' for s in DEFAULT_S_LIST)})"
 
 #: Most points a sweep grid may have; checked before the grid is built.
 MAX_GRID_POINTS = 10**6
+
+#: Largest gen --n; checked before the header's column names are built.
+MAX_GEN_DIMENSION = 10**6
+
+#: The sweep's regime cell for each limit point; any other s is generic.
+_REGIME_NAMES = {0.0: "limit_at_zero", 1.0: "limit_at_one"}
+
+#: How --help states the exit codes.
+_EXIT_CODES = ("exit codes: 0 success, 1 input or usage error or out of "
+               "memory, 2 verified inequality violation, 130 interrupted")
 
 #: The one JSON speller.  A list of scalars encodes as "[v1\nv2\n...]",
 #: and with the default ensure_ascii no spelled scalar holds a raw newline,
@@ -400,7 +410,8 @@ def _cmd_sweep(args) -> int:
                 *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)
                 minima = ((None, None) if gaps is None
                           else (gap.minimum for gap in gaps))
-                yield (pid, sp.s, sp.regime.value, *family, *minima)
+                yield (pid, sp.s, _REGIME_NAMES.get(sp.canonical, "generic"),
+                       *family, *minima)
 
     _write_records(_Records(pairs, rows),
                    ("pair_id", "s", "regime", "omega", "e", "e_star", "a",
@@ -449,6 +460,9 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     if args.count < 1:
         raise CliInputError(f"count must be >= 1, got {args.count}")
+    if args.n > MAX_GEN_DIMENSION:
+        raise CliInputError(
+            f"dimension must be <= {MAX_GEN_DIMENSION}, got {args.n}")
     width = max(4, len(str(args.count)))
 
     def rows():
@@ -478,11 +492,13 @@ def _add_io_flags(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="divbounds",
                      description="Divergence measures and verified bounds "
-                                 "over discrete distribution pairs.")
+                                 "over discrete distribution pairs.",
+                     epilog=_EXIT_CODES)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_compute = subs.add_parser(
-        "compute", help="evaluate named measures over pairs")
+        "compute", help="evaluate named measures over pairs",
+        epilog=_EXIT_CODES)
     _add_io_flags(p_compute)
     p_compute.add_argument(
         "--measures", required=True,
@@ -497,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(handler=_cmd_compute)
 
     p_sweep = subs.add_parser(
-        "sweep", help="tabulate the unified family and bounds over a grid")
+        "sweep", help="tabulate the unified family and bounds over a grid",
+        epilog=_EXIT_CODES)
     _add_io_flags(p_sweep)
     p_sweep.add_argument("--s-min", type=float, required=True,
                          help="first grid point (spell a negative value "
@@ -511,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_verify = subs.add_parser(
-        "verify", help="run the consolidated inequality report")
+        "verify", help="run the consolidated inequality report",
+        epilog=_EXIT_CODES)
     _add_io_flags(p_verify)
     p_verify.add_argument("--s-list", type=_parse_s_list,
                           default=DEFAULT_S_LIST,
@@ -526,9 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_gen = subs.add_parser(
-        "gen", help="write reproducible random pairs in the CSV schema")
+        "gen", help="write reproducible random pairs in the CSV schema",
+        epilog=_EXIT_CODES)
     p_gen.add_argument("--n", type=int, required=True,
-                       help="dimension of each distribution (>= 2)")
+                       help="dimension of each distribution (>= 2, <= "
+                            f"{MAX_GEN_DIMENSION})")
     p_gen.add_argument("--count", type=int, required=True,
                        help="number of pairs")
     p_gen.add_argument("--seed", type=int, default=0)
@@ -550,6 +570,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # Neither leaves an --output file when raised while the records are
+    # evaluated, since they are spooled before the output is opened.
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ equals omega_s, carried with analytic derivatives through order three.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, field
 from math import exp, expm1, fsum, isfinite, log, log1p, pow
@@ -40,26 +39,14 @@ class NonFiniteParameter(ValueError):
     """Family parameter s that is NaN, infinite or not a real number."""
 
 
-class Regime(enum.Enum):
-    GENERIC = "generic"
-    LIMIT_AT_ZERO = "limit_at_zero"
-    LIMIT_AT_ONE = "limit_at_one"
-
-
-# The members as module names: reading one through its class (an enum
-# metaclass lookup) costs about 0.2 us on CPython 3.11 (timeit), a module
-# name about 20 ns, and the generator maps compare a regime per call.
-_GENERIC, _LIMIT_AT_ZERO, _LIMIT_AT_ONE = Regime
-
-
 @dataclass(frozen=True)
 class SParameter:
-    """A finite family parameter, read with ``float`` (-0.0 as 0.0), its
-    regime, and ``canonical``: 0, 1 or s, the parameter that is evaluated."""
+    """A finite family parameter, read with ``float`` (-0.0 as 0.0), and
+    ``canonical``, the parameter that is evaluated: 0.0 or 1.0 within
+    S_SWITCH of it (the limit formulas), else s itself (the generic one)."""
 
     s: float
-    regime: Regime = field(init=False)
-    canonical: float = field(init=False, repr=False, compare=False)
+    canonical: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -70,13 +57,10 @@ class SParameter:
             raise NonFiniteParameter(str(exc)) from None
         if not isfinite(s):
             raise NonFiniteParameter(f"s must be finite, got {s!r}")
-        regime, canonical = (
-            (_LIMIT_AT_ZERO, 0.0) if abs(s) <= S_SWITCH else
-            (_LIMIT_AT_ONE, 1.0) if abs(s - 1.0) <= S_SWITCH else
-            (_GENERIC, s))
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "canonical",
+                           0.0 if abs(s) <= S_SWITCH else
+                           1.0 if abs(s - 1.0) <= S_SWITCH else s)
 
 
 def _sparam(s: float | SParameter) -> SParameter:
@@ -98,9 +82,9 @@ def phi_s(pair: DistributionPair, s: float | SParameter) -> float:
     K(Q||P) at s = 0 and K(P||Q) at s = 1.  Nonnegative for all real s.
     """
     sp = _sparam(s)
-    if sp.regime is _LIMIT_AT_ZERO:
+    if sp.canonical == 0.0:
         return relative_information(pair.swapped())
-    if sp.regime is _LIMIT_AT_ONE:
+    if sp.canonical == 1.0:
         return relative_information(pair)
     sv = sp.s
     # Each term of the "sum minus one" core is p ((q/p)^(1-s) - 1), kept
@@ -118,9 +102,9 @@ def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     Nonnegative for all real s.
     """
     sp = _sparam(s)
-    if sp.regime is _LIMIT_AT_ZERO:
+    if sp.canonical == 0.0:
         return relative_js_divergence(pair)
-    if sp.regime is _LIMIT_AT_ONE:
+    if sp.canonical == 1.0:
         return relative_ag_divergence(pair)
     sv = sp.s
     core = fsum([p * expm1(sv * _log_ratio(p + q, 2.0 * p, q - p))
@@ -142,23 +126,23 @@ def psi_s(x: float, s: float | SParameter) -> float:
     # _sparam inlined: the generator maps hand an SParameter on every call
     sp = s if isinstance(s, SParameter) else SParameter(s)
     u = (x + 1.0) / (2.0 * x)
-    if sp.regime is _LIMIT_AT_ZERO:
+    if sp.canonical == 0.0:
         return 0.5 * (1.0 - x) - x * log(u)
-    if sp.regime is _LIMIT_AT_ONE:
+    if sp.canonical == 1.0:
         return 0.5 * (x - 1.0) + 0.5 * (x + 1.0) * log(u)
     sv = sp.s
     return (x * pow(u, sv) - x - sv * 0.5 * (1.0 - x)) / (sv * (sv - 1.0))
 
 
 def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
-    """psi_s' for one parameter as a closure: the regime is resolved and s,
+    """psi_s' for one parameter as a closure: the formula is chosen and s,
     s - 1 are bound once, since the generic engine calls it per component."""
-    if sp.regime is _LIMIT_AT_ZERO:
+    if sp.canonical == 0.0:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
                 _raise_non_positive(x)
             return 0.5 * (1.0 - x) / (1.0 + x) - log((x + 1.0) / (2.0 * x))
-    elif sp.regime is _LIMIT_AT_ONE:
+    elif sp.canonical == 1.0:
         def d1(x: float) -> float:
             if not (isfinite(x) and x > 0.0):
                 _raise_non_positive(x)
@@ -182,8 +166,8 @@ def psi_s_d1(x: float, s: float | SParameter) -> float:
 
 
 def psi_s_d2(x: float, s: float | SParameter) -> float:
-    """Second derivative of psi_s, u^(s-2)/(4x^3) at ``canonical`` in every
-    regime; strictly positive on (0, inf), so the whole family is convex.
+    """Second derivative of psi_s, u^(s-2)/(4x^3) at ``canonical`` for every
+    s; strictly positive on (0, inf), so the whole family is convex.
     The one psi'' formula: generator(s).d2 and delta_omega read it."""
     if not (isfinite(x) and x > 0.0):
         _raise_non_positive(x)

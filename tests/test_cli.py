@@ -8,9 +8,11 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import types
 from operator import itemgetter
@@ -48,6 +50,27 @@ STD_CSV = """pair_id,role,v1,v2
 std,P,0.5,0.5
 std,Q,0.25,0.75
 """
+
+#: sweep's regime cell for each limit point that SParameter.canonical
+#: names; every other s is generic.
+SWEEP_REGIME = {0.0: "limit_at_zero", 1.0: "limit_at_one"}
+
+
+def ulps_from(x, steps):
+    """The float ``steps`` nextafter steps from x, up for steps > 0."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+#: s at, just inside and just outside the edges of both limit bands: each
+#: edge, a few ulps from it and any float within 1e-7 of it, and plain s.
+BAND_EDGES = (-1e-5, 1e-5, 1.0 - 1e-5, 1.0 + 1e-5)
+S_NEAR_BAND_EDGES = st.one_of(
+    st.builds(ulps_from, st.sampled_from(BAND_EDGES), st.integers(-4, 4)),
+    st.sampled_from(BAND_EDGES).flatmap(
+        lambda edge: st.floats(edge - 1e-7, edge + 1e-7)),
+    st.sampled_from((0.0, 1.0)), st.floats(-3.0, 3.0))
 
 STD_JSON = '{"pairs": [{"id": "std", "p": [0.5, 0.5], "q": [0.25, 0.75]}]}'
 
@@ -381,6 +404,26 @@ class TestSweep:
         assert regimes[1.0] == "limit_at_one"
         assert regimes[0.5] == "generic"
 
+    @given(S_NEAR_BAND_EDGES)
+    @example(-1e-5)
+    @example(ulps_from(1.0 + 1e-5, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_regime_cell_names_the_evaluated_point(self, s):
+        """A sweep row's regime is limit_at_zero exactly when |s| <= 1e-5,
+        limit_at_one exactly when |s - 1| <= 1e-5 and generic otherwise,
+        and its omega is omega_s at the point that the regime names: 0, 1
+        or s itself.  Each difference is exact (Sterbenz for s near 1)."""
+        pair = pool_pair("ternary")
+        code, out = run_pool([("x", "ternary")], "sweep", f"--s-min={s!r}",
+                             f"--s-max={s + 0.5!r}", "--s-step=1")
+        assert code == 0
+        (row,) = jsonl(out)
+        expected = ("limit_at_zero" if abs(s) <= 1e-5 else
+                    "limit_at_one" if abs(s - 1.0) <= 1e-5 else "generic")
+        assert (row["s"], row["regime"]) == (s or 0.0, expected)
+        point = {"limit_at_zero": 0.0, "limit_at_one": 1.0}.get(expected, s)
+        assert row["omega"] == omega_s(pair, point)
+
     @pytest.mark.parametrize("s_min, s_max, s_step", [
         (0.0, 1.0, 1e-12), (-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)])
     def test_grid_size_checked_before_building(self, s_min, s_max, s_step):
@@ -468,7 +511,8 @@ class TestSweep:
             pair = pool_pair(name)
             rb = ratio_bounds(pair)
             for s in grid:
-                row = [pid, s, SParameter(s).regime.value,
+                row = [pid, s, SWEEP_REGIME.get(SParameter(s).canonical,
+                                                 "generic"),
                        omega_s(pair, s), e_omega(pair, s),
                        e_star_omega(pair, s)]
                 if rb is None:
@@ -987,6 +1031,12 @@ INPUT_ERRORS = {
                           ("bad s-list 'nan': s must be finite, got nan",)),
     "gen-count": (None, ("gen", "--n", "2", "--count", "0"),
                   ("count must be >= 1", "got 0")),
+    "gen-dimension-limit": (None, ("gen", "--n", "1000001", "--count", "1"),
+                            ("dimension must be <= 1000000, got 1000001",)),
+    # psi'' at the convexity probe 0.1 overflows past s of about 418.36
+    "verify-s-list-419": (STD_CSV, ("verify", "--s-list=419"),
+                          ("pair std: unified_ag_js[s=419]: f''(0.1) "
+                           "cannot be evaluated (OverflowError",)),
     "sweep-empty-grid": (STD_CSV, ("sweep", "--s-min=2", "--s-max=1",
                                    "--s-step=1"),
                          ("grid", "empty grid: s_min=2.0 >= s_max=1.0")),
@@ -1040,6 +1090,41 @@ def test_unwritable_output_is_input_error(std_csv, tmp_path, capsys, argv):
     argv = [std_csv if arg is None else arg for arg in argv]
     assert_input_error(*run(capsys, *argv, "--output", target),
                        "cannot write", target)
+
+
+@pytest.mark.parametrize("raised, code, message", [
+    (KeyboardInterrupt, 130, "error: interrupted\n"),
+    (MemoryError, 1, "error: out of memory\n")])
+def test_interrupt_and_out_of_memory_exit(std_csv, tmp_path, capsys,
+                                          monkeypatch, raised, code, message):
+    """An interrupt or an exhausted memory while the records are evaluated
+    is one error line and its exit code, with no traceback, and the
+    --output file is never created."""
+    def verify_all(*args, **kwargs):
+        raise raised
+    monkeypatch.setattr(cli, "verify_all", verify_all)
+    target = tmp_path / "out"
+    assert run(capsys, "verify", "--input", std_csv,
+               "--output", str(target)) == (code, "", message)
+    assert not target.exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_sigint_during_verify_exits_130(tmp_path):
+    """A SIGINT sent 1 s into a verify run over 2000 n=64 pairs, while it
+    evaluates them, ends it with exit 130, the one line
+    ``error: interrupted`` and no output file."""
+    pairs, target = tmp_path / "pairs.csv", tmp_path / "out.jsonl"
+    assert main(["gen", "--n", "64", "--count", "2000", "--seed", "7",
+                 "--output", str(pairs)]) == 0
+    proc = cli_process("verify", "--input", str(pairs), "--output",
+                       str(target), stdout=subprocess.DEVNULL)
+    time.sleep(1.0)
+    assert proc.poll() is None, "verify ended before the signal was sent"
+    proc.send_signal(signal.SIGINT)
+    err = proc.communicate(timeout=120)[1].decode()
+    assert (proc.returncode, err) == (130, "error: interrupted\n")
+    assert not target.exists()
 
 
 def cli_process(*argv, stdout):
@@ -1475,6 +1560,26 @@ class TestGen:
                    "--output", str(out)) == (
             1, "", "error: dimension must be >= 2, got 1\n")
         assert out.read_bytes() == b"kept\n"
+
+    def test_dimension_limit_checked_before_the_header(self, tmp_path,
+                                                      capsys):
+        """n past MAX_GEN_DIMENSION is refused before one of its column
+        names is built, and no output is opened; n at the limit is not."""
+        out = tmp_path / "pairs.csv"
+        tracemalloc.start()
+        try:
+            result = run(capsys, "gen", "--n", str(10**8), "--count", "1",
+                         "--output", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (
+            1, "", "error: dimension must be <= 1000000, got 100000000\n")
+        assert peak < 64 * 1024 and not out.exists()
+        with mock.patch.object(cli, "MAX_GEN_DIMENSION", 3):
+            assert run(capsys, "gen", "--n", "3", "--count", "1")[0] == 0
+            assert run(capsys, "gen", "--n", "4", "--count", "1") == (
+                1, "", "error: dimension must be <= 3, got 4\n")
 
     def test_count_is_checked_first(self, capsys):
         assert run(capsys, "gen", "--n", "1", "--count", "0") == (

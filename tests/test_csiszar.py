@@ -82,10 +82,15 @@ def lorentzian_generator(c, w, base, height, curvature):
 
 class TestGeneratorConstruction:
     def test_not_normalized(self):
-        # f(1) = 1, and f(1) = NaN, which is within no tolerance of zero
-        for fn, label in ((lambda x: x, "affine"),
-                          (lambda x: math.nan, "nan")):
-            with pytest.raises(GeneratorNotNormalized):
+        # f(1) = 1, f(1) = NaN, which is within no tolerance of zero, and an
+        # f(1) that cannot be evaluated
+        for fn, label, message in (
+                (lambda x: x, "affine", r"f\(1\) = 1.0, must vanish"),
+                (lambda x: math.nan, "nan", r"f\(1\) = nan, must vanish"),
+                (lambda x: 1.0 / (x - 1.0), "pole-at-1",
+                 r"^pole-at-1: f\(1\) cannot be evaluated "
+                 r"\(ZeroDivisionError: float division by zero\)$")):
+            with pytest.raises(GeneratorNotNormalized, match=message):
                 GeneratorFunction(fn=fn, d1=lambda x: 1.0,
                                   d2=lambda x: 0.0, d3=lambda x: 0.0,
                                   label=label)
@@ -98,7 +103,12 @@ class TestGeneratorConstruction:
                  r"f''\(0.1\) = -2.0, must be >= 0"),
                 (lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
                  lambda x: math.nan if x == 5.0 else 2.0, "nan-at-5",
-                 r"f''\(5.0\) = nan, must be >= 0")):
+                 r"f''\(5.0\) = nan, must be >= 0"),
+                # f'' = 1/(x - 2)^2 divides by zero at the probe 2 alone
+                (lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0),
+                 lambda x: 1.0 / (x - 2.0) ** 2, "pole-at-2",
+                 r"^pole-at-2: f''\(2.0\) cannot be evaluated "
+                 r"\(ZeroDivisionError: float division by zero\)$")):
             with pytest.raises(GeneratorNotConvex, match=message):
                 GeneratorFunction(fn=fn, d1=d1, d2=d2, d3=lambda x: 0.0,
                                   label=label)

@@ -22,7 +22,7 @@ PUBLIC = {
     "GeneratorFunction", "GapBounds", "GapTarget",
     "csiszar_divergence", "dragomir_e", "dragomir_e_star",
     "bound_a", "bound_b", "theorem33_bounds",
-    "Regime", "SParameter", "phi_s", "omega_s", "psi_s",
+    "SParameter", "phi_s", "omega_s", "psi_s",
     "psi_s_d1", "psi_s_d2", "psi_s_d3", "generator",
     "BoundEntry", "BoundReport", "PairMoments",
     "e_omega", "e_star_omega", "a_omega", "b_omega",
@@ -35,7 +35,8 @@ PUBLIC = {
 #: raises DimensionTooSmall in place of InvalidDimension; theorem33_bounds
 #: and the tests call csiszar._d3_scan, which d3_sup only wrapped;
 #: the JSONL writer spells each chunk with one encoder call, not a cache;
-#: RatioBounds holds r < 1 < R itself, so no function re-checks it.
+#: RatioBounds holds r < 1 < R itself, so no function re-checks it;
+#: SParameter.canonical is the one classification of s, so Regime went.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -53,6 +54,7 @@ REMOVED = [
     ("csiszar", "IntervalNotStraddlingOne"),
     ("csiszar", "_require_straddle"),
     ("cli", "_Spellings"),
+    ("type_s", "Regime"),
 ]
 
 
@@ -78,6 +80,8 @@ def test_removed_attributes_are_gone():
     # gap bundle's caller holds its target, and min(cap_candidates) was
     # read by nothing
     assert not hasattr(divbounds.SParameter, "from_value")
+    # canonical is the one classification of s
+    assert not hasattr(divbounds.SParameter(0.5), "regime")
     assert not hasattr(divbounds.DistributionPair, "n")
     names = {f.name for f in dataclasses.fields(divbounds.GapBounds)}
     assert not names & {"target", "cap_minimum"}

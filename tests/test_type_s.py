@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from divbounds import (
     DistributionPair,
-    Regime,
     SParameter,
     csiszar_divergence,
     generator,
@@ -28,7 +27,7 @@ from divbounds import (
     verify_all,
 )
 from divbounds import type_s
-from divbounds.csiszar import CONVEXITY_PROBES
+from divbounds.csiszar import CONVEXITY_PROBES, GeneratorNotConvex
 from divbounds.type_s import S_SWITCH, NonFiniteParameter, NonPositiveArgument
 
 import oracles
@@ -42,18 +41,18 @@ def close(a, b, rel=1e-12, abs_=1e-14):
 
 
 class TestSParameter:
-    @pytest.mark.parametrize("s, regime", [
-        (0.0, Regime.LIMIT_AT_ZERO),
-        (1e-6, Regime.LIMIT_AT_ZERO),
-        (-1e-5, Regime.LIMIT_AT_ZERO),
-        (1.0, Regime.LIMIT_AT_ONE),
-        (1.0 + 5e-6, Regime.LIMIT_AT_ONE),
-        (0.5, Regime.GENERIC),
-        (-2.0, Regime.GENERIC),
-        (2e-5, Regime.GENERIC),
+    @pytest.mark.parametrize("s, canonical", [
+        (0.0, 0.0),
+        (1e-6, 0.0),
+        (-1e-5, 0.0),
+        (1.0, 1.0),
+        (1.0 + 5e-6, 1.0),
+        (0.5, 0.5),
+        (-2.0, -2.0),
+        (2e-5, 2e-5),
     ])
-    def test_regimes(self, s, regime):
-        assert SParameter(s).regime is regime
+    def test_canonical_classifies(self, s, canonical):
+        assert SParameter(s).canonical == canonical
 
     def test_takes_s_alone_as_float(self):
         assert list(inspect.signature(SParameter).parameters) == ["s"]
@@ -72,26 +71,27 @@ class TestSParameter:
         assert SParameter(0.5).canonical == 0.5
 
     def test_canonical_set_with_the_regime(self):
-        """canonical is a field set with the regime: 0.0 and 1.0 up to the
-        switch points, s itself (the same float) past them."""
+        """canonical is the one classification, a field set from s: 0.0
+        and 1.0 up to the switch points, s itself (the same float) past
+        them, so a generic s never reads 0.0 or 1.0."""
+        assert [f.name for f in dataclasses.fields(SParameter)] == [
+            "s", "canonical"]
         (field,) = (f for f in dataclasses.fields(SParameter)
                     if f.name == "canonical")
-        assert not (field.init or field.repr or field.compare)
+        assert field.repr and not (field.init or field.compare)
         for s, canonical in ((-1e-5, 0.0), (1e-5, 0.0), (1.0 - 1e-5, 1.0),
                              (1.0 + 5e-6, 1.0)):
             assert type(SParameter(s).canonical) is float
             assert SParameter(s).canonical == canonical
         for s in (2e-5, 1.00002, -3.7):
             sp = SParameter(s)
-            assert sp.regime is Regime.GENERIC and sp.canonical is sp.s
+            assert sp.canonical is sp.s
 
     def test_repr_eq_hash_read_s_and_regime(self):
-        """repr, == and hash read s and the regime, nothing more."""
-        assert repr(SParameter(0.5)) == (
-            "SParameter(s=0.5, regime=<Regime.GENERIC: 'generic'>)")
-        assert repr(SParameter(1e-6)) == (
-            "SParameter(s=1e-06, regime=<Regime.LIMIT_AT_ZERO: "
-            "'limit_at_zero'>)")
+        """repr shows s and the point it evaluates, ``canonical``; == and
+        hash read s alone."""
+        assert repr(SParameter(0.5)) == "SParameter(s=0.5, canonical=0.5)"
+        assert repr(SParameter(1e-6)) == "SParameter(s=1e-06, canonical=0.0)"
         for a, b in ((1, 1.0), ("0.5", 0.5), (-0.0, 0.0), (1e-6, "1e-6")):
             assert SParameter(a) == SParameter(b)
             assert hash(SParameter(a)) == hash(SParameter(b))
@@ -105,24 +105,17 @@ class TestSParameter:
         with pytest.raises(NonFiniteParameter):
             omega_s(std_pair, s)
 
-    @pytest.mark.parametrize("s, regime, error", [
-        (math.nan, Regime.GENERIC, NonFiniteParameter),
-        (math.inf, Regime.GENERIC, NonFiniteParameter),
-        (-math.inf, Regime.LIMIT_AT_ZERO, NonFiniteParameter),
-        (None, Regime.GENERIC, NonFiniteParameter),
-        ("x", Regime.GENERIC, NonFiniteParameter),
-        ([1.0], Regime.GENERIC, NonFiniteParameter),
-        (1j, Regime.GENERIC, NonFiniteParameter),
-    ])
-    def test_direct_construction_checked(self, s, regime, error):
+    @pytest.mark.parametrize("s", [
+        math.nan, math.inf, -math.inf, None, "x", [1.0], 1j])
+    def test_direct_construction_checked(self, s):
         """SParameter(s) is the one constructor.  It raises a typed error
-        for an s that is not a finite real, and it takes no regime: that
-        follows from s, so a parameter that evaluates the wrong branch (the
-        s = 0 value at s = 2) cannot be built."""
-        with pytest.raises(error):
+        for an s that is not a finite real, and it takes no canonical
+        value: that follows from s, so a parameter that evaluates the wrong
+        branch (the s = 0 value at s = 2) cannot be built."""
+        with pytest.raises(NonFiniteParameter):
             SParameter(s)
         with pytest.raises(TypeError):
-            SParameter(s, regime)
+            SParameter(s, 0.0)
 
     @pytest.mark.parametrize("s, message", [
         (None, "not 'NoneType'"),
@@ -214,9 +207,9 @@ class TestOmega:
         for s0 in (0.0, 1.0):
             for side in (1.0, -1.0):
                 s = s0 + side * S_SWITCH
-                while SParameter(s).regime is Regime.GENERIC:
+                while SParameter(s).canonical not in (0.0, 1.0):
                     s = math.nextafter(s, s0)
-                while SParameter(s).regime is not Regime.GENERIC:
+                while SParameter(s).canonical in (0.0, 1.0):
                     s = math.nextafter(s, side * math.inf)
                 for fn in (omega_s, phi_s):
                     for pair in targets:
@@ -233,6 +226,16 @@ class TestOmega:
 
 
 class TestPsi:
+    def test_generator_probe_overflow_is_typed(self):
+        """Past s of about 418.36 psi'' at the probe 0.1, 5.5^(s-2)/0.004,
+        overflows: the build is refused with the typed convexity error,
+        not a bare OverflowError.  Just below, the family still builds."""
+        with pytest.raises(GeneratorNotConvex,
+                           match=r"^unified_ag_js\[s=419\]: f''\(0\.1\) "
+                                 r"cannot be evaluated \(OverflowError: "):
+            generator(419.0)
+        assert generator(418.0).label == "unified_ag_js[s=418]"
+
     def test_normalization_exact(self):
         for s in S_GRID:
             assert psi_s(1.0, s) == 0.0
@@ -352,9 +355,9 @@ def _psi_d1_reference(x, s):
     the per-parameter kernel: the fast path must match it bit for bit."""
     sp = SParameter(s)
     u = (x + 1.0) / (2.0 * x)
-    if sp.regime is Regime.LIMIT_AT_ZERO:
+    if sp.canonical == 0.0:
         return 0.5 * (1.0 - x) / (1.0 + x) - math.log(u)
-    if sp.regime is Regime.LIMIT_AT_ONE:
+    if sp.canonical == 1.0:
         return 0.5 * (1.0 - 1.0 / x + math.log(u))
     sv = sp.s
     lu = math.log(u)
@@ -363,8 +366,9 @@ def _psi_d1_reference(x, s):
 
 
 class TestFastD1:
-    # Every regime, including parameters just inside and outside the limit
-    # switch, and ratios at both extremes and on either side of one.
+    # Both limits and the generic formula, including parameters just inside
+    # and outside the limit switch, and ratios at both extremes and on
+    # either side of one.
     S_VALUES = (-3.0, -1.0, -0.5, -1e-5, 0.0, 2e-6, 2e-5, 0.5, 1.0 - 2e-5,
                 1.0, 1.0 + 1e-5, 2.0, 7.5)
     X_VALUES = (1e-300, 1e-200, 1e-12, 0.01, 0.5, 1.0 - 1e-12, 1.0,
