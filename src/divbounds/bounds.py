@@ -25,6 +25,7 @@ from .csiszar import (
     _HALF_E,
     _gap_bounds,
     _gap_functional,
+    _term,
 )
 from .divergences import (
     chi_squared,
@@ -93,53 +94,72 @@ def _gap_parameter(s: float | SParameter) -> SParameter:
     return sp
 
 
-def e_omega(pair: DistributionPair, s: float | SParameter) -> float:
+# The s-independent terms of the closed forms (cf) and the pair checks.
+def _swapped_sums(pair: DistributionPair) -> tuple[float, float]:
+    return relative_j_divergence(pair.swapped()), chi_squared(pair.swapped())
+
+
+def _e_cf_column(pair: DistributionPair):
+    return [((p - q) / (p + q), (p + q) / (2.0 * p), p, q)
+            for p, q in zip(pair.p.values, pair.q.values) if p != q]
+
+
+def _e_star_cf_column(pair: DistributionPair):
+    return [(p - q, (p + 3.0 * q) / (2.0 * (p + q)), p, q, p + 3.0 * q)
+            for p, q in zip(pair.p.values, pair.q.values) if p != q]
+
+
+def _e_star_limit_sums(pair: DistributionPair) -> tuple[float, float]:
+    # J* = sum (p - q) log((p + 3q)/(2(p + q))) and sum (p - q)^2/(p + 3q)
+    items = tuple(zip(pair.p.values, pair.q.values))
+    return (fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
+                 for p, q in items if p != q),
+            fsum((p - q) * (p - q) / (p + 3.0 * q) for p, q in items))
+
+
+def e_omega(pair: DistributionPair, s: float | SParameter, *,
+            moments: PairMoments | None = None) -> float:
     """Directed first-derivative functional of the family at s; the
     generic engine evaluation is authoritative."""
-    return csiszar.dragomir_e(pair, generator(s))
+    return csiszar.dragomir_e(pair, generator(s), moments=moments)
 
 
-def e_omega_closed_form(pair: DistributionPair, s: float | SParameter) -> float:
+def e_omega_closed_form(pair: DistributionPair, s: float | SParameter, *,
+                        moments: PairMoments | None = None) -> float:
     """Closed form of e_omega, used as a cross-check.
 
     The s = 1 branch uses chi2 with swapped arguments; see the report note.
     """
     sp = _sparam(s)
-    if sp.canonical == 0.0:
-        return (relative_j_divergence(pair.swapped())
-                - 0.5 * triangular_discrimination(pair))
-    if sp.canonical == 1.0:
-        return 0.5 * (chi_squared(pair.swapped())
-                      - relative_j_divergence(pair.swapped()))
-    sv = sp.s
-    core = fsum([((p - q) / (p + q)) * math.pow((p + q) / (2.0 * p), sv)
-                 * (p + (1.0 - sv) * q)
-                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
+    if sp.canonical in (0.0, 1.0):
+        j, chi2 = _term(pair, moments, _swapped_sums)
+        if sp.canonical == 0.0:
+            return j - 0.5 * _term(pair, moments, triangular_discrimination)
+        return 0.5 * (chi2 - j)
+    sv, one_minus = sp.s, 1.0 - sp.s
+    core = fsum([w * math.pow(u, sv) * (p + one_minus * q)
+                 for w, u, p, q in _term(pair, moments, _e_cf_column)])
     return core / (sv * (sv - 1.0))
 
 
-def e_star_omega(pair: DistributionPair, s: float | SParameter) -> float:
+def e_star_omega(pair: DistributionPair, s: float | SParameter, *,
+                 moments: PairMoments | None = None) -> float:
     """Midpoint-argument first-derivative functional of the family at s."""
-    return csiszar.dragomir_e_star(pair, generator(s))
+    return csiszar.dragomir_e_star(pair, generator(s), moments=moments)
 
 
-def e_star_omega_closed_form(pair: DistributionPair,
-                             s: float | SParameter) -> float:
+def e_star_omega_closed_form(pair: DistributionPair, s: float | SParameter,
+                             *, moments: PairMoments | None = None) -> float:
     """Closed form of e_star_omega, used as a cross-check."""
     sp = _sparam(s)
-    items = tuple(zip(pair.p.values, pair.q.values))
     if sp.canonical in (0.0, 1.0):
-        # both limits share J* = sum (p - q) log((p + 3q)/(2(p + q)))
-        j = fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
-                 for p, q in items if p != q)
+        j, tail = _term(pair, moments, _e_star_limit_sums)
         if sp.canonical == 0.0:
-            return -j - 0.5 * fsum((p - q) * (p - q) / (p + 3.0 * q)
-                                   for p, q in items)
-        return 0.5 * triangular_discrimination(pair) + 0.5 * j
-    sv = sp.s
-    core = fsum([(p - q) * math.pow((p + 3.0 * q) / (2.0 * (p + q)), sv)
-                 * ((p + (3.0 - 2.0 * sv) * q) / (p + 3.0 * q))
-                 for p, q in items if p != q])
+            return -j - 0.5 * tail
+        return 0.5 * _term(pair, moments, triangular_discrimination) + 0.5 * j
+    sv, three_minus = sp.s, 3.0 - 2.0 * sp.s
+    core = fsum([d * math.pow(m, sv) * ((p + three_minus * q) / t)
+                 for d, m, p, q, t in _term(pair, moments, _e_star_cf_column)])
     return core / (sv * (sv - 1.0))
 
 
@@ -236,12 +256,12 @@ def _family_at(pair: DistributionPair, rb: RatioBounds | None,
     """(omega, e, e_star, a, b, gaps) of the family at sp for one pair.
 
     a, b and gaps are None when rb is None (P = Q, or P equals Q up to
-    rounding); gaps is also None for s < -1.  Otherwise gaps holds the theorem42_bounds bundles for HALF_E
-    and E_STAR, in that order.
+    rounding); gaps is also None for s < -1.  Otherwise gaps holds the
+    theorem42_bounds bundles for HALF_E and E_STAR, in that order.
     """
-    omega = omega_s(pair, sp)
-    e = e_omega(pair, sp)
-    e_star = e_star_omega(pair, sp)
+    omega = omega_s(pair, sp, moments=moments)
+    e = e_omega(pair, sp, moments=moments)
+    e_star = e_star_omega(pair, sp, moments=moments)
     if rb is None:
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
@@ -361,9 +381,8 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds | None,
     """verify_all's pair-level checks, as (inequality_id, lhs, rhs), and
     skips, as (inequality_id, reason)."""
     # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
-    half_tri = 0.5 * triangular_discrimination(pair)
-    rel_j_swap = relative_j_divergence(pair.swapped())
-    chi2_swap = chi_squared(pair.swapped())
+    half_tri = 0.5 * _term(pair, moments, triangular_discrimination)
+    rel_j_swap, chi2_swap = _term(pair, moments, _swapped_sums)
     checks = [("tri_half_le_rel_j_swap", half_tri, rel_j_swap),
               ("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap)]
     if rb is None:
@@ -376,7 +395,8 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds | None,
                                                moments.abs_chi3), _MOMENT_IDS):
         (le_interval, interval_le_cap, le_ceiling, power_ge_floor,
          power_le_ceiling) = ids
-        power_diff = power_difference_divergence(pair, m)
+        power_diff = (variation if m == 1.0  # its value at m = 1 is V
+                      else power_difference_divergence(pair, m))
         interval = ((1.0 - r) * (R - 1.0) / (R - r)) * (
             (1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
         lower_factor, upper_factor = _tv_chain_factors(r, R, m)
@@ -400,10 +420,11 @@ def _family_checks(pair: DistributionPair, rb: RatioBounds | None,
     checks = [
         ("omega_nonneg", 0.0, value),
         ("omega_le_e", value, e_val),
-        _agreement("e_closed_form_agrees", e_omega_closed_form(pair, sp),
-                   e_val),
+        _agreement("e_closed_form_agrees",
+                   e_omega_closed_form(pair, sp, moments=moments), e_val),
         _agreement("e_star_closed_form_agrees",
-                   e_star_omega_closed_form(pair, sp), e_star_val),
+                   e_star_omega_closed_form(pair, sp, moments=moments),
+                   e_star_val),
     ]
     if a_val is None:
         return checks, [("gap_bounds", _DEGENERATE),

@@ -44,6 +44,9 @@ _DEFAULT_S_HELP = f"(default: {','.join(f'{s:g}' for s in DEFAULT_S_LIST)})"
 #: Most points a sweep grid may have; checked before the grid is built.
 MAX_GRID_POINTS = 10**6
 
+#: Most values an s-list may hold; counted before one is parsed.
+MAX_S_VALUES = 10**4
+
 #: Largest gen --n; checked before the header's column names are built.
 MAX_GEN_DIMENSION = 10**6
 
@@ -98,9 +101,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_s_list(text: str) -> tuple[float, ...]:
     """The parameters of a comma-separated list, in order, as SParameter
     reads them; compute and verify each use a repeated s once."""
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if len(tokens) > MAX_S_VALUES:
+        raise CliInputError(
+            f"s-list exceeds the limit of {MAX_S_VALUES} values")
     try:
-        values = tuple(SParameter(tok).s
-                       for tok in text.split(",") if tok.strip())
+        values = tuple(SParameter(tok).s for tok in tokens)
     except ValueError as exc:
         raise CliInputError(f"bad s-list {text!r}: {exc}") from None
     if not values:
@@ -508,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--s-list", type=_parse_s_list,
                            default=DEFAULT_S_LIST,
                            help="comma-separated parameters used to expand "
-                                "bare parametric measure names "
-                                + _DEFAULT_S_HELP)
+                                "bare parametric measure names, at most "
+                                f"{MAX_S_VALUES} " + _DEFAULT_S_HELP)
     p_compute.set_defaults(handler=_cmd_compute)
 
     p_sweep = subs.add_parser(
@@ -533,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_verify)
     p_verify.add_argument("--s-list", type=_parse_s_list,
                           default=DEFAULT_S_LIST,
-                          help="comma-separated family parameters "
-                               + _DEFAULT_S_HELP)
+                          help="comma-separated family parameters, at most "
+                               f"{MAX_S_VALUES} " + _DEFAULT_S_HELP)
     p_verify.add_argument("--tolerance", type=float,
                           default=bounds_mod.VIOLATION_TOLERANCE,
                           help="violation tolerance override (absolute)")

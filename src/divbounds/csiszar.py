@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 from typing import Callable
 
@@ -117,19 +117,33 @@ class GapBounds:
 
 @dataclass(frozen=True)
 class PairMoments:
-    """The pair-level sums the gap bounds read: chi-square, the cubic
-    absolute moment |chi|^3 and the total variation V.  They do not depend
-    on the generator, so a caller checking many generators or s-values
-    builds them once per pair."""
+    """The s-independent terms of one pair: the gap bounds' sums (chi-square,
+    |chi|^3, V), and each sum or column that a function given ``moments=``
+    reads, built when first read, so a caller builds each once per pair."""
 
     chi2: float
     abs_chi3: float
     variation: float
+    _terms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def of(cls, pair: DistributionPair) -> "PairMoments":
         return cls(chi_squared(pair), vajda_abs_chi(pair, 3.0),
                    total_variation(pair))
+
+
+def _term(pair: DistributionPair, moments: PairMoments | None, build):
+    # build(pair), kept on moments = PairMoments.of(pair), or built afresh
+    terms = {} if moments is None else moments._terms
+    if build not in terms:
+        terms[build] = build(pair)
+    return terms[build]
+
+
+def _e_columns(pair: DistributionPair) -> list[tuple[float, float, float]]:
+    return [(p - q, p / q, (p + q) / (2.0 * q))
+            for p, q in zip(pair.p.values, pair.q.values) if p != q]
 
 
 def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
@@ -138,18 +152,18 @@ def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
                 for p, q in zip(pair.p.values, pair.q.values) if p != q)
 
 
-def dragomir_e(pair: DistributionPair, gen: GeneratorFunction) -> float:
+def dragomir_e(pair: DistributionPair, gen: GeneratorFunction, *,
+               moments: PairMoments | None = None) -> float:
     """First-derivative upper functional: sum of (p - q) f'(p/q)."""
     d1 = gen.d1
-    return fsum([(p - q) * d1(p / q)
-                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
+    return fsum([d * d1(x) for d, x, _ in _term(pair, moments, _e_columns)])
 
 
-def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
+def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction, *,
+                    moments: PairMoments | None = None) -> float:
     """Midpoint-argument variant: sum of (p - q) f'((p + q)/(2q))."""
     d1 = gen.d1
-    return fsum([(p - q) * d1((p + q) / (2.0 * q))
-                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
+    return fsum([d * d1(x) for d, _, x in _term(pair, moments, _e_columns)])
 
 
 def bound_a(rb: RatioBounds, gen: GeneratorFunction) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import exp, expm1, fsum, isfinite, log, log1p, pow
 from typing import Callable, NoReturn
 
-from .csiszar import GeneratorFunction
+from .csiszar import GeneratorFunction, PairMoments, _term
 from .divergences import (
     relative_ag_divergence,
     relative_information,
@@ -95,7 +95,16 @@ def phi_s(pair: DistributionPair, s: float | SParameter) -> float:
     return core / (sv * (sv - 1.0))
 
 
-def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
+def _omega_column(pair: DistributionPair) -> tuple[list[float], list[float]]:
+    # two lists of floats: no tuple per component for the cyclic GC to scan
+    items = pair.p.values, pair.q.values
+    return ([p for p, q in zip(*items) if p != q],
+            [_log_ratio(p + q, 2.0 * p, q - p)
+             for p, q in zip(*items) if p != q])
+
+
+def omega_s(pair: DistributionPair, s: float | SParameter, *,
+            moments: PairMoments | None = None) -> float:
     """Unified relative AG/JS divergence of type s:
     [s(s-1)]^-1 (sum of p ((p+q)/(2p))^s - 1), with the directed JS
     divergence as the s = 0 limit and the directed AG divergence at s = 1.
@@ -103,12 +112,12 @@ def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     """
     sp = _sparam(s)
     if sp.canonical == 0.0:
-        return relative_js_divergence(pair)
+        return _term(pair, moments, relative_js_divergence)
     if sp.canonical == 1.0:
-        return relative_ag_divergence(pair)
+        return _term(pair, moments, relative_ag_divergence)
     sv = sp.s
-    core = fsum([p * expm1(sv * _log_ratio(p + q, 2.0 * p, q - p))
-                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
+    ps, logs = _term(pair, moments, _omega_column)
+    core = fsum([p * expm1(sv * lr) for p, lr in zip(ps, logs)])
     return core / (sv * (sv - 1.0))
 
 

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import math
 import random
 import struct
+import sys
 
 import mpmath as mp
 import pytest
@@ -35,19 +37,21 @@ from divbounds import (
     validate,
     verify_all,
 )
+from divbounds import bounds, csiszar, divergences, type_s
 from divbounds.bounds import (
     InvalidTolerance,
     SOutOfRange,
     _entries,
+    _family_at,
     _s_key,
     b_omega_closed_form,
     e_omega_closed_form,
     e_star_omega_closed_form,
 )
-from divbounds.cli import DEFAULT_S_LIST
+from divbounds.cli import DEFAULT_S_LIST, main
 from divbounds.divergences import power_difference_divergence
 from divbounds.means import BRANCH_SWITCH
-from divbounds.type_s import NonFiniteParameter, SParameter
+from divbounds.type_s import S_SWITCH, NonFiniteParameter, SParameter
 from divbounds.simplex import InvalidRatioBounds, RatioBounds
 
 import oracles
@@ -676,3 +680,184 @@ class TestVerifyAll:
         assert list(report.entries) == sorted(report.entries, key=key)
         assert list(report.skipped) == sorted(report.skipped, key=key)
         assert len({key(e) for e in report.entries}) == len(report.entries)
+
+
+@st.composite
+def pairs_with_equal_components(draw):
+    """Pairs of dimension 2 to 64: a random pair; P made from Q by moving
+    a share of one component's mass to another a few times, so the other
+    components are equal; or P made from Q by moving a strict subset of its
+    components 1-4 ulps, all up or all down, so that P equals Q up to
+    rounding and ratio_bounds is None."""
+    n = draw(st.integers(2, 64))
+    pair = random_pair(n, draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(("random", "moved", "ulps")))
+    if kind == "random":
+        return pair
+    p = list(pair.q.values)
+    if kind == "moved":
+        for _ in range(draw(st.integers(1, max(1, n // 3)))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            share = draw(st.floats(0.0, 0.9)) * p[j]
+            p[i] += share
+            p[j] -= share
+    else:
+        toward = draw(st.sampled_from((0.0, math.inf)))
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1,
+                              max_size=n - 1)):
+            for _ in range(draw(st.integers(1, 4))):
+                p[i] = math.nextafter(p[i], toward)
+    return DistributionPair(validate(p), pair.q)
+
+
+# The edges of both limit bands, the floats next to them, and the limit
+# points themselves
+_BAND_EDGES = tuple(
+    x for edge in (-S_SWITCH, S_SWITCH, 1.0 - S_SWITCH, 1.0 + S_SWITCH)
+    for x in (math.nextafter(edge, -math.inf), edge,
+              math.nextafter(edge, math.inf))) + (0.0, -0.0, 1.0)
+
+#: Generic s, s inside either band, and s at a band's edge.
+S_VALUES = st.one_of(st.floats(-3.0, 4.0),
+                     st.floats(-S_SWITCH, S_SWITCH),
+                     st.floats(1.0 - S_SWITCH, 1.0 + S_SWITCH),
+                     st.sampled_from(_BAND_EDGES))
+
+#: The per-s functions that read the per-pair terms kept on PairMoments.
+PER_S = (omega_s, e_omega, e_star_omega, e_omega_closed_form,
+         e_star_omega_closed_form)
+
+#: The builders of the per-pair terms, read through their module names.
+BUILDERS = ((csiszar, "_e_columns"), (type_s, "_omega_column"),
+            (bounds, "_e_cf_column"), (bounds, "_e_star_cf_column"),
+            (bounds, "_swapped_sums"), (bounds, "_e_star_limit_sums"))
+
+
+def record_calls(monkeypatch, fn):
+    """Wrap fn at every divbounds module that holds it, as the benchmark's
+    tracer does, and return the list that gets each call's arguments."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "divbounds" or name.startswith("divbounds."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+class TestPairTerms:
+    """The s-independent terms of a pair, kept on its PairMoments: the same
+    bits as a standalone call, and each built once per pair."""
+
+    @given(pairs_with_equal_components(),
+           st.lists(S_VALUES, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_moments_route_has_the_same_bits(self, pair, s_values):
+        """With one PairMoments shared across the s-values, each per-s
+        function returns what it returns without it, -0.0 included."""
+        moments = PairMoments.of(pair)
+        for s in s_values:
+            for fn in PER_S:
+                assert repr(fn(pair, s, moments=moments)) == repr(
+                    fn(pair, s)), (fn.__name__, s)
+        assert repr(moments) == repr(PairMoments.of(pair))
+
+    @given(pairs_with_equal_components(),
+           st.lists(S_VALUES, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_family_row_matches_calls_value_by_value(self, pair, s_values):
+        """A sweep row (_family_at with the pair's PairMoments) equals
+        omega, E, E*, A, B and both gap bundles made one call at a time."""
+        rb = ratio_bounds(pair)
+        moments = PairMoments.of(pair)
+        for s in s_values:
+            alone = (omega_s(pair, s), e_omega(pair, s), e_star_omega(pair, s))
+            if rb is None:
+                alone += (None, None, None)
+            else:
+                alone += (a_omega(rb, s), b_omega(rb, s), None if s < -1.0
+                          else tuple(theorem42_bounds(pair, rb, s, target)
+                                     for target in GapTarget))
+            assert repr(_family_at(pair, rb, moments, SParameter(s))) == repr(
+                alone), s
+
+    def test_sweep_rows_match_calls_value_by_value(self, tmp_path):
+        """The CLI's sweep rows over both limit bands carry the values of
+        the same calls made one s at a time."""
+        base = random_pair(7, 3)
+        moved = list(base.q.values)
+        moved[0], moved[1] = moved[0] + 0.5 * moved[1], 0.5 * moved[1]
+        pairs = {"a": base, "b": DistributionPair(validate(moved), base.q),
+                 "c": DistributionPair(base.q, base.q)}
+        src, out = tmp_path / "pairs.json", tmp_path / "rows.jsonl"
+        src.write_text(json.dumps({"pairs": [
+            {"id": pid, "p": pair.p.values, "q": pair.q.values}
+            for pid, pair in pairs.items()]}))
+        assert main(["sweep", "--s-min=-2e-5", "--s-max=1.00002",
+                     "--s-step=0.0625", "--input", str(src),
+                     "--output", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 3 * 17
+        for row in rows:
+            pair, s = pairs[row["pair_id"]], row["s"]
+            rb = ratio_bounds(pair)
+            expected = [omega_s(pair, s), e_omega(pair, s),
+                        e_star_omega(pair, s)]
+            if rb is not None:
+                expected += [a_omega(rb, s), b_omega(rb, s), *(
+                    theorem42_bounds(pair, rb, s, target).minimum
+                    for target in GapTarget)]
+            assert [row[key] for key in (
+                "omega", "e", "e_star", "a", "b", "gap_half_e_bound",
+                "gap_e_star_bound")] == expected + [None] * (7 - len(
+                    expected)), (row["pair_id"], s)
+
+    @pytest.mark.parametrize("s_values", [
+        DEFAULT_S_LIST, tuple(-1.0 + 0.1 * k for k in range(30))],
+        ids=["6-values", "30-values"])
+    def test_each_term_built_once_per_pair(self, monkeypatch, s_values):
+        """One verify_all call evaluates the triangular discrimination,
+        J(Q||P), chi2(Q||P) and V once each (the parent of this rule
+        evaluated them 3, 3, 2 and 2 times at the default s-list), and
+        builds each per-pair column and limit sum once, however many
+        s-values it checks."""
+        pair = random_pair(16, 5)
+        calls = {fn.__name__: record_calls(monkeypatch, fn) for fn in (
+            divergences.triangular_discrimination,
+            divergences.relative_j_divergence, divergences.chi_squared,
+            divergences.total_variation)}
+        built = {name: record_calls(monkeypatch, getattr(module, name))
+                 for module, name in BUILDERS}
+        assert 0.0 in s_values and 1.0 in s_values
+        verify_all(pair, s_values)
+
+        def swapped(name):
+            return sum(args[0].p is pair.q for args in calls[name])
+
+        assert len(calls["triangular_discrimination"]) == 1
+        assert swapped("relative_j_divergence") == 1
+        assert swapped("chi_squared") == 1
+        assert len(calls["total_variation"]) == 1
+        assert {name: len(args) for name, args in built.items()} == {
+            name: 1 for name in built}
+
+    def test_sweep_builds_each_term_once_per_pair(self, monkeypatch,
+                                                  tmp_path):
+        """sweep keeps one PairMoments per pair across its grid of 13
+        points: the omega and E columns, the ones its rows read, are built
+        once for each of the three pairs."""
+        src, out = tmp_path / "pairs.csv", tmp_path / "rows.jsonl"
+        assert main(["gen", "--n", "9", "--count", "3", "--seed", "5",
+                     "--output", str(src)]) == 0
+        built = {name: record_calls(monkeypatch, getattr(module, name))
+                 for module, name in BUILDERS[:2]}
+        assert main(["sweep", "--s-min=-1", "--s-max=2", "--s-step=0.25",
+                     "--input", str(src), "--output", str(out)]) == 0
+        assert {name: len(args) for name, args in built.items()} == {
+            name: 3 for name in built}

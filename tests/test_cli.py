@@ -1029,6 +1029,14 @@ INPUT_ERRORS = {
                                     "satisfy m >= 1, got 0.5000001",)),
     "verify-s-list-nan": (STD_CSV, ("verify", "--s-list", "nan"),
                           ("bad s-list 'nan': s must be finite, got nan",)),
+    # counted before any value is parsed: the last token is not a number
+    "verify-s-list-limit": (STD_CSV, ("verify", "--s-list=" + "1," * 10000
+                                      + "x"),
+                            ("s-list exceeds the limit of 10000 values",)),
+    "compute-s-list-limit": (STD_CSV, ("compute", "--measures", "omega",
+                                       "--s-list=" + ",".join(
+                                           map(str, range(10001)))),
+                             ("s-list exceeds the limit of 10000 values",)),
     "gen-count": (None, ("gen", "--n", "2", "--count", "0"),
                   ("count must be >= 1", "got 0")),
     "gen-dimension-limit": (None, ("gen", "--n", "1000001", "--count", "1"),
@@ -1076,6 +1084,27 @@ def test_input_error_table(tmp_path, capsys, name):
         (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
         argv = (*argv, "--input", str(path))
     assert_input_error(*run(capsys, *argv), *words)
+
+
+@pytest.mark.parametrize("command", [("verify",),
+                                     ("compute", "--measures", "omega")])
+def test_s_list_limit(tmp_path, capsys, command):
+    """MAX_S_VALUES values are accepted and one more is refused, with one
+    error line, before --input is read; blank tokens do not count."""
+    s_list = ",".join(str(k / 64) for k in range(cli.MAX_S_VALUES))
+    missing = str(tmp_path / "missing.csv")
+    assert run(capsys, *command, "--s-list", s_list + ",4096,",
+               "--input", missing) == (
+        1, "", "error: s-list exceeds the limit of 10000 values\n")
+    assert cli._parse_s_list(s_list + ", ,") == tuple(
+        k / 64 for k in range(cli.MAX_S_VALUES))
+    if command[0] == "compute":
+        src = tmp_path / "std.csv"
+        src.write_text(STD_CSV)
+        code, out, err = run(capsys, *command, "--s-list", s_list,
+                             "--input", str(src))
+        assert (code, err) == (0, "")
+        assert len(jsonl(out)) == cli.MAX_S_VALUES
 
 
 @pytest.mark.parametrize("argv", [
@@ -1537,6 +1566,28 @@ def test_edge_output_bytes_pinned(tmp_path, name, fmt):
     assert code == (2 if name == "inject" else 0)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == EDGE_DIGESTS[name, fmt]
+
+
+# SHA-256 of sweep over seed-7 `gen --n 64 --count 20` for s = -1 to 2 by
+# 0.25, which crosses both limit points, frozen from the implementation
+# that evaluated every s-independent term of omega, E and E* afresh at each
+# grid point.
+SWEEP_N64_DIGESTS = {
+    "jsonl": "abf552326f1cd59ae97b17e7bc1db7a08a0206ee4c5a697687f6c045bf972e38",
+    "csv": "6230d7388c90903420be64c29cfcb26ad69ff839776368764297c61509cea4d0",
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_sweep_bytes_pinned_on_generated_pairs(tmp_path, fmt):
+    pairs, out = tmp_path / "pairs.csv", tmp_path / f"out.{fmt}"
+    assert main(["gen", "--n", "64", "--count", "20", "--seed", "7",
+                 "--output", str(pairs)]) == 0
+    assert main(["sweep", "--s-min=-1", "--s-max=2", "--s-step=0.25",
+                 "--input", str(pairs), "--output", str(out),
+                 "--format", fmt]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SWEEP_N64_DIGESTS[fmt]
 
 
 class TestGen:
