@@ -50,7 +50,6 @@ from .type_s import (
 from .bounds import (
     BoundEntry,
     BoundReport,
-    PairMoments,
     a_omega,
     b_omega,
     delta_omega,
@@ -76,7 +75,7 @@ __all__ = [
     "bound_a", "bound_b", "theorem33_bounds",
     "SParameter", "phi_s", "omega_s", "psi_s", "psi_s_d1",
     "psi_s_d2", "psi_s_d3", "generator",
-    "BoundEntry", "BoundReport", "PairMoments",
+    "BoundEntry", "BoundReport",
     "e_omega", "e_star_omega", "a_omega", "b_omega",
     "delta_omega", "psi3_sup", "theorem42_bounds", "verify_all",
 ]

@@ -20,11 +20,12 @@ from . import csiszar
 from .csiszar import (
     GapBounds,
     GapTarget,
-    PairMoments,
     _E_STAR,
     _HALF_E,
+    _EvaluatedPair,
     _gap_bounds,
     _gap_functional,
+    _gap_sums,
     _term,
 )
 from .divergences import (
@@ -117,49 +118,47 @@ def _e_star_limit_sums(pair: DistributionPair) -> tuple[float, float]:
             fsum((p - q) * (p - q) / (p + 3.0 * q) for p, q in items))
 
 
-def e_omega(pair: DistributionPair, s: float | SParameter, *,
-            moments: PairMoments | None = None) -> float:
+def e_omega(pair: DistributionPair, s: float | SParameter) -> float:
     """Directed first-derivative functional of the family at s; the
     generic engine evaluation is authoritative."""
-    return csiszar.dragomir_e(pair, generator(s), moments=moments)
+    return csiszar.dragomir_e(pair, generator(s))
 
 
-def e_omega_closed_form(pair: DistributionPair, s: float | SParameter, *,
-                        moments: PairMoments | None = None) -> float:
+def e_omega_closed_form(pair: DistributionPair,
+                        s: float | SParameter) -> float:
     """Closed form of e_omega, used as a cross-check.
 
     The s = 1 branch uses chi2 with swapped arguments; see the report note.
     """
     sp = _sparam(s)
     if sp.canonical in (0.0, 1.0):
-        j, chi2 = _term(pair, moments, _swapped_sums)
+        j, chi2 = _term(pair, _swapped_sums)
         if sp.canonical == 0.0:
-            return j - 0.5 * _term(pair, moments, triangular_discrimination)
+            return j - 0.5 * _term(pair, triangular_discrimination)
         return 0.5 * (chi2 - j)
     sv, one_minus = sp.s, 1.0 - sp.s
     core = fsum([w * math.pow(u, sv) * (p + one_minus * q)
-                 for w, u, p, q in _term(pair, moments, _e_cf_column)])
+                 for w, u, p, q in _term(pair, _e_cf_column)])
     return core / (sv * (sv - 1.0))
 
 
-def e_star_omega(pair: DistributionPair, s: float | SParameter, *,
-                 moments: PairMoments | None = None) -> float:
+def e_star_omega(pair: DistributionPair, s: float | SParameter) -> float:
     """Midpoint-argument first-derivative functional of the family at s."""
-    return csiszar.dragomir_e_star(pair, generator(s), moments=moments)
+    return csiszar.dragomir_e_star(pair, generator(s))
 
 
-def e_star_omega_closed_form(pair: DistributionPair, s: float | SParameter,
-                             *, moments: PairMoments | None = None) -> float:
+def e_star_omega_closed_form(pair: DistributionPair,
+                             s: float | SParameter) -> float:
     """Closed form of e_star_omega, used as a cross-check."""
     sp = _sparam(s)
     if sp.canonical in (0.0, 1.0):
-        j, tail = _term(pair, moments, _e_star_limit_sums)
+        j, tail = _term(pair, _e_star_limit_sums)
         if sp.canonical == 0.0:
             return -j - 0.5 * tail
-        return 0.5 * _term(pair, moments, triangular_discrimination) + 0.5 * j
+        return 0.5 * _term(pair, triangular_discrimination) + 0.5 * j
     sv, three_minus = sp.s, 3.0 - 2.0 * sp.s
     core = fsum([d * math.pow(m, sv) * ((p + three_minus * q) / t)
-                 for d, m, p, q, t in _term(pair, moments, _e_star_cf_column)])
+                 for d, m, p, q, t in _term(pair, _e_star_cf_column)])
     return core / (sv * (sv - 1.0))
 
 
@@ -220,7 +219,6 @@ def psi3_sup(rb: RatioBounds, s: float | SParameter) -> float:
 
 def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
                      s: float | SParameter, target: GapTarget, *,
-                     moments: PairMoments | None = None,
                      omega: float | None = None,
                      functional: float | None = None) -> GapBounds:
     """Third-derivative gap bounds specialized to the family generator:
@@ -232,41 +230,38 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     s >= -1 (psi''' <= 0 there), so the curvature candidate is the positive
     spread delta/8 times chi-square.
 
-    A caller that already holds ``PairMoments.of(pair)``,
-    ``omega_s(pair, s)`` or the target's functional (``e_omega(pair, s)``
-    for HALF_E, ``e_star_omega(pair, s)`` for E_STAR) may pass it as
-    ``moments``, ``omega`` or ``functional``; each is computed here when
-    omitted.
+    A caller that already holds ``omega_s(pair, s)`` or the target's
+    functional (``e_omega(pair, s)`` for HALF_E, ``e_star_omega(pair, s)``
+    for E_STAR) may pass it as ``omega`` or ``functional``; each is computed
+    here when omitted.
     """
     if type(target) is not GapTarget:
         target = GapTarget(target)
     sp = _gap_parameter(s)
     sup3 = psi3_sup(rb, sp)
-    if moments is None:
-        moments = PairMoments.of(pair)
     value = omega_s(pair, sp) if omega is None else omega
     gen = generator(sp)
     if functional is None:
         functional = _gap_functional(pair, gen, target)
-    return _gap_bounds(rb, gen, target, value, functional, -1, sup3, moments)
+    return _gap_bounds(pair, rb, gen, target, value, functional, -1, sup3)
 
 
 def _family_at(pair: DistributionPair, rb: RatioBounds | None,
-               moments: PairMoments, sp: SParameter):
+               sp: SParameter):
     """(omega, e, e_star, a, b, gaps) of the family at sp for one pair.
 
     a, b and gaps are None when rb is None (P = Q, or P equals Q up to
     rounding); gaps is also None for s < -1.  Otherwise gaps holds the
     theorem42_bounds bundles for HALF_E and E_STAR, in that order.
     """
-    omega = omega_s(pair, sp, moments=moments)
-    e = e_omega(pair, sp, moments=moments)
-    e_star = e_star_omega(pair, sp, moments=moments)
+    omega = omega_s(pair, sp)
+    e = e_omega(pair, sp)
+    e_star = e_star_omega(pair, sp)
     if rb is None:
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
     gaps = None if sp.s < -1.0 else tuple(
-        theorem42_bounds(pair, rb, sp, target, moments=moments, omega=omega,
+        theorem42_bounds(pair, rb, sp, target, omega=omega,
                          functional=functional)
         for target, functional in ((_HALF_E, e), (_E_STAR, e_star)))
     return omega, e, e_star, a, b, gaps
@@ -376,13 +371,12 @@ _GAP_IDS = tuple((f"{tag}_le_min", tuple(f"{tag}_{name}_le_cap" for name in (
     for tag in ("gap_half_e", "gap_e_star"))
 
 
-def _pair_checks(pair: DistributionPair, rb: RatioBounds | None,
-                 moments: PairMoments):
+def _pair_checks(pair: DistributionPair, rb: RatioBounds | None):
     """verify_all's pair-level checks, as (inequality_id, lhs, rhs), and
     skips, as (inequality_id, reason)."""
     # Chain: half triangular <= directed J (swapped) <= chi-square (swapped).
-    half_tri = 0.5 * _term(pair, moments, triangular_discrimination)
-    rel_j_swap, chi2_swap = _term(pair, moments, _swapped_sums)
+    half_tri = 0.5 * _term(pair, triangular_discrimination)
+    rel_j_swap, chi2_swap = _term(pair, _swapped_sums)
     checks = [("tri_half_le_rel_j_swap", half_tri, rel_j_swap),
               ("rel_j_swap_le_chi2_swap", rel_j_swap, chi2_swap)]
     if rb is None:
@@ -390,9 +384,9 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds | None,
     # Absolute-moment chains for m in {1, 2, 3}.  The m = 2 moment is the
     # chi-square: the same nonzero terms, so fsum returns the same value.
     r, R = rb.r, rb.R
-    variation = moments.variation
-    for m, moment, ids in zip(_MOMENT_ORDERS, (variation, moments.chi2,
-                                               moments.abs_chi3), _MOMENT_IDS):
+    chi2, abs_chi3, variation = _term(pair, _gap_sums)
+    for m, moment, ids in zip(_MOMENT_ORDERS, (variation, chi2, abs_chi3),
+                              _MOMENT_IDS):
         (le_interval, interval_le_cap, le_ceiling, power_ge_floor,
          power_le_ceiling) = ids
         power_diff = (variation if m == 1.0  # its value at m = 1 is V
@@ -412,19 +406,17 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds | None,
 
 
 def _family_checks(pair: DistributionPair, rb: RatioBounds | None,
-                   moments: PairMoments, sp: SParameter):
+                   sp: SParameter):
     """verify_all's checks at one s, as (inequality_id, lhs, rhs), and
     skips, as (inequality_id, reason)."""
-    value, e_val, e_star_val, a_val, b_val, gaps = _family_at(
-        pair, rb, moments, sp)
+    value, e_val, e_star_val, a_val, b_val, gaps = _family_at(pair, rb, sp)
     checks = [
         ("omega_nonneg", 0.0, value),
         ("omega_le_e", value, e_val),
         _agreement("e_closed_form_agrees",
-                   e_omega_closed_form(pair, sp, moments=moments), e_val),
+                   e_omega_closed_form(pair, sp), e_val),
         _agreement("e_star_closed_form_agrees",
-                   e_star_omega_closed_form(pair, sp, moments=moments),
-                   e_star_val),
+                   e_star_omega_closed_form(pair, sp), e_star_val),
     ]
     if a_val is None:
         return checks, [("gap_bounds", _DEGENERATE),
@@ -469,11 +461,12 @@ def verify_all(pair: DistributionPair, s_values, *,
     """
     _check_tolerance(violation_tolerance)
     rb = ratio_bounds(pair)
-    moments = PairMoments.of(pair)
-    blocks = [((pair_id, None), *_pair_checks(pair, rb, moments))]
+    # one pair for this call that keeps its s-independent terms
+    pair = _EvaluatedPair(pair.p, pair.q)
+    blocks = [((pair_id, None), *_pair_checks(pair, rb))]
     # one block per distinct s, in s order; SParameter reads -0.0 as 0.0
     params = {sp.s: sp for sp in map(_sparam, s_values)}
-    blocks += [((pair_id, s), *_family_checks(pair, rb, moments, params[s]))
+    blocks += [((pair_id, s), *_family_checks(pair, rb, params[s]))
                for s in sorted(params)]
     # Each block is sorted by inequality id and the blocks come in s order,
     # so the report is ordered by (s, inequality_id).

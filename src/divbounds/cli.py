@@ -34,7 +34,7 @@ from .simplex import (
     validate,
 )
 from .type_s import SParameter, _param_label, omega_s, phi_s
-from .bounds import REPORT_NOTES, PairMoments, _s_key, verify_all
+from .bounds import REPORT_NOTES, _EvaluatedPair, _s_key, verify_all
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -408,12 +408,13 @@ def _cmd_sweep(args) -> int:
     pairs = load_pairs(args.input, args.renormalize)
 
     def rows(pid, group):
-        # each group's rows by s, then input order
-        bounded = [(pair, ratio_bounds(pair), PairMoments.of(pair))
+        # each group's rows by s, then input order; each pair keeps its
+        # s-independent terms for this group only
+        bounded = [(_EvaluatedPair(pair.p, pair.q), ratio_bounds(pair))
                    for pair in group]
         for sp in map(SParameter, grid):
-            for pair, rb, moments in bounded:
-                *family, gaps = bounds_mod._family_at(pair, rb, moments, sp)
+            for pair, rb in bounded:
+                *family, gaps = bounds_mod._family_at(pair, rb, sp)
                 minima = ((None, None) if gaps is None
                           else (gap.minimum for gap in gaps))
                 yield (pid, sp.s, _REGIME_NAMES.get(sp.canonical, "generic"),

@@ -116,29 +116,29 @@ class GapBounds:
 
 
 @dataclass(frozen=True)
-class PairMoments:
-    """The s-independent terms of one pair: the gap bounds' sums (chi-square,
-    |chi|^3, V), and each sum or column that a function given ``moments=``
-    reads, built when first read, so a caller builds each once per pair."""
+class _EvaluatedPair(DistributionPair):
+    """A pair that keeps each of its s-independent terms in ``terms``,
+    built the first time it is read.  verify_all makes one per call and
+    sweep one per pair and group, so the caller's pair keeps nothing."""
 
-    chi2: float
-    abs_chi3: float
-    variation: float
-    _terms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-
-    @classmethod
-    def of(cls, pair: DistributionPair) -> "PairMoments":
-        return cls(chi_squared(pair), vajda_abs_chi(pair, 3.0),
-                   total_variation(pair))
+    terms: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
-def _term(pair: DistributionPair, moments: PairMoments | None, build):
-    # build(pair), kept on moments = PairMoments.of(pair), or built afresh
-    terms = {} if moments is None else moments._terms
+def _term(pair: DistributionPair, build):
+    # build(pair), kept on an _EvaluatedPair, or built afresh on any other
+    if type(pair) is not _EvaluatedPair:
+        return build(pair)
+    terms = pair.terms
     if build not in terms:
         terms[build] = build(pair)
     return terms[build]
+
+
+def _gap_sums(pair: DistributionPair) -> tuple[float, float, float]:
+    # the sums the gap bounds scale: chi-square, |chi|^3 and V
+    return (chi_squared(pair), vajda_abs_chi(pair, 3.0),
+            total_variation(pair))
 
 
 def _e_columns(pair: DistributionPair) -> list[tuple[float, float, float]]:
@@ -152,18 +152,16 @@ def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
                 for p, q in zip(pair.p.values, pair.q.values) if p != q)
 
 
-def dragomir_e(pair: DistributionPair, gen: GeneratorFunction, *,
-               moments: PairMoments | None = None) -> float:
+def dragomir_e(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """First-derivative upper functional: sum of (p - q) f'(p/q)."""
     d1 = gen.d1
-    return fsum([d * d1(x) for d, x, _ in _term(pair, moments, _e_columns)])
+    return fsum([d * d1(x) for d, x, _ in _term(pair, _e_columns)])
 
 
-def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction, *,
-                    moments: PairMoments | None = None) -> float:
+def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """Midpoint-argument variant: sum of (p - q) f'((p + q)/(2q))."""
     d1 = gen.d1
-    return fsum([d * d1(x) for d, _, x in _term(pair, moments, _e_columns)])
+    return fsum([d * d1(x) for d, _, x in _term(pair, _e_columns)])
 
 
 def bound_a(rb: RatioBounds, gen: GeneratorFunction) -> float:
@@ -230,14 +228,15 @@ def _gap_functional(pair: DistributionPair, gen: GeneratorFunction,
     return dragomir_e_star(pair, gen)
 
 
-def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
-                div: float, functional: float, k: int, sup3: float,
-                moments: PairMoments) -> GapBounds:
+def _gap_bounds(pair: DistributionPair, rb: RatioBounds,
+                gen: GeneratorFunction, target: GapTarget, div: float,
+                functional: float, k: int, sup3: float) -> GapBounds:
     # The one body of the gap bounds; it builds the curvature spread
     # k * (f''(R) - f''(r)) from gen.  The caller gives the divergence, the
     # target's functional (E or E*), the curvature sign k and the sup of
-    # |f'''| on [r, R].  Each term is a coefficient times a moment (chi^2,
-    # |chi|^3, V); its cap puts the moment's bound on [r, R] in its place.
+    # |f'''| on [r, R].  Each term is a coefficient times one of the pair's
+    # _gap_sums (chi^2, |chi|^3, V); its cap puts the sum's bound on [r, R]
+    # in its place.
     if target is _HALF_E:
         observed = abs(div - 0.5 * functional)
         third_factor, first_factor = 1.0 / 12.0, 1.0
@@ -247,8 +246,8 @@ def _gap_bounds(rb: RatioBounds, gen: GeneratorFunction, target: GapTarget,
     c2 = k * (gen.d2(rb.R) - gen.d2(rb.r)) / 8.0
     c3 = third_factor * sup3
     c1 = first_factor * (gen.d1(rb.R) - gen.d1(rb.r))
-    candidates = (c2 * moments.chi2, c3 * moments.abs_chi3,
-                  c1 * moments.variation)
+    chi2, abs_chi3, variation = _term(pair, _gap_sums)
+    candidates = (c2 * chi2, c3 * abs_chi3, c1 * variation)
     width = rb.R - rb.r
     caps = (c2 * (width * width / 4.0), c3 * (width ** 3 / 8.0),
             c1 * (width / 2.0))
@@ -272,7 +271,6 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
         raise NonMonotoneSecondDerivative(
             f"{gen.label}: f''' changes sign on [{r}, {R}]")
     k = -1 if saw_neg else 1
-    moments = PairMoments.of(pair)
-    return _gap_bounds(rb, gen, target, csiszar_divergence(pair, gen),
-                       _gap_functional(pair, gen, target), k, sup3, moments)
+    return _gap_bounds(pair, rb, gen, target, csiszar_divergence(pair, gen),
+                       _gap_functional(pair, gen, target), k, sup3)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import exp, expm1, fsum, isfinite, log, log1p, pow
 from typing import Callable, NoReturn
 
-from .csiszar import GeneratorFunction, PairMoments, _term
+from .csiszar import GeneratorFunction, _term
 from .divergences import (
     relative_ag_divergence,
     relative_information,
@@ -103,8 +103,7 @@ def _omega_column(pair: DistributionPair) -> tuple[list[float], list[float]]:
              for p, q in zip(*items) if p != q])
 
 
-def omega_s(pair: DistributionPair, s: float | SParameter, *,
-            moments: PairMoments | None = None) -> float:
+def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     """Unified relative AG/JS divergence of type s:
     [s(s-1)]^-1 (sum of p ((p+q)/(2p))^s - 1), with the directed JS
     divergence as the s = 0 limit and the directed AG divergence at s = 1.
@@ -112,11 +111,11 @@ def omega_s(pair: DistributionPair, s: float | SParameter, *,
     """
     sp = _sparam(s)
     if sp.canonical == 0.0:
-        return _term(pair, moments, relative_js_divergence)
+        return _term(pair, relative_js_divergence)
     if sp.canonical == 1.0:
-        return _term(pair, moments, relative_ag_divergence)
+        return _term(pair, relative_ag_divergence)
     sv = sp.s
-    ps, logs = _term(pair, moments, _omega_column)
+    ps, logs = _term(pair, _omega_column)
     core = fsum([p * expm1(sv * lr) for p, lr in zip(ps, logs)])
     return core / (sv * (sv - 1.0))
 

@@ -3,7 +3,8 @@
 ``omega_special_cases`` sets the five closed special cases of omega_s next
 to independent base-measure evaluations.  ``lp_mean`` is the p-logarithmic
 power mean whose p-th power ``divbounds.lp_power`` computes; the bound
-formulas need only the power.
+formulas need only the power.  ``close`` is the tests' default agreement
+rule: 1e-12 relative, 1e-14 absolute near zero.
 """
 
 import math
@@ -26,6 +27,10 @@ from divbounds.means import (
     _check_endpoints,
     _pow,
 )
+
+
+def close(a, b, rel=1e-12, abs_=1e-14):
+    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,9 @@ def hellinger_generator() -> GeneratorFunction:
     )
 
 
-_BUILTIN_S = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
+#: The eight s-values the family is checked at across the tests: both limit
+#: points, each side of them, and s = -2 below the gap bounds' range.
+S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 
 
 def builtin_generators() -> dict[str, GeneratorFunction]:
@@ -63,5 +65,5 @@ def builtin_generators() -> dict[str, GeneratorFunction]:
     eight parameter values, keyed by label."""
     gens = [kl_generator(), reverse_kl_generator(), pearson_chi2_generator(),
             hellinger_generator()]
-    gens.extend(generator(s) for s in _BUILTIN_S)
+    gens.extend(generator(s) for s in S_GRID)
     return {g.label: g for g in gens}

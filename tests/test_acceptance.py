@@ -49,6 +49,7 @@ from divbounds.means import BRANCH_SWITCH
 
 import oracles
 from closed_forms import omega_special_cases
+from generators import S_GRID
 
 P = (0.5, 0.5)
 Q = (0.25, 0.75)
@@ -115,7 +116,6 @@ GOLDEN_VECTORS = {
                     lambda: oracles.psi3_sup(R_LO, 1)),
 }
 
-S_FULL = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
 S_BOUNDED = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
@@ -177,7 +177,7 @@ def test_criterion_4_engine_consistency(make_pairs):
     started = time.perf_counter()
     for pair in make_pairs(1_000, seed=9300):
         rb = ratio_bounds(pair)
-        for s in S_FULL:
+        for s in S_GRID:
             gen = generator(s)
             assert math.isclose(omega_s(pair, s),
                                 csiszar_divergence(pair, gen),

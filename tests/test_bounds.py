@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import sys
+from collections import namedtuple
 
 import mpmath as mp
 import pytest
@@ -14,13 +15,14 @@ from divbounds import (
     BoundEntry,
     DistributionPair,
     GapTarget,
-    PairMoments,
     a_omega,
     b_omega,
     bound_a,
     bound_b,
     chi_squared,
     delta_omega,
+    dragomir_e,
+    dragomir_e_star,
     e_omega,
     e_star_omega,
     generator,
@@ -33,11 +35,12 @@ from divbounds import (
     ratio_bounds,
     theorem33_bounds,
     theorem42_bounds,
+    total_variation,
     vajda_abs_chi,
     validate,
     verify_all,
 )
-from divbounds import bounds, csiszar, divergences, type_s
+from divbounds import bounds, cli, csiszar, divergences, type_s
 from divbounds.bounds import (
     InvalidTolerance,
     SOutOfRange,
@@ -49,20 +52,15 @@ from divbounds.bounds import (
     e_star_omega_closed_form,
 )
 from divbounds.cli import DEFAULT_S_LIST, main
+from divbounds.csiszar import _EvaluatedPair, _gap_sums
 from divbounds.divergences import power_difference_divergence
 from divbounds.means import BRANCH_SWITCH
 from divbounds.type_s import S_SWITCH, NonFiniteParameter, SParameter
 from divbounds.simplex import InvalidRatioBounds, RatioBounds
 
 import oracles
-from closed_forms import lp_mean
-from generators import hellinger_generator, kl_generator
-
-S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
-
-
-def close(a, b, rel=1e-12, abs_=1e-14):
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
+from closed_forms import close, lp_mean
+from generators import S_GRID, hellinger_generator, kl_generator
 
 
 def random_intervals(count, seed=17, r_max=0.98, big_r=50.0):
@@ -252,7 +250,7 @@ class TestGapBundles:
         delta_omega's spread times chi2 / 8, bit for bit."""
         for pair in make_pairs(60, seed=71):
             rb = ratio_bounds(pair)
-            chi2 = PairMoments.of(pair).chi2
+            chi2 = chi_squared(pair)
             for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, -1e-6, 1e-6,
                       1.0 - 1e-6, 1.0 + 1e-6):
                 gen = generator(s)
@@ -313,39 +311,38 @@ class TestGapBundles:
 
 
     def test_precomputed_inputs_change_nothing(self, make_pairs):
-        """Passing the pair's moments, omega_s and the target's functional
-        (E for HALF_E, E* for E_STAR), as verify_all and the sweep command
-        do, gives the plain call's bundle field for field, each keyword
-        alone and all three together."""
+        """Passing omega_s and the target's functional (E for HALF_E, E*
+        for E_STAR), as verify_all and the sweep command do, gives the
+        plain call's bundle field for field, each keyword alone and both
+        together."""
         functionals = {GapTarget.HALF_E: e_omega,
                        GapTarget.E_STAR: e_star_omega}
         for pair in make_pairs(70, seed=75):
             rb = ratio_bounds(pair)
             if rb is None:
                 continue
-            moments = PairMoments.of(pair)
             for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
                 for target in GapTarget:
                     plain = theorem42_bounds(pair, rb, s, target)
                     functional = functionals[target](pair, s)
                     for kwargs in (
-                            dict(moments=moments),
                             dict(omega=omega_s(pair, s)),
                             dict(functional=functional),
-                            dict(moments=moments, omega=omega_s(pair, s),
+                            dict(omega=omega_s(pair, s),
                                  functional=functional)):
                         assert theorem42_bounds(pair, rb, s, target,
                                                 **kwargs) == plain, kwargs
 
-    def test_pair_moments(self, make_pairs):
-        """The m = 2 absolute moment is the chi-square to the last bit,
-        which lets verify_all's moment chain read it from PairMoments."""
+    def test_gap_sums(self, make_pairs):
+        """_gap_sums is (chi2, |chi|^3, V), V the m = 1 absolute moment,
+        and the m = 2 absolute moment is the chi-square to the last bit,
+        which lets verify_all's moment chain read all three from it."""
         for pair in make_pairs(70, seed=77):
-            moments = PairMoments.of(pair)
-            assert moments == PairMoments(chi_squared(pair),
-                                          vajda_abs_chi(pair, 3.0),
-                                          vajda_abs_chi(pair, 1.0))
-            assert vajda_abs_chi(pair, 2.0) == moments.chi2
+            assert _gap_sums(pair) == (chi_squared(pair),
+                                       vajda_abs_chi(pair, 3.0),
+                                       vajda_abs_chi(pair, 1.0))
+            assert _gap_sums(pair)[2] == total_variation(pair)
+            assert vajda_abs_chi(pair, 2.0) == chi_squared(pair)
 
 
 def digest(values):
@@ -353,6 +350,11 @@ def digest(values):
     for value in values:
         h.update(repr(value).encode() + b"\n")
     return h.hexdigest()
+
+
+#: The gap sums with the repr the moment pin was frozen over, when they were
+#: the fields of a public PairMoments dataclass.
+FrozenSums = namedtuple("PairMoments", "chi2 abs_chi3 variation")
 
 
 def frozen_tuple(bundle, target):
@@ -407,7 +409,7 @@ class TestPinnedBits:
         moments = ([f(pair, m) for f in (vajda_abs_chi,
                                          power_difference_divergence)
                     for m in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)]
-                   + [PairMoments.of(pair)] for pair in pairs)
+                   + [FrozenSums(*_gap_sums(pair))] for pair in pairs)
         rng = random.Random(53)
         means = (lp_mean(p, rng.uniform(0.01, 10.0), rng.uniform(0.01, 10.0))
                  for p in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0,
@@ -724,14 +726,16 @@ S_VALUES = st.one_of(st.floats(-3.0, 4.0),
                      st.floats(1.0 - S_SWITCH, 1.0 + S_SWITCH),
                      st.sampled_from(_BAND_EDGES))
 
-#: The per-s functions that read the per-pair terms kept on PairMoments.
+#: The per-s functions that read the per-pair terms kept on an evaluated
+#: pair.
 PER_S = (omega_s, e_omega, e_star_omega, e_omega_closed_form,
          e_star_omega_closed_form)
 
 #: The builders of the per-pair terms, read through their module names.
 BUILDERS = ((csiszar, "_e_columns"), (type_s, "_omega_column"),
-            (bounds, "_e_cf_column"), (bounds, "_e_star_cf_column"),
-            (bounds, "_swapped_sums"), (bounds, "_e_star_limit_sums"))
+            (csiszar, "_gap_sums"), (bounds, "_e_cf_column"),
+            (bounds, "_e_star_cf_column"), (bounds, "_swapped_sums"),
+            (bounds, "_e_star_limit_sums"))
 
 
 def record_calls(monkeypatch, fn):
@@ -752,30 +756,44 @@ def record_calls(monkeypatch, fn):
 
 
 class TestPairTerms:
-    """The s-independent terms of a pair, kept on its PairMoments: the same
-    bits as a standalone call, and each built once per pair."""
+    """The s-independent terms of a pair, kept on a private evaluated pair
+    (csiszar._EvaluatedPair): the same bits as a call on the plain pair,
+    each built once per pair, and nothing kept on the caller's pair."""
 
     @given(pairs_with_equal_components(),
            st.lists(S_VALUES, min_size=1, max_size=8))
     @settings(max_examples=150, deadline=None)
-    def test_moments_route_has_the_same_bits(self, pair, s_values):
-        """With one PairMoments shared across the s-values, each per-s
-        function returns what it returns without it, -0.0 included."""
-        moments = PairMoments.of(pair)
+    def test_evaluated_pair_has_the_same_bits(self, pair, s_values):
+        """With one evaluated pair shared across the s-values, each per-s
+        function, the two E engine sums and both gap bundles return what
+        the same call on the plain pair returns, -0.0 included."""
+        evaluated = _EvaluatedPair(pair.p, pair.q)
+        rb = ratio_bounds(pair)
         for s in s_values:
             for fn in PER_S:
-                assert repr(fn(pair, s, moments=moments)) == repr(
-                    fn(pair, s)), (fn.__name__, s)
-        assert repr(moments) == repr(PairMoments.of(pair))
+                assert repr(fn(evaluated, s)) == repr(fn(pair, s)), (
+                    fn.__name__, s)
+            gen = generator(s)
+            for fn in (dragomir_e, dragomir_e_star):
+                assert repr(fn(evaluated, gen)) == repr(fn(pair, gen)), (
+                    fn.__name__, s)
+            if rb is not None and s >= -1.0:
+                for target in GapTarget:
+                    alone = theorem42_bounds(pair, rb, s, target)
+                    assert repr(theorem42_bounds(
+                        evaluated, rb, s, target)) == repr(alone), (target, s)
+        assert evaluated.terms
+        assert evaluated == _EvaluatedPair(pair.p, pair.q)
+        assert repr(evaluated) == repr(_EvaluatedPair(pair.p, pair.q))
 
     @given(pairs_with_equal_components(),
            st.lists(S_VALUES, min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_family_row_matches_calls_value_by_value(self, pair, s_values):
-        """A sweep row (_family_at with the pair's PairMoments) equals
-        omega, E, E*, A, B and both gap bundles made one call at a time."""
+        """A sweep row (_family_at on one evaluated pair) equals omega, E,
+        E*, A, B and both gap bundles made one call at a time."""
         rb = ratio_bounds(pair)
-        moments = PairMoments.of(pair)
+        evaluated = _EvaluatedPair(pair.p, pair.q)
         for s in s_values:
             alone = (omega_s(pair, s), e_omega(pair, s), e_star_omega(pair, s))
             if rb is None:
@@ -784,7 +802,7 @@ class TestPairTerms:
                 alone += (a_omega(rb, s), b_omega(rb, s), None if s < -1.0
                           else tuple(theorem42_bounds(pair, rb, s, target)
                                      for target in GapTarget))
-            assert repr(_family_at(pair, rb, moments, SParameter(s))) == repr(
+            assert repr(_family_at(evaluated, rb, SParameter(s))) == repr(
                 alone), s
 
     def test_sweep_rows_match_calls_value_by_value(self, tmp_path):
@@ -849,15 +867,45 @@ class TestPairTerms:
 
     def test_sweep_builds_each_term_once_per_pair(self, monkeypatch,
                                                   tmp_path):
-        """sweep keeps one PairMoments per pair across its grid of 13
-        points: the omega and E columns, the ones its rows read, are built
-        once for each of the three pairs."""
+        """sweep keeps one evaluated pair per pair across its grid of 13
+        points: the omega and E columns and the gap sums, the ones its rows
+        read, are built once for each of the three pairs."""
         src, out = tmp_path / "pairs.csv", tmp_path / "rows.jsonl"
         assert main(["gen", "--n", "9", "--count", "3", "--seed", "5",
                      "--output", str(src)]) == 0
         built = {name: record_calls(monkeypatch, getattr(module, name))
-                 for module, name in BUILDERS[:2]}
+                 for module, name in BUILDERS[:3]}
         assert main(["sweep", "--s-min=-1", "--s-max=2", "--s-step=0.25",
                      "--input", str(src), "--output", str(out)]) == 0
         assert {name: len(args) for name, args in built.items()} == {
             name: 3 for name in built}
+
+    def test_verify_all_keeps_nothing_on_the_pair(self):
+        """verify_all evaluates a pair of its own: the caller's pair stays a
+        plain DistributionPair with the attributes it had."""
+        pair = random_pair(16, 5)
+        before = dict(vars(pair))
+        verify_all(pair, DEFAULT_S_LIST)
+        assert type(pair) is DistributionPair
+        assert vars(pair) == before
+
+    def test_sweep_keeps_nothing_on_the_pairs(self, monkeypatch, tmp_path):
+        """The pairs the CLI holds for the whole run stay plain
+        DistributionPairs with the attributes they had: sweep keeps each
+        pair's terms only on its own pair for the group."""
+        src, out = tmp_path / "pairs.csv", tmp_path / "rows.jsonl"
+        assert main(["gen", "--n", "9", "--count", "3", "--seed", "5",
+                     "--output", str(src)]) == 0
+        load_pairs, held = cli.load_pairs, []
+
+        def load(*args):
+            held.extend(load_pairs(*args))
+            return held
+
+        monkeypatch.setattr(cli, "load_pairs", load)
+        assert main(["sweep", "--s-min=-1", "--s-max=2", "--s-step=0.25",
+                     "--input", str(src), "--output", str(out)]) == 0
+        assert len(held) == 3
+        for _, pair in held:
+            assert type(pair) is DistributionPair
+            assert set(vars(pair)) == {"p", "q"}

@@ -27,16 +27,13 @@ from divbounds.csiszar import (
     _d3_scan,
 )
 
+from closed_forms import close
 from generators import (
     builtin_generators,
     hellinger_generator,
     kl_generator,
     pearson_chi2_generator,
 )
-
-
-def close(a, b, rel=1e-12, abs_=1e-14):
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
 
 
 def leq(a, b, tol=1e-10):

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import oracles
+from closed_forms import close
 from divbounds import (
     DistributionPair,
     ag_mean_divergence,
@@ -24,10 +25,6 @@ from divbounds import (
     vajda_abs_chi,
 )
 from divbounds.divergences import MOutOfRange, power_difference_divergence
-
-
-def close(a, b, rel=1e-12, abs_=1e-14):
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
 
 
 # Frozen from the extended-precision direct-summation oracle (tests/oracles.py)

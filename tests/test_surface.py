@@ -5,6 +5,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -24,7 +25,7 @@ PUBLIC = {
     "bound_a", "bound_b", "theorem33_bounds",
     "SParameter", "phi_s", "omega_s", "psi_s",
     "psi_s_d1", "psi_s_d2", "psi_s_d3", "generator",
-    "BoundEntry", "BoundReport", "PairMoments",
+    "BoundEntry", "BoundReport",
     "e_omega", "e_star_omega", "a_omega", "b_omega",
     "delta_omega", "psi3_sup", "theorem42_bounds", "verify_all",
 }
@@ -36,7 +37,9 @@ PUBLIC = {
 #: and the tests call csiszar._d3_scan, which d3_sup only wrapped;
 #: the JSONL writer spells each chunk with one encoder call, not a cache;
 #: RatioBounds holds r < 1 < R itself, so no function re-checks it;
-#: SParameter.canonical is the one classification of s, so Regime went.
+#: SParameter.canonical is the one classification of s, so Regime went;
+#: verify_all and sweep keep a pair's s-independent terms on a private
+#: evaluated pair, so PairMoments and its moments= keywords went.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -55,6 +58,8 @@ REMOVED = [
     ("csiszar", "_require_straddle"),
     ("cli", "_Spellings"),
     ("type_s", "Regime"),
+    ("csiszar", "PairMoments"),
+    ("bounds", "PairMoments"),
 ]
 
 
@@ -73,6 +78,15 @@ def test_every_public_name_imports():
 def test_removed_name_is_gone(module, name):
     assert not hasattr(divbounds, name)
     assert not hasattr(importlib.import_module(f"divbounds.{module}"), name)
+
+
+def test_no_public_moments_parameter():
+    """No public function takes the pair's terms as a keyword: each reads
+    them from the pair it is given."""
+    assert [name for name in divbounds.__all__
+            if callable(getattr(divbounds, name))
+            and "moments" in inspect.signature(
+                getattr(divbounds, name)).parameters] == []
 
 
 def test_removed_attributes_are_gone():

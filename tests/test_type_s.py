@@ -31,13 +31,8 @@ from divbounds.csiszar import CONVEXITY_PROBES, GeneratorNotConvex
 from divbounds.type_s import S_SWITCH, NonFiniteParameter, NonPositiveArgument
 
 import oracles
-from closed_forms import omega_special_cases
-
-S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
-
-
-def close(a, b, rel=1e-12, abs_=1e-14):
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
+from closed_forms import close, omega_special_cases
+from generators import S_GRID
 
 
 class TestSParameter:
