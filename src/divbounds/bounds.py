@@ -24,7 +24,6 @@ from .csiszar import (
     _HALF_E,
     _EvaluatedPair,
     _gap_bounds,
-    _gap_functional,
     _gap_sums,
     _term,
 )
@@ -218,9 +217,7 @@ def psi3_sup(rb: RatioBounds, s: float | SParameter) -> float:
 
 
 def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
-                     s: float | SParameter, target: GapTarget, *,
-                     omega: float | None = None,
-                     functional: float | None = None) -> GapBounds:
+                     s: float | SParameter, target: GapTarget) -> GapBounds:
     """Third-derivative gap bounds specialized to the family generator:
     theorem33_bounds for psi_s, fed with the closed form psi3_sup and the
     curvature sign -1: ``theorem33_bounds(pair, rb, generator(s), target)``
@@ -229,21 +226,17 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     The sign needs no sampling: psi'' is monotonically decreasing for every
     s >= -1 (psi''' <= 0 there), so the curvature candidate is the positive
     spread delta/8 times chi-square.
-
-    A caller that already holds ``omega_s(pair, s)`` or the target's
-    functional (``e_omega(pair, s)`` for HALF_E, ``e_star_omega(pair, s)``
-    for E_STAR) may pass it as ``omega`` or ``functional``; each is computed
-    here when omitted.
     """
     if type(target) is not GapTarget:
         target = GapTarget(target)
     sp = _gap_parameter(s)
     sup3 = psi3_sup(rb, sp)
-    value = omega_s(pair, sp) if omega is None else omega
-    gen = generator(sp)
-    if functional is None:
-        functional = _gap_functional(pair, gen, target)
-    return _gap_bounds(pair, rb, gen, target, value, functional, -1, sup3)
+    # omega and the target's functional (E for HALF_E, E* for E_STAR), as
+    # verify_all's and sweep's evaluated pair already keeps them at sp
+    value = _term(pair, omega_s, sp)
+    functional = e_omega if target is _HALF_E else e_star_omega
+    return _gap_bounds(pair, rb, generator(sp), target, value,
+                       _term(pair, functional, sp), -1, sup3)
 
 
 def _family_at(pair: DistributionPair, rb: RatioBounds | None,
@@ -253,17 +246,18 @@ def _family_at(pair: DistributionPair, rb: RatioBounds | None,
     a, b and gaps are None when rb is None (P = Q, or P equals Q up to
     rounding); gaps is also None for s < -1.  Otherwise gaps holds the
     theorem42_bounds bundles for HALF_E and E_STAR, in that order.
+    Omega, E and E* are read first, so on an evaluated pair each
+    theorem42_bounds call finds the two it reads already kept.
     """
-    omega = omega_s(pair, sp)
-    e = e_omega(pair, sp)
-    e_star = e_star_omega(pair, sp)
+    omega = _term(pair, omega_s, sp)
+    e = _term(pair, e_omega, sp)
+    e_star = _term(pair, e_star_omega, sp)
     if rb is None:
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
-    gaps = None if sp.s < -1.0 else tuple(
-        theorem42_bounds(pair, rb, sp, target, omega=omega,
-                         functional=functional)
-        for target, functional in ((_HALF_E, e), (_E_STAR, e_star)))
+    gaps = None if sp.s < -1.0 else (
+        theorem42_bounds(pair, rb, sp, _HALF_E),
+        theorem42_bounds(pair, rb, sp, _E_STAR))
     return omega, e, e_star, a, b, gaps
 
 

@@ -117,22 +117,25 @@ class GapBounds:
 
 @dataclass(frozen=True)
 class _EvaluatedPair(DistributionPair):
-    """A pair that keeps each of its s-independent terms in ``terms``,
-    built the first time it is read.  verify_all makes one per call and
-    sweep one per pair and group, so the caller's pair keeps nothing."""
+    """A pair that keeps in ``terms`` the last value of each term it is
+    read for: its s-independent terms, and omega, E and E* at the s being
+    checked.  verify_all makes one per call and sweep one per pair and
+    group, so the caller's pair keeps nothing."""
 
     terms: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
 
-def _term(pair: DistributionPair, build):
-    # build(pair), kept on an _EvaluatedPair, or built afresh on any other
+def _term(pair: DistributionPair, build, *args):
+    # build(pair, *args), kept on an _EvaluatedPair with its args (one
+    # value per build, made again for other args), or built afresh on any
+    # other pair
     if type(pair) is not _EvaluatedPair:
-        return build(pair)
-    terms = pair.terms
-    if build not in terms:
-        terms[build] = build(pair)
-    return terms[build]
+        return build(pair, *args)
+    kept = pair.terms.get(build)
+    if kept is None or kept[0] != args:
+        kept = pair.terms[build] = (args, build(pair, *args))
+    return kept[1]
 
 
 def _gap_sums(pair: DistributionPair) -> tuple[float, float, float]:
@@ -219,15 +222,6 @@ def _d3_scan(gen: GeneratorFunction, r: float,
     return max(best_val, refined), saw_pos, saw_neg
 
 
-def _gap_functional(pair: DistributionPair, gen: GeneratorFunction,
-                    target: GapTarget) -> float:
-    # the functional a target's gap is measured against: E for HALF_E,
-    # E* for E_STAR
-    if target is _HALF_E:
-        return dragomir_e(pair, gen)
-    return dragomir_e_star(pair, gen)
-
-
 def _gap_bounds(pair: DistributionPair, rb: RatioBounds,
                 gen: GeneratorFunction, target: GapTarget, div: float,
                 functional: float, k: int, sup3: float) -> GapBounds:
@@ -271,6 +265,7 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
         raise NonMonotoneSecondDerivative(
             f"{gen.label}: f''' changes sign on [{r}, {R}]")
     k = -1 if saw_neg else 1
+    functional = dragomir_e if target is _HALF_E else dragomir_e_star
     return _gap_bounds(pair, rb, gen, target, csiszar_divergence(pair, gen),
-                       _gap_functional(pair, gen, target), k, sup3)
+                       functional(pair, gen), k, sup3)
 

@@ -22,6 +22,10 @@ class NonPositiveEndpoint(ValueError):
     """An endpoint is zero, negative, or not finite."""
 
 
+class NonFiniteExponent(ValueError):
+    """The exponent p is NaN or infinite."""
+
+
 def _check_endpoints(a: float, b: float) -> None:
     if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
         raise NonPositiveEndpoint(
@@ -42,8 +46,11 @@ def _pow(x: float, e: float) -> float:
 
 def lp_power(p: float, a: float, b: float) -> float:
     """L_p^p(a, b): (b^(p+1) - a^(p+1)) / ((p+1)(b-a)), with limit branches
-    (ln b - ln a)/(b - a) at p = -1 and the constant 1 at p = 0."""
+    (ln b - ln a)/(b - a) at p = -1 and the constant 1 at p = 0.  The
+    exponent must be finite."""
     _check_endpoints(a, b)
+    if not math.isfinite(p):
+        raise NonFiniteExponent(f"exponent must be finite, got p={p!r}")
     if abs(p) < BRANCH_SWITCH:
         return 1.0
     if abs(b - a) <= ENDPOINT_SWITCH * max(a, b):

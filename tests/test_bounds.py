@@ -309,30 +309,6 @@ class TestGapBundles:
                                                    bundle.cap_candidates):
                         assert data_term <= cap_term + 1e-10
 
-
-    def test_precomputed_inputs_change_nothing(self, make_pairs):
-        """Passing omega_s and the target's functional (E for HALF_E, E*
-        for E_STAR), as verify_all and the sweep command do, gives the
-        plain call's bundle field for field, each keyword alone and both
-        together."""
-        functionals = {GapTarget.HALF_E: e_omega,
-                       GapTarget.E_STAR: e_star_omega}
-        for pair in make_pairs(70, seed=75):
-            rb = ratio_bounds(pair)
-            if rb is None:
-                continue
-            for s in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-                for target in GapTarget:
-                    plain = theorem42_bounds(pair, rb, s, target)
-                    functional = functionals[target](pair, s)
-                    for kwargs in (
-                            dict(omega=omega_s(pair, s)),
-                            dict(functional=functional),
-                            dict(omega=omega_s(pair, s),
-                                 functional=functional)):
-                        assert theorem42_bounds(pair, rb, s, target,
-                                                **kwargs) == plain, kwargs
-
     def test_gap_sums(self, make_pairs):
         """_gap_sums is (chi2, |chi|^3, V), V the m = 1 absolute moment,
         and the m = 2 absolute moment is the chi-square to the last bit,
@@ -756,9 +732,10 @@ def record_calls(monkeypatch, fn):
 
 
 class TestPairTerms:
-    """The s-independent terms of a pair, kept on a private evaluated pair
+    """The terms of a pair, kept on a private evaluated pair
     (csiszar._EvaluatedPair): the same bits as a call on the plain pair,
-    each built once per pair, and nothing kept on the caller's pair."""
+    each s-independent term built once per pair, omega, E and E* once per
+    s, and nothing kept on the caller's pair."""
 
     @given(pairs_with_equal_components(),
            st.lists(S_VALUES, min_size=1, max_size=8))
@@ -879,6 +856,33 @@ class TestPairTerms:
                      "--input", str(src), "--output", str(out)]) == 0
         assert {name: len(args) for name, args in built.items()} == {
             name: 3 for name in built}
+
+    def test_omega_and_e_made_once_per_s(self, monkeypatch):
+        """One verify_all call at the default s-list makes omega, E and E*
+        once at each s: both theorem42_bounds calls of an s read the two
+        values they need from the evaluated pair."""
+        calls = {fn.__name__: record_calls(monkeypatch, fn)
+                 for fn in (omega_s, e_omega, e_star_omega)}
+        verify_all(random_pair(16, 5), DEFAULT_S_LIST)
+        assert {name: [sp.s for _, sp in args]
+                for name, args in calls.items()} == {
+            name: sorted(DEFAULT_S_LIST) for name in calls}
+
+    def test_kept_terms_do_not_grow_with_s(self):
+        """_family_at over 200 s-values on one evaluated pair keeps one
+        value per term, the last: as many kept values as after the first
+        s, and the last row the same bits as on a fresh pair."""
+        pair = random_pair(9, 5)
+        rb = ratio_bounds(pair)
+        evaluated = _EvaluatedPair(pair.p, pair.q)
+        grid = [SParameter(-1.0 + 0.015 * k) for k in range(200)]
+        _family_at(evaluated, rb, grid[0])
+        first = len(evaluated.terms)
+        for sp in grid[1:]:
+            last = _family_at(evaluated, rb, sp)
+        assert len(evaluated.terms) == first
+        assert repr(last) == repr(_family_at(
+            _EvaluatedPair(pair.p, pair.q), rb, grid[-1]))
 
     def test_verify_all_keeps_nothing_on_the_pair(self):
         """verify_all evaluates a pair of its own: the caller's pair stays a

@@ -1156,11 +1156,36 @@ def test_sigint_during_verify_exits_130(tmp_path):
     assert not target.exists()
 
 
-def cli_process(*argv, stdout):
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS to bound the address space")
+def test_out_of_memory_in_a_real_child(tmp_path):
+    """gen --n 1000000 under a 200 MiB address-space limit, set in the
+    child alone, runs out of memory: exit 1, the one line
+    ``error: out of memory``, no traceback and no output file.  gen --n 2
+    under 60 MiB exits 0, so the limit leaves the interpreter room to
+    start."""
+    import resource
+
+    def gen(n, mib):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+        target = tmp_path / f"n{n}.csv"
+        proc = cli_process("gen", "--n", str(n), "--count", "1", "--output",
+                           str(target), stdout=subprocess.DEVNULL,
+                           preexec_fn=limit)
+        err = proc.communicate(timeout=120)[1].decode()
+        return proc.returncode, err, target.exists()
+
+    assert gen(2, 60) == (0, "", True)
+    assert gen(1_000_000, 200) == (1, "error: out of memory\n", False)
+
+
+def cli_process(*argv, stdout, **popen):
     src = os.path.dirname(os.path.dirname(divbounds.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.Popen([sys.executable, "-m", "divbounds.cli", *argv],
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+                            stdout=stdout, stderr=subprocess.PIPE, env=env,
+                            **popen)
 
 
 def assert_write_error(proc, *words):

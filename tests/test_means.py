@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divbounds import lp_power
-from divbounds.means import BRANCH_SWITCH, NonPositiveEndpoint
+from divbounds.means import (BRANCH_SWITCH, NonFiniteExponent,
+                             NonPositiveEndpoint)
 
 from closed_forms import lp_mean
 
@@ -53,6 +54,15 @@ def test_equal_endpoints_extension():
 def test_bad_endpoints(fn, a, b):
     with pytest.raises(NonPositiveEndpoint):
         fn(1.0, a, b)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 2.0)])
+def test_non_finite_exponent(p, a, b):
+    """A NaN or infinite p is refused, on distinct and on equal endpoints:
+    it used to pass through to a NaN, infinite or zero result."""
+    with pytest.raises(NonFiniteExponent, match="exponent must be finite"):
+        lp_power(p, a, b)
 
 
 @given(p=exponents, a=endpoints, b=endpoints)

@@ -39,7 +39,8 @@ PUBLIC = {
 #: RatioBounds holds r < 1 < R itself, so no function re-checks it;
 #: SParameter.canonical is the one classification of s, so Regime went;
 #: verify_all and sweep keep a pair's s-independent terms on a private
-#: evaluated pair, so PairMoments and its moments= keywords went.
+#: evaluated pair, so PairMoments and its moments= keywords went;
+#: theorem33_bounds chooses its own functional, so _gap_functional went.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -60,6 +61,7 @@ REMOVED = [
     ("type_s", "Regime"),
     ("csiszar", "PairMoments"),
     ("bounds", "PairMoments"),
+    ("csiszar", "_gap_functional"),
 ]
 
 
@@ -80,13 +82,26 @@ def test_removed_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"divbounds.{module}"), name)
 
 
-def test_no_public_moments_parameter():
-    """No public function takes the pair's terms as a keyword: each reads
-    them from the pair it is given."""
-    assert [name for name in divbounds.__all__
-            if callable(getattr(divbounds, name))
-            and "moments" in inspect.signature(
-                getattr(divbounds, name)).parameters] == []
+#: Every optional parameter of the public functions, as function(parameter).
+#: The other parameters are the paper's arguments: no public function takes
+#: a pair's terms or a value it can compute from the others.
+OPTIONAL = {"validate(renormalize)", "verify_all(violation_tolerance)",
+            "verify_all(pair_id)"}
+
+
+def test_optional_parameters_are_pinned():
+    """An option enters or leaves a public function only together with an
+    edit here and a CHANGES.md line; no public callable, class or function,
+    takes the moments, omega or functional keywords that verify_all's
+    evaluated pair replaced."""
+    public = [getattr(divbounds, name) for name in divbounds.__all__]
+    assert {f"{fn.__name__}({param.name})" for fn in public
+            if inspect.isfunction(fn)
+            for param in inspect.signature(fn).parameters.values()
+            if param.default is not param.empty} == OPTIONAL
+    assert [fn.__name__ for fn in public if callable(fn)
+            and {"moments", "omega", "functional"} & set(
+                inspect.signature(fn).parameters)] == []
 
 
 def test_removed_attributes_are_gone():
