@@ -20,8 +20,6 @@ from . import csiszar
 from .csiszar import (
     GapBounds,
     GapTarget,
-    _E_STAR,
-    _HALF_E,
     _EvaluatedPair,
     _gap_bounds,
     _gap_sums,
@@ -234,7 +232,7 @@ def theorem42_bounds(pair: DistributionPair, rb: RatioBounds,
     # omega and the target's functional (E for HALF_E, E* for E_STAR), as
     # verify_all's and sweep's evaluated pair already keeps them at sp
     value = _term(pair, omega_s, sp)
-    functional = e_omega if target is _HALF_E else e_star_omega
+    functional = e_omega if target is GapTarget.HALF_E else e_star_omega
     return _gap_bounds(pair, rb, generator(sp), target, value,
                        _term(pair, functional, sp), -1, sup3)
 
@@ -256,8 +254,8 @@ def _family_at(pair: DistributionPair, rb: RatioBounds | None,
         return omega, e, e_star, None, None, None
     a, b = a_omega(rb, sp), b_omega(rb, sp)
     gaps = None if sp.s < -1.0 else (
-        theorem42_bounds(pair, rb, sp, _HALF_E),
-        theorem42_bounds(pair, rb, sp, _E_STAR))
+        theorem42_bounds(pair, rb, sp, GapTarget.HALF_E),
+        theorem42_bounds(pair, rb, sp, GapTarget.E_STAR))
     return omega, e, e_star, a, b, gaps
 
 

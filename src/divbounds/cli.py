@@ -34,7 +34,8 @@ from .simplex import (
     validate,
 )
 from .type_s import SParameter, _param_label, omega_s, phi_s
-from .bounds import REPORT_NOTES, _EvaluatedPair, _s_key, verify_all
+from .bounds import REPORT_NOTES, _s_key, verify_all
+from .csiszar import _EvaluatedPair
 
 DEFAULT_S_LIST = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 

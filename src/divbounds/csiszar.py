@@ -93,11 +93,6 @@ class GapTarget(enum.Enum):
     E_STAR = "e_star"
 
 
-# The members as module names: a read through the class (an enum metaclass
-# lookup) costs about 0.2 us on CPython 3.11, a module name about 20 ns.
-_HALF_E, _E_STAR = GapTarget
-
-
 @dataclass(frozen=True)
 class GapBounds:
     """Bundle of third-derivative gap bounds for one target.
@@ -231,7 +226,7 @@ def _gap_bounds(pair: DistributionPair, rb: RatioBounds,
     # |f'''| on [r, R].  Each term is a coefficient times one of the pair's
     # _gap_sums (chi^2, |chi|^3, V); its cap puts the sum's bound on [r, R]
     # in its place.
-    if target is _HALF_E:
+    if target is GapTarget.HALF_E:
         observed = abs(div - 0.5 * functional)
         third_factor, first_factor = 1.0 / 12.0, 1.0
     else:
@@ -265,7 +260,8 @@ def theorem33_bounds(pair: DistributionPair, rb: RatioBounds,
         raise NonMonotoneSecondDerivative(
             f"{gen.label}: f''' changes sign on [{r}, {R}]")
     k = -1 if saw_neg else 1
-    functional = dragomir_e if target is _HALF_E else dragomir_e_star
+    functional = (dragomir_e if target is GapTarget.HALF_E
+                  else dragomir_e_star)
     return _gap_bounds(pair, rb, gen, target, csiszar_divergence(pair, gen),
                        functional(pair, gen), k, sup3)
 

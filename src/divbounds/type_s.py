@@ -95,12 +95,9 @@ def phi_s(pair: DistributionPair, s: float | SParameter) -> float:
     return core / (sv * (sv - 1.0))
 
 
-def _omega_column(pair: DistributionPair) -> tuple[list[float], list[float]]:
-    # two lists of floats: no tuple per component for the cyclic GC to scan
-    items = pair.p.values, pair.q.values
-    return ([p for p, q in zip(*items) if p != q],
-            [_log_ratio(p + q, 2.0 * p, q - p)
-             for p, q in zip(*items) if p != q])
+def _omega_column(pair: DistributionPair) -> list[tuple[float, float]]:
+    return [(p, _log_ratio(p + q, 2.0 * p, q - p))
+            for p, q in zip(pair.p.values, pair.q.values) if p != q]
 
 
 def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
@@ -115,8 +112,7 @@ def omega_s(pair: DistributionPair, s: float | SParameter) -> float:
     if sp.canonical == 1.0:
         return _term(pair, relative_ag_divergence)
     sv = sp.s
-    ps, logs = _term(pair, _omega_column)
-    core = fsum([p * expm1(sv * lr) for p, lr in zip(ps, logs)])
+    core = fsum([p * expm1(sv * lr) for p, lr in _term(pair, _omega_column)])
     return core / (sv * (sv - 1.0))
 
 

@@ -29,6 +29,7 @@ a nonzero |p - q| is at least the float spacing there, 2^-116, and its cube,
 """
 
 from fractions import Fraction
+from math import fsum
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,7 @@ from divbounds import (
     validate,
     verify_all,
 )
+from divbounds.bounds import VIOLATION_TOLERANCE
 
 U = Fraction(1, 2**53)
 
@@ -248,6 +250,31 @@ def _exact_verdicts(pair, s_values):
             if slack < 0 or key in zeros and slack != 0} == {}
     return len(slacks), [(key, float(slack)) for key, slack in slacks.items()
                          if slack > 0 and verdicts[key] != "pass"]
+
+
+def _raw_interval_slack(pair):
+    """rhs - lhs of abs_chi[m=3]_le_interval on the float inputs as they
+    are, not divided by their sums: the interval at the exact minimum r and
+    maximum R of p/q, less the sum of |p - q|^3/q^2."""
+    p = [Fraction(v) for v in pair.p.values]
+    q = [Fraction(v) for v in pair.q.values]
+    ratios = [a / b for a, b in zip(p, q)]
+    return _interval(min(ratios), max(ratios), 3) - sum(
+        abs(a - b) ** 3 / (b * b) for a, b in zip(p, q))
+
+
+def test_known_interval_failures_decided_exactly():
+    """The two abs_chi[m=3]_le_interval cases of
+    test_known_false_failures.py: seed 7's pair-0648 holds on its float
+    inputs (exact slack +1.127e-9), so its fail is rounding alone; seed
+    1729's pair-0885 fails on them by more than the tolerance (-2.048e-10),
+    since they sum to more than one as rationals while fsum reads 1.0.  An
+    allowance sized on rounding alone cannot pass the second."""
+    assert _raw_interval_slack(random_pair(2, 655)) > 0
+    pair = random_pair(2, 2614)
+    assert _raw_interval_slack(pair) < -VIOLATION_TOLERANCE
+    for dist in (pair.p, pair.q):
+        assert fsum(dist.values) == 1.0 < sum(map(Fraction, dist.values))
 
 
 @pytest.mark.parametrize("n, count", [(2, 1000), (64, 100)])

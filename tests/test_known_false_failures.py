@@ -1,5 +1,7 @@
 """The known false failures: valid pairs on which ``verify_all`` reports a
-``fail`` that rounding, not mathematics, produces.
+``fail`` that floating point, not mathematics, produces: rounding in the
+evaluation, or float inputs that ``validate`` accepts although as rationals
+they do not sum to one.
 
 Each case is a strict xfail that must fail by its assertion, so a crash is
 not taken for the known failure, and the change that mends a case must
@@ -22,10 +24,15 @@ def literal(p, q):
 
 
 CASES = [
-    # abs_chi[m=3]_le_interval, an equality at n = 2, fails by rounding
-    # against the absolute tolerance
+    # abs_chi[m=3]_le_interval, an equality at n = 2 on the simplex.  On
+    # pair-0648 the exact slack of the float inputs is +1.127e-9 and the
+    # float slack -1.49e-8: it fails by rounding against the absolute
+    # tolerance.  Pair-0885 fails exactly: its inputs sum to 1 + 5.6e-17
+    # (P) and 1 + 6.2e-18 (Q) as rationals, fsum reads 1.0 for both, and
+    # the exact slack is -2.048e-10 (test_exact.py pins both slacks)
     known("ROADMAP item 3", random_pair(2, 655), name="seed7-pair-0648"),
-    known("ROADMAP item 3", random_pair(2, 2614), name="seed1729-pair-0885"),
+    known("ROADMAP items 1 and 3", random_pair(2, 2614),
+          name="seed1729-pair-0885"),
     # a_closed_form_agrees loses digits to cancellation just outside the
     # band around s = 1
     known("ROADMAP item 2", random_pair(5, 3), (1.00002,),

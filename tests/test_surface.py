@@ -40,7 +40,9 @@ PUBLIC = {
 #: SParameter.canonical is the one classification of s, so Regime went;
 #: verify_all and sweep keep a pair's s-independent terms on a private
 #: evaluated pair, so PairMoments and its moments= keywords went;
-#: theorem33_bounds chooses its own functional, so _gap_functional went.
+#: theorem33_bounds chooses its own functional, so _gap_functional went;
+#: the gap bounds read GapTarget's members through the class, so their
+#: positional aliases went.
 REMOVED = [
     ("means", "lp_mean"),
     ("csiszar", "builtin_generators"),
@@ -62,6 +64,8 @@ REMOVED = [
     ("csiszar", "PairMoments"),
     ("bounds", "PairMoments"),
     ("csiszar", "_gap_functional"),
+    ("csiszar", "_HALF_E"),
+    ("csiszar", "_E_STAR"),
 ]
 
 
@@ -190,6 +194,28 @@ def _module_names(tree):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         yield name.id, node.lineno
+
+
+def _borrowed_private_imports(paths):
+    """``file:line: module._name`` of each ``from .module import _name`` in
+    ``paths`` whose module does not define ``_name`` at module level."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    defined = {path.stem: {name for name, _ in _module_names(tree)}
+               for path, tree in trees.items()}
+    return sorted(f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                  for path, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module is not None
+                  for alias in node.names if alias.name.startswith("_")
+                  and alias.name not in defined[node.module])
+
+
+def test_private_names_imported_from_their_definer():
+    """Every private name a module imports comes from the module that
+    defines it, not through one that only imports it, so a module can drop
+    an import it no longer reads without breaking another."""
+    assert _borrowed_private_imports(MODULES) == []
 
 
 def _unread_names(paths, wanted):
