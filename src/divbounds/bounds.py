@@ -27,7 +27,6 @@ from .csiszar import (
 )
 from .divergences import (
     chi_squared,
-    power_difference_divergence,
     relative_j_divergence,
     triangular_discrimination,
 )
@@ -340,6 +339,14 @@ def _tv_chain_factors(r: float, R: float, m: float) -> tuple[float, float]:
     return lower, upper
 
 
+def _power_difference_sums(pair: DistributionPair) -> tuple[float, float]:
+    # the power-difference moments |p^m - q^m|/q^(m-1) at m = 2 and 3, the
+    # sums the total-variation chain brackets; at m = 1 the sum is V
+    items = [(p, q) for p, q in zip(pair.p.values, pair.q.values) if p != q]
+    return (fsum(abs(p * p - q * q) / q for p, q in items),
+            fsum(abs(p * p * p - q * q * q) / (q * q) for p, q in items))
+
+
 def _s_key(s: float | None):
     # pair-level rows (no s) come before the per-s rows
     return (0, 0.0) if s is None else (1, s)
@@ -377,12 +384,12 @@ def _pair_checks(pair: DistributionPair, rb: RatioBounds | None):
     # chi-square: the same nonzero terms, so fsum returns the same value.
     r, R = rb.r, rb.R
     chi2, abs_chi3, variation = _term(pair, _gap_sums)
-    for m, moment, ids in zip(_MOMENT_ORDERS, (variation, chi2, abs_chi3),
-                              _MOMENT_IDS):
+    power_diff2, power_diff3 = _power_difference_sums(pair)
+    for m, moment, power_diff, ids in zip(
+            _MOMENT_ORDERS, (variation, chi2, abs_chi3),
+            (variation, power_diff2, power_diff3), _MOMENT_IDS):
         (le_interval, interval_le_cap, le_ceiling, power_ge_floor,
          power_le_ceiling) = ids
-        power_diff = (variation if m == 1.0  # its value at m = 1 is V
-                      else power_difference_divergence(pair, m))
         interval = ((1.0 - r) * (R - 1.0) / (R - r)) * (
             (1.0 - r) ** (m - 1.0) + (R - 1.0) ** (m - 1.0))
         lower_factor, upper_factor = _tv_chain_factors(r, R, m)

@@ -447,6 +447,10 @@ def _cmd_verify(args) -> int:
                 # rounding of rhs, however large either is
                 first = next(rec for rec in run if rec.verdict != "skip")
                 lhs = first.rhs + 1.0 + 2.0 * (args.tolerance + abs(first.rhs))
+                if not math.isfinite(lhs):
+                    raise CliInputError(
+                        f"--inject-violation: the corrupted lhs overflows at "
+                        f"--tolerance {args.tolerance!r}")
                 run = list(run)
                 (entry,) = bounds_mod._entries(
                     [(first.inequality_id, lhs, first.rhs)], (pid, first.s),

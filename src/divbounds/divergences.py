@@ -100,30 +100,6 @@ def vajda_abs_chi(pair: DistributionPair, m: float) -> float:
                 for ad, q in diffs)
 
 
-def power_difference_divergence(pair: DistributionPair, m: float) -> float:
-    """Power-difference moment: sum of |p^m - q^m| / q^(m-1), m >= 1.
-
-    This is the quantity the total-variation chain brackets between
-    ((1 - r^m)/(1 - r)) V and ((R^m - 1)/(R - 1)) V: termwise,
-    |x^m - 1|/|x - 1| is increasing in x.  m = 1 is total variation.
-    """
-    _check_exponent(m)
-    if m == 1.0:
-        return total_variation(pair)
-    items = [(p, q) for p, q in _items(pair) if p != q]
-    if m == 2.0:
-        return fsum(abs(p * p - q * q) / q for p, q in items)
-    if m == 3.0:
-        return fsum(abs(p * p * p - q * q * q) / (q * q) for p, q in items)
-    # as in vajda_abs_chi: a power below the normal range has lost bits,
-    # so such a term is read from p/q
-    return fsum(abs(pm - qm) / q ** (m - 1.0)
-                if (pm := p ** m) >= float_info.min
-                and (qm := q ** m) >= float_info.min
-                else abs((sqrt(p) * (p / q) ** ((m - 1.0) / 2.0)) ** 2 - q)
-                for p, q in items)
-
-
 def symmetric_chi_squared(pair: DistributionPair) -> float:
     """chi2(P||Q) + chi2(Q||P)."""
     return chi_squared(pair) + chi_squared(pair.swapped())

@@ -46,6 +46,7 @@ from divbounds.bounds import (
     SOutOfRange,
     _entries,
     _family_at,
+    _power_difference_sums,
     _s_key,
     b_omega_closed_form,
     e_omega_closed_form,
@@ -53,7 +54,6 @@ from divbounds.bounds import (
 )
 from divbounds.cli import DEFAULT_S_LIST, main
 from divbounds.csiszar import _EvaluatedPair, _gap_sums
-from divbounds.divergences import power_difference_divergence
 from divbounds.means import BRANCH_SWITCH
 from divbounds.type_s import S_SWITCH, NonFiniteParameter, SParameter
 from divbounds.simplex import InvalidRatioBounds, RatioBounds
@@ -85,7 +85,7 @@ INTERVAL_BOUNDS = {
 
 
 def by_id(report, inequality_id):
-    return [e for e in report.entries if e.inequality_id == inequality_id]
+    return [e for e in report.records if e.inequality_id == inequality_id]
 
 
 class TestFunctionalGoldens:
@@ -170,8 +170,9 @@ class TestDomainErrors:
 
     def test_zero_violation_tolerance(self, std_pair):
         report = verify_all(std_pair, (0.0,), violation_tolerance=0.0)
-        assert report.entries
-        for entry in report.entries:
+        checked = [e for e in report.records if e.verdict != "skip"]
+        assert checked
+        for entry in checked:
             assert (entry.verdict == "pass") is (entry.slack >= 0.0)
 
 
@@ -378,14 +379,17 @@ class TestPinnedBits:
 
     def test_moment_sums_and_lp_mean(self, make_pairs):
         """Frozen from the implementation that wrote the m = 1 and m = 2
-        sums out inside vajda_abs_chi and power_difference_divergence and
-        the L_p difference quotient out inside lp_mean."""
+        sums out inside vajda_abs_chi and the L_p difference quotient out
+        inside lp_mean.  The moments string was frozen again when the
+        power-difference sums became _power_difference_sums; the public
+        power_difference_divergence it replaced, at m = 2 and 3, gives the
+        same string."""
         pairs = list(make_pairs(126, seed=89))
         pairs += [DistributionPair(pair.p, pair.p) for pair in pairs[:12]]
-        moments = ([f(pair, m) for f in (vajda_abs_chi,
-                                         power_difference_divergence)
+        moments = ([vajda_abs_chi(pair, m)
                     for m in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)]
-                   + [FrozenSums(*_gap_sums(pair))] for pair in pairs)
+                   + [_power_difference_sums(pair),
+                      FrozenSums(*_gap_sums(pair))] for pair in pairs)
         rng = random.Random(53)
         means = (lp_mean(p, rng.uniform(0.01, 10.0), rng.uniform(0.01, 10.0))
                  for p in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0,
@@ -393,7 +397,7 @@ class TestPinnedBits:
                  + tuple(rng.uniform(-5.0, 5.0) for _ in range(40))
                  for _ in range(25))
         assert digest(moments) == (
-            "f91f13bd3268b44a4f2f8895626221be3e53f3885a12bbd2aa502f163c46afeb")
+            "2564b3f3739e381d81e21af7257b7f68a9d516cb2e33bb35153e93e2436d44fc")
         assert digest(means) == (
             "2310e3ecc9c1f06c1fdbda9a5f11fdfa6cfe7ca6dc1ded4548db016331ec7eff")
 
@@ -524,7 +528,7 @@ class TestVerifyAll:
     def test_standard_pair_passes(self, std_pair):
         report = verify_all(std_pair, (-1.0, 0.0, 1.0, 2.0), pair_id="std")
         assert report.all_pass
-        assert not report.skipped
+        assert all(e.verdict != "skip" for e in report.records)
 
     def test_triangular_chain_entry_values(self, std_pair):
         report = verify_all(std_pair, (0.0,), pair_id="std")
@@ -547,8 +551,9 @@ class TestVerifyAll:
         report = verify_all(DistributionPair(base, base), (-2.0, 0.0, 1.0),
                             pair_id="same")
         assert report.all_pass
-        assert all(e.slack >= 0.0 for e in report.entries)
-        reasons = {item.reason for item in report.skipped}
+        assert all(e.slack >= 0.0 for e in report.records
+                   if e.verdict != "skip")
+        reasons = {e.reason for e in report.records if e.verdict == "skip"}
         assert any("degenerate" in reason for reason in reasons)
 
     def test_near_degenerate_pair_passes(self):
@@ -587,11 +592,13 @@ class TestVerifyAll:
         assert ratio_bounds(pair) is None
         report = verify_all(pair, DEFAULT_S_LIST)
         assert report.all_pass
-        assert {(e.inequality_id, e.reason) for e in report.skipped} == {
+        assert {(e.inequality_id, e.reason) for e in report.records
+                if e.verdict == "skip"} == {
             (name, "ratio interval degenerate (P = Q)") for name in (
                 "abs_chi[m=1]", "abs_chi[m=2]", "abs_chi[m=3]",
                 "gap_bounds", "interval_bounds")}
-        assert {e.inequality_id for e in report.entries} == {
+        assert {e.inequality_id for e in report.records
+                if e.verdict != "skip"} == {
             "tri_half_le_rel_j_swap", "rel_j_swap_le_chi2_swap",
             "omega_nonneg", "omega_le_e", "e_closed_form_agrees",
             "e_star_closed_form_agrees"}
@@ -600,13 +607,13 @@ class TestVerifyAll:
         report = verify_all(std_pair, (-2.0,), pair_id="std")
         assert report.all_pass
         assert any(item.inequality_id == "gap_bounds"
-                   and "s >= -1" in item.reason for item in report.skipped)
+                   and "s >= -1" in item.reason for item in report.records)
 
     def test_deterministic_ordering(self, std_pair):
         first = verify_all(std_pair, (1.0, -1.0, 0.0), pair_id="std")
         second = verify_all(std_pair, (0.0, 1.0, -1.0), pair_id="std")
         assert first == second
-        svals = [e.context.s for e in first.entries]
+        svals = [e.s for e in first.records]
         assert svals == sorted(svals, key=lambda s: (s is not None, s or 0.0))
 
     def test_inequality_ids_are_shared(self):
@@ -640,7 +647,8 @@ class TestVerifyAll:
         pair-level rows first, and entries and skips are their checked and
         skipped views: s-lists with duplicates, s = -1.5 (gap bounds
         skipped), s near 0 and 1 (limit regimes), and P = Q (interval
-        checks skipped)."""
+        checks skipped).  The one test that reads the entries, skipped
+        and context views; every other test reads the records."""
         pair = random_pair(n, seed)
         if same:
             pair = DistributionPair(pair.p, pair.p)
@@ -651,6 +659,7 @@ class TestVerifyAll:
 
         keys = [key(rec) for rec in report.records]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(rec.context is rec for rec in report.records)
         assert report.entries == tuple(
             rec for rec in report.records if rec.verdict != "skip")
         assert report.skipped == tuple(

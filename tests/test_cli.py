@@ -590,6 +590,17 @@ class TestVerify:
         (bad,) = [r for r in jsonl(out) if r["verdict"] == "fail"]
         assert bad["slack"] < -tolerance
 
+    def test_injected_violation_at_a_tolerance_past_the_float_range(
+            self, tmp_path, capsys):
+        # rhs + 1 + 2 (tolerance + |rhs|) overflows: an input error, not
+        # a report spelling the lhs and the slack as infinities
+        path = tmp_path / "pairs.json"
+        path.write_text('{"pairs":[{"id":"a","p":[0.5,0.5],'
+                        '"q":[0.25,0.75]}]}')
+        assert_input_error(*run(capsys, "verify", "--input", str(path),
+                                "--tolerance", "1e308", "--inject-violation"),
+                           "--tolerance 1e+308")
+
     def test_tolerance_override(self, std_csv, capsys):
         code, _, _ = run(capsys, "verify", "--input", std_csv,
                          "--s-list", "0", "--tolerance", "1e-6")
@@ -668,8 +679,8 @@ class TestVerify:
 
     def test_rows_are_the_report_records(self, tmp_path, capsys):
         """Each row other than the notes is one record of the pair's
-        report, entries and skips merged by (s, inequality_id), spelled
-        as the JSON object of the output columns."""
+        report, in report order, spelled as the JSON object of the output
+        columns."""
         pairs = {"norm": ((0.5, 0.5), (0.25, 0.75)),
                  "same": ((0.3, 0.3, 0.4), (0.3, 0.3, 0.4))}
         path = tmp_path / "pairs.json"
@@ -684,14 +695,10 @@ class TestVerify:
         for pid, (p, q) in sorted(pairs.items()):
             report = verify_all(DistributionPair(validate(p), validate(q)),
                                 (-1.5, 0.0, 1.0, 2.0), pair_id=pid)
-            records = sorted(report.entries + report.skipped,
-                             key=lambda rec: (_s_key(rec.s),
-                                              rec.inequality_id))
-            assert all(len(rec) == 8 and rec.context is rec
-                       for rec in records)
+            assert all(len(rec) == 8 for rec in report.records)
             expected += [json.dumps(dict(zip(columns, rec)),
                                     separators=(",", ":"))
-                         for rec in records]
+                         for rec in report.records]
         lines = [line for line in out.splitlines()
                  if not line.startswith('{"pair_id":"*"')]
         assert lines == expected
@@ -702,12 +709,11 @@ class TestVerify:
                     min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_rows_are_each_group_stably_sorted(self, pairs, s_list):
-        """The rows equal the note rows plus each pair's entries and skips,
+        """The rows equal the note rows plus each pair's records,
         stable-sorted by (s, inequality_id) within each pair_id: repeated
         ids, P = Q pairs, a pair whose id is "*" and s below -1."""
         def rows_of(pid, name):
-            report = verify_all(pool_pair(name), s_list, pair_id=pid)
-            return report.entries + report.skipped
+            return verify_all(pool_pair(name), s_list, pair_id=pid).records
 
         notes = [("*", None, "note", None, None, None, "info", note)
                  for note in REPORT_NOTES]
@@ -821,7 +827,8 @@ def test_no_ratio_interval_iff_interval_entries_skipped(pair):
     report = verify_all(pair, _sweep_grid(-1.0, 2.0, 0.5))
     interval_skips = {"abs_chi[m=1]", "abs_chi[m=2]", "abs_chi[m=3]",
                       "gap_bounds", "interval_bounds"}
-    assert {e.inequality_id for e in report.skipped} == (
+    assert {e.inequality_id for e in report.records
+            if e.verdict == "skip"} == (
         interval_skips if rb is None else set())
     doc = {"pairs": [{"id": "x", "p": pair.p.values, "q": pair.q.values}]}
     code, out = run_doc(doc, "sweep", "--s-min=-1", "--s-max=2",

@@ -66,6 +66,7 @@ REMOVED = [
     ("csiszar", "_gap_functional"),
     ("csiszar", "_HALF_E"),
     ("csiszar", "_E_STAR"),
+    ("divergences", "power_difference_divergence"),
 ]
 
 
