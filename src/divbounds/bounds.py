@@ -32,8 +32,8 @@ from .divergences import (
 )
 from .means import lp_power
 from .simplex import DistributionPair, RatioBounds, ratio_bounds
-from .type_s import (SParameter, _sparam, generator, omega_s, psi_s_d2,
-                     psi_s_d3)
+from .type_s import (SParameter, _e_rows, _e_star_rows, _psi_d1_column,
+                     _sparam, generator, omega_s, psi_s_d2, psi_s_d3)
 
 #: An inequality entry passes when slack = rhs - lhs >= -VIOLATION_TOLERANCE.
 #: An absolute floor, blind to the scale of the values: rounding alone
@@ -114,10 +114,22 @@ def _e_star_limit_sums(pair: DistributionPair) -> tuple[float, float]:
             fsum((p - q) * (p - q) / (p + 3.0 * q) for p, q in items))
 
 
+def _e_sum(pair: DistributionPair, sp: SParameter, rows_of) -> float:
+    # sum of w psi_s'(x) over the pair's (w, x, log u) rows, after building
+    # and validating generator(s); its d1 raises at the row builder's stop
+    d1 = generator(sp).d1
+    rows, stop = _term(pair, rows_of)
+    column = _psi_d1_column(sp, rows)
+    if stop is not None:
+        d1(stop)
+    return fsum(column)
+
+
 def e_omega(pair: DistributionPair, s: float | SParameter) -> float:
-    """Directed first-derivative functional of the family at s; the
-    generic engine evaluation is authoritative."""
-    return csiszar.dragomir_e(pair, generator(s))
+    """Directed first-derivative functional of the family at s,
+    sum of (p - q) psi_s'(p/q).  The sum reads the column form of psi_s',
+    which the tests tie bit for bit to dragomir_e(pair, generator(s))."""
+    return _e_sum(pair, _sparam(s), _e_rows)
 
 
 def e_omega_closed_form(pair: DistributionPair,
@@ -139,8 +151,10 @@ def e_omega_closed_form(pair: DistributionPair,
 
 
 def e_star_omega(pair: DistributionPair, s: float | SParameter) -> float:
-    """Midpoint-argument first-derivative functional of the family at s."""
-    return csiszar.dragomir_e_star(pair, generator(s))
+    """Midpoint-argument first-derivative functional of the family at s,
+    sum of (p - q) psi_s'((p + q)/(2q)), read from the column form of
+    psi_s' that the tests tie bit for bit to dragomir_e_star."""
+    return _e_sum(pair, _sparam(s), _e_star_rows)
 
 
 def e_star_omega_closed_form(pair: DistributionPair,

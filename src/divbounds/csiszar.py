@@ -139,11 +139,6 @@ def _gap_sums(pair: DistributionPair) -> tuple[float, float, float]:
             total_variation(pair))
 
 
-def _e_columns(pair: DistributionPair) -> list[tuple[float, float, float]]:
-    return [(p - q, p / q, (p + q) / (2.0 * q))
-            for p, q in zip(pair.p.values, pair.q.values) if p != q]
-
-
 def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """sum of q f(p/q); nonnegative for convex normalized f."""
     return fsum(q * gen.fn(p / q)
@@ -153,13 +148,15 @@ def csiszar_divergence(pair: DistributionPair, gen: GeneratorFunction) -> float:
 def dragomir_e(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """First-derivative upper functional: sum of (p - q) f'(p/q)."""
     d1 = gen.d1
-    return fsum([d * d1(x) for d, x, _ in _term(pair, _e_columns)])
+    return fsum([(p - q) * d1(p / q)
+                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
 
 
 def dragomir_e_star(pair: DistributionPair, gen: GeneratorFunction) -> float:
     """Midpoint-argument variant: sum of (p - q) f'((p + q)/(2q))."""
     d1 = gen.d1
-    return fsum([d * d1(x) for d, _, x in _term(pair, _e_columns)])
+    return fsum([(p - q) * d1((p + q) / (2.0 * q))
+                 for p, q in zip(pair.p.values, pair.q.values) if p != q])
 
 
 def bound_a(rb: RatioBounds, gen: GeneratorFunction) -> float:

@@ -164,6 +164,51 @@ def _psi_d1_kernel(sp: SParameter) -> Callable[[float], float]:
     return d1
 
 
+def _psi_d1_column(sp: SParameter, rows) -> list[float]:
+    """w psi_s'(x) for each (w, x, log u) row, u = (x + 1)/(2x): the
+    operations of _psi_d1_kernel's closures in their order, log u read from
+    the row.  The column and the closure share no code, so a single point
+    pays for no row; a test ties the two forms bit for bit."""
+    if sp.canonical == 0.0:
+        return [w * (0.5 * (1.0 - x) / (1.0 + x) - lu) for w, x, lu in rows]
+    if sp.canonical == 1.0:
+        return [w * (0.5 * (1.0 - 1.0 / x + lu)) for w, x, lu in rows]
+    sv = sp.s
+    sv_m1 = sv - 1.0
+    return [w * ((expm1(sv * lu) / sv + 0.5 * (1.0 - exp(sv_m1 * lu) / x))
+                 / sv_m1) for w, x, lu in rows]
+
+
+def _psi_d1_rows(weighted) -> tuple[list[tuple[float, float, float]],
+                                   float | None]:
+    # The (w, x, log u) rows of the (w, x) in order, up to the first x at
+    # which psi_s' raises (x outside (0, inf), or 2x overflowing so that
+    # log u = log 0), and that x, or None.  A caller evaluates the column
+    # and then psi_s' at that x, so it raises what the per-component kernel
+    # raises, after the same components.
+    rows = []
+    for w, x in weighted:
+        if not (isfinite(x) and x > 0.0):
+            return rows, x
+        u = (x + 1.0) / (2.0 * x)
+        if u == 0.0:
+            return rows, x
+        rows.append((w, x, log(u)))
+    return rows, None
+
+
+def _e_rows(pair: DistributionPair):
+    return _psi_d1_rows([(p - q, p / q)
+                         for p, q in zip(pair.p.values, pair.q.values)
+                         if p != q])
+
+
+def _e_star_rows(pair: DistributionPair):
+    return _psi_d1_rows([(p - q, (p + q) / (2.0 * q))
+                         for p, q in zip(pair.p.values, pair.q.values)
+                         if p != q])
+
+
 def psi_s_d1(x: float, s: float | SParameter) -> float:
     """First derivative of psi_s: the kernel that is generator(s).d1."""
     return _generator_parts(_sparam(s).s)[1](x)

@@ -55,7 +55,8 @@ from divbounds.bounds import (
 from divbounds.cli import DEFAULT_S_LIST, main
 from divbounds.csiszar import _EvaluatedPair, _gap_sums
 from divbounds.means import BRANCH_SWITCH
-from divbounds.type_s import S_SWITCH, NonFiniteParameter, SParameter
+from divbounds.type_s import (S_SWITCH, NonFiniteParameter,
+                              NonPositiveArgument, SParameter)
 from divbounds.simplex import InvalidRatioBounds, RatioBounds
 
 import oracles
@@ -716,9 +717,11 @@ S_VALUES = st.one_of(st.floats(-3.0, 4.0),
 PER_S = (omega_s, e_omega, e_star_omega, e_omega_closed_form,
          e_star_omega_closed_form)
 
-#: The builders of the per-pair terms, read through their module names.
-BUILDERS = ((csiszar, "_e_columns"), (type_s, "_omega_column"),
-            (csiszar, "_gap_sums"), (bounds, "_e_cf_column"),
+#: The builders of the per-pair terms, read through their module names;
+#: the first four are the ones a sweep row reads.
+BUILDERS = ((type_s, "_e_rows"), (type_s, "_e_star_rows"),
+            (type_s, "_omega_column"), (csiszar, "_gap_sums"),
+            (bounds, "_e_cf_column"),
             (bounds, "_e_star_cf_column"), (bounds, "_swapped_sums"),
             (bounds, "_e_star_limit_sums"))
 
@@ -752,7 +755,9 @@ class TestPairTerms:
     def test_evaluated_pair_has_the_same_bits(self, pair, s_values):
         """With one evaluated pair shared across the s-values, each per-s
         function, the two E engine sums and both gap bundles return what
-        the same call on the plain pair returns, -0.0 included."""
+        the same call on the plain pair returns, -0.0 included; and on
+        either pair E and E* read the engine's bits, though they sum the
+        column form of psi'."""
         evaluated = _EvaluatedPair(pair.p, pair.q)
         rb = ratio_bounds(pair)
         for s in s_values:
@@ -763,6 +768,11 @@ class TestPairTerms:
             for fn in (dragomir_e, dragomir_e_star):
                 assert repr(fn(evaluated, gen)) == repr(fn(pair, gen)), (
                     fn.__name__, s)
+            for family, engine in ((e_omega, dragomir_e),
+                                   (e_star_omega, dragomir_e_star)):
+                for on in (pair, evaluated):
+                    assert repr(family(on, s)) == repr(engine(on, gen)), (
+                        family.__name__, s)
             if rb is not None and s >= -1.0:
                 for target in GapTarget:
                     alone = theorem42_bounds(pair, rb, s, target)
@@ -771,6 +781,39 @@ class TestPairTerms:
         assert evaluated.terms
         assert evaluated == _EvaluatedPair(pair.p, pair.q)
         assert repr(evaluated) == repr(_EvaluatedPair(pair.p, pair.q))
+
+    @pytest.mark.parametrize("p, q, s, errors", [
+        # 2x overflows at x = p/q = 2.5e308: psi' reads x = inf in E and
+        # log 0 in E*, where x = (p + q)/(2q) is finite (ROADMAP item 7)
+        ((0.5, 0.5), (2e-309, 1.0 - 2e-309), 0.5,
+         (NonPositiveArgument, ValueError)),
+        # at s = 418 exp overflows at x = 0.1: before the edge component
+        # in the first order, after it in the second
+        ((0.05, 0.5, 0.45), (0.5, 2e-309, 0.5 - 2e-309), 418.0,
+         (OverflowError, ValueError)),
+        ((0.5, 0.05, 0.45), (2e-309, 0.5, 0.5 - 2e-309), 418.0,
+         (NonPositiveArgument, ValueError)),
+    ], ids=["edge", "overflow-first", "edge-first"])
+    def test_e_raises_what_the_engine_raises(self, p, q, s, errors):
+        """E and E* raise the engine's error, type and message, for the
+        first component at which it raises, on a plain and an evaluated
+        pair alike."""
+        pair = DistributionPair(validate(p), validate(q))
+        gen = generator(s)
+
+        def raised(fn, *args):
+            # ValueError and ArithmeticError (OverflowError) alike
+            with pytest.raises((ValueError, ArithmeticError)) as info:
+                fn(*args)
+            return type(info.value), str(info.value)
+
+        for family, engine, error in zip((e_omega, e_star_omega),
+                                         (dragomir_e, dragomir_e_star),
+                                         errors):
+            expected = raised(engine, pair, gen)
+            assert expected[0] is error
+            for on in (pair, _EvaluatedPair(pair.p, pair.q)):
+                assert raised(family, on, s) == expected, family.__name__
 
     @given(pairs_with_equal_components(),
            st.lists(S_VALUES, min_size=1, max_size=6))
@@ -854,13 +897,13 @@ class TestPairTerms:
     def test_sweep_builds_each_term_once_per_pair(self, monkeypatch,
                                                   tmp_path):
         """sweep keeps one evaluated pair per pair across its grid of 13
-        points: the omega and E columns and the gap sums, the ones its rows
-        read, are built once for each of the three pairs."""
+        points: the E and E* rows, the omega column and the gap sums, the
+        ones its rows read, are built once for each of the three pairs."""
         src, out = tmp_path / "pairs.csv", tmp_path / "rows.jsonl"
         assert main(["gen", "--n", "9", "--count", "3", "--seed", "5",
                      "--output", str(src)]) == 0
         built = {name: record_calls(monkeypatch, getattr(module, name))
-                 for module, name in BUILDERS[:3]}
+                 for module, name in BUILDERS[:4]}
         assert main(["sweep", "--s-min=-1", "--s-max=2", "--s-step=0.25",
                      "--input", str(src), "--output", str(out)]) == 0
         assert {name: len(args) for name, args in built.items()} == {

@@ -386,6 +386,31 @@ class TestFastD1:
             assert self.outcome(d1, x) == expected, (s, x)
             assert self.outcome(psi_s_d1, x, s) == expected, (s, x)
 
+    # each band's edges and the first floats outside them
+    EDGE_S = tuple(x for edge, out in ((-S_SWITCH, -math.inf),
+                                       (S_SWITCH, math.inf),
+                                       (1.0 - S_SWITCH, -math.inf),
+                                       (1.0 + S_SWITCH, math.inf))
+                   for x in (edge, math.nextafter(edge, out)))
+
+    @pytest.mark.parametrize("s", sorted(set(S_VALUES + EDGE_S)))
+    def test_column_matches_generator_d1(self, s):
+        """The column form of psi' that E and E* sum gives
+        w * generator(s).d1(x) term by term, bit for bit, an overflow
+        included: the two forms share no code, so this ties them."""
+        d1 = generator(s).d1
+        sp = SParameter(s)
+        rows = [(w, x, math.log((x + 1.0) / (2.0 * x)))
+                for x in self.X_VALUES for w in (-0.375, 1e-300, 3.0)]
+        for w, x, lu in rows:
+            assert self.outcome(
+                lambda: type_s._psi_d1_column(sp, [(w, x, lu)])[0]
+            ) == self.outcome(lambda: w * d1(x)), (s, w, x)
+        finite = [row for row in rows
+                  if self.outcome(d1, row[1]) is not OverflowError]
+        assert repr(type_s._psi_d1_column(sp, finite)) == repr(
+            [w * d1(x) for w, x, _ in finite])
+
     @pytest.mark.parametrize("s", (-0.5, 0.0, 1.0))
     @pytest.mark.parametrize("x", (0.0, -1.0, math.inf, math.nan))
     def test_generator_d1_rejects_nonpositive(self, s, x):
