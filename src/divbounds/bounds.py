@@ -107,11 +107,11 @@ def _e_star_cf_column(pair: DistributionPair):
 
 
 def _e_star_limit_sums(pair: DistributionPair) -> tuple[float, float]:
-    # J* = sum (p - q) log((p + 3q)/(2(p + q))) and sum (p - q)^2/(p + 3q)
-    items = tuple(zip(pair.p.values, pair.q.values))
-    return (fsum((p - q) * log((p + 3.0 * q) / (2.0 * (p + q)))
-                 for p, q in items if p != q),
-            fsum((p - q) * (p - q) / (p + 3.0 * q) for p, q in items))
+    # J* = sum d log m and sum d^2/t over the closed form's (d, m, p, q, t)
+    # rows; the p = q terms, which the rows leave out, add exact zeros
+    rows = _term(pair, _e_star_cf_column)
+    return (fsum(d * log(m) for d, m, _, _, _ in rows),
+            fsum(d * d / t for d, _, _, _, t in rows))
 
 
 def _e_sum(pair: DistributionPair, sp: SParameter, rows_of) -> float:

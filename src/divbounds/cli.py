@@ -63,8 +63,9 @@ _EXIT_CODES = ("exit codes: 0 success, 1 input or usage error or out of "
 #: so splitting on "\n" gives one ``json.dumps`` spelling per value.
 _SPELL = json.JSONEncoder(separators=("\n", ":"))
 
-#: JSONL records joined into one string per write.
-_CHUNK_RECORDS = 1024
+#: Values per chunk of records (a chunk holds at least one record): one
+#: pickle to the speller, one JSONL string per write.
+_CHUNK_VALUES = 2048
 
 _SIMPLE_MEASURES: dict[str, Callable[[DistributionPair], float]] = {
     "chi2": div.chi_squared,
@@ -277,7 +278,13 @@ def _write_records(records, columns, args) -> None:
     copy it to standard output for "-", else to the file at ``args.output``,
     which is not opened if iterating raises.  A temporary file or an output
     that cannot be opened or written (a full device, a reader that closed
-    the pipe) is an input error."""
+    the pipe) is an input error.
+
+    The records are made here, in chunks of about _CHUNK_VALUES values, and
+    spelled into the spool by a forked child at the same time
+    (``_spell_beside``); in this process where there is no fork.  The
+    child's errors come back as this process's: a spool write that fails,
+    running out of memory."""
     # imported here: importing the CLI and building its parser need neither
     import shutil
     import tempfile
@@ -286,12 +293,8 @@ def _write_records(records, columns, args) -> None:
     try:
         with tempfile.TemporaryFile("w+", encoding="utf-8",
                                     newline="") as spool:
-            if args.format == "csv":
-                writer = csv.writer(spool, lineterminator="\n")
-                writer.writerow(columns)
-                writer.writerows(records)
-            else:
-                spool.writelines(_jsonl_chunks(records, columns))
+            _spell_beside(_flat_chunks(records, len(columns)), columns,
+                          args.format, spool)
             spool.seek(0)
             if args.output != "-":
                 name = args.output
@@ -315,11 +318,111 @@ def _write_records(records, columns, args) -> None:
         raise CliInputError(f"cannot write {name}: {exc}") from None
 
 
-def _jsonl_chunks(records, columns):
-    """The records as JSON lines, each spelled as ``json.dumps`` spells
-    ``dict(zip(columns, row))`` with separators ``(",", ":")`` (columns
-    distinct, one value per column in every row), joined in chunks of
-    _CHUNK_RECORDS lines.
+def _spell_beside(chunks, columns, fmt, spool) -> None:
+    """Spell the chunks into the spool with ``_spell`` in a forked child,
+    the speller, while this process makes them.
+
+    Each chunk crosses a pipe as one pickle, so every library call stays in
+    this process.  The pipe holds about one chunk, so one is in flight on
+    each side.  The speller ignores SIGINT, since a terminal's Ctrl-C
+    reaches the whole process group.  It writes only the spool and leaves
+    by ``os._exit``, never through this process's code or stdio buffers,
+    and it is reaped before this returns.  An exception raised in the
+    speller comes back pickled on a second pipe and is raised here, in
+    place of any raised here meanwhile: in-process, its chunk would have
+    been spelled first.  A speller that is killed, or that exits with no
+    exception sent, is an ``OSError`` here.  Where ``os.fork`` is missing or
+    fails, the chunks are spelled in this process as they are made."""
+    import os
+    import pickle
+    import signal
+    import warnings
+
+    spool.flush()
+    pid = None
+    if hasattr(os, "fork"):
+        fds = os.pipe() + os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # 3.12 and later warn of a fork in a threaded process; the
+                # speller takes no lock that another thread can hold
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
+        _spell(chunks, columns, fmt, spool)
+        return
+    chunks_in, chunks_out, errors_in, errors_out = fds
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(chunks_out)
+            os.close(errors_in)
+
+            def received(source):
+                # a chunk cut short ends the stream too: the sender failed
+                while True:
+                    try:
+                        values = pickle.load(source)
+                    except (EOFError, pickle.UnpicklingError):
+                        return
+                    yield values
+
+            with open(chunks_in, "rb") as source:
+                _spell(received(source), columns, fmt, spool)
+            spool.flush()
+            status = 0
+        except BaseException as exc:  # sent to the parent, never raised
+            with contextlib.suppress(BaseException):
+                os.write(errors_out, pickle.dumps(exc))
+        finally:
+            os._exit(status)
+    os.close(chunks_in)
+    os.close(errors_out)
+    try:
+        with open(chunks_out, "wb") as sink:
+            for values in chunks:
+                pickle.dump(values, sink, pickle.HIGHEST_PROTOCOL)
+                sink.flush()
+    finally:
+        with open(errors_in, "rb") as source:
+            error = source.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if error:
+            raise pickle.loads(error)
+        if code:
+            raise ChildProcessError("the process writing it " + (
+                f"was killed by signal {-code}" if code < 0
+                else f"exited with status {code}"))
+
+
+def _flat_chunks(records, width):
+    """The records, ``width`` values each, in chunks of _CHUNK_VALUES values
+    or one record, each one flat list of their values, row after row."""
+    records, size = iter(records), max(1, _CHUNK_VALUES // width)
+    while values := list(chain.from_iterable(islice(records, size))):
+        yield values
+
+
+def _spell(chunks, columns, fmt, spool) -> None:
+    """Write the flat chunks of rows with one value per column to the spool:
+    CSV after a header row of the columns, or JSON lines."""
+    if fmt == "csv":
+        writer = csv.writer(spool, lineterminator="\n")
+        writer.writerow(columns)
+        for values in chunks:  # in rows of len(columns) values
+            writer.writerows(zip(*[iter(values)] * len(columns)))
+    else:
+        spool.writelines(_jsonl_chunks(chunks, columns))
+
+
+def _jsonl_chunks(chunks, columns):
+    """Each flat chunk of values as JSON lines, each line spelled as
+    ``json.dumps`` spells ``dict(zip(columns, row))`` with separators
+    ``(",", ":")`` (columns distinct, one value per column in every row).
 
     Every line fills one template built from the column names, and a chunk
     is one format of the template repeated once per line, filled from one
@@ -327,10 +430,9 @@ def _jsonl_chunks(records, columns):
     """
     template = "{%s}\n" % ",".join(
         _SPELL.encode(column).replace("%", "%%") + ":%s" for column in columns)
-    records = iter(records)
-    while chunk := list(islice(records, _CHUNK_RECORDS)):
-        yield (template * len(chunk)) % tuple(
-            _SPELL.encode(list(chain.from_iterable(chunk)))[1:-1].split("\n"))
+    for values in chunks:
+        yield (template * (len(values) // len(columns))) % tuple(
+            _SPELL.encode(values)[1:-1].split("\n"))
 
 
 class _Records:
@@ -338,9 +440,10 @@ class _Records:
     id order with input order kept within a group, since JSON input may
     repeat an id; every id in ``always`` gets a group even when no pair
     carries it.  A group is evaluated only when iteration reaches it, so
-    the records held are one group's and one output chunk's; ``len`` is
-    the number yielded so far.  A domain error of the library and an
-    overflow or a division by zero at the edge of the simplex are input
+    the records held are one group's and one chunk's, plus the chunk that
+    ``_write_records``' speller spells; ``len`` is the number yielded so
+    far, in the process that iterates.  A domain error of the library and
+    an overflow or a division by zero at the edge of the simplex are input
     errors naming the group."""
 
     def __init__(self, pairs, rows, *always: str):

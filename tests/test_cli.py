@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -1145,22 +1146,40 @@ def test_interrupt_and_out_of_memory_exit(std_csv, tmp_path, capsys,
     assert not target.exists()
 
 
-@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
-def test_sigint_during_verify_exits_130(tmp_path):
-    """A SIGINT sent 1 s into a verify run over 2000 n=64 pairs, while it
-    evaluates them, ends it with exit 130, the one line
-    ``error: interrupted`` and no output file."""
+def interrupted_verify(tmp_path, interrupt, **popen):
+    """Run verify over 2000 n=64 pairs, call ``interrupt(proc)`` 1 s in,
+    while it evaluates them, and check that it ends with exit 130, the one
+    line ``error: interrupted`` and no output file."""
     pairs, target = tmp_path / "pairs.csv", tmp_path / "out.jsonl"
     assert main(["gen", "--n", "64", "--count", "2000", "--seed", "7",
                  "--output", str(pairs)]) == 0
     proc = cli_process("verify", "--input", str(pairs), "--output",
-                       str(target), stdout=subprocess.DEVNULL)
+                       str(target), stdout=subprocess.DEVNULL, **popen)
     time.sleep(1.0)
     assert proc.poll() is None, "verify ended before the signal was sent"
-    proc.send_signal(signal.SIGINT)
+    interrupt(proc)
     err = proc.communicate(timeout=120)[1].decode()
     assert (proc.returncode, err) == (130, "error: interrupted\n")
     assert not target.exists()
+    return proc
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_sigint_during_verify_exits_130(tmp_path):
+    """A SIGINT sent to the CLI process alone."""
+    interrupted_verify(tmp_path, lambda proc: proc.send_signal(signal.SIGINT))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_sigint_to_the_process_group_exits_130(tmp_path):
+    """A SIGINT sent to the whole process group, as a terminal's Ctrl-C
+    is, reaches the speller too, which ignores it; once the CLI has exited
+    no process is left in the group."""
+    proc = interrupted_verify(
+        tmp_path, lambda proc: os.killpg(proc.pid, signal.SIGINT),
+        start_new_session=True)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -1268,6 +1287,167 @@ def test_unwritable_spool_is_input_error(std_csv, tmp_path, capsys,
     assert not target.exists()
 
 
+def count_forks(monkeypatch):
+    """The pids that os.fork returns in this process, from here on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def no_fork():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Every command and format, each spelled in chunks of 20 values (2 verify
+# records, 6 compute records, 4 gen rows), so many chunks cross the pipe to
+# the speller.
+SPELLER_RUNS = [(name, fmt) for name in ("compute", "sweep", "verify",
+                                         "inject")
+                for fmt in ("jsonl", "csv")] + [("gen", "csv")]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("to_file", [True, False])
+@pytest.mark.parametrize("name, fmt", SPELLER_RUNS)
+def test_speller_bytes_equal_in_process_bytes(tmp_path, capsys, monkeypatch,
+                                              name, fmt, to_file):
+    """The output spelled by the forked speller equals the output spelled
+    in-process, where os.fork raises OSError, to a file and to standard
+    output; the edge files also keep their pinned digests."""
+    src = tmp_path / "edge.json"
+    src.write_text(EDGE_JSON)
+    argv = (["gen", "--n", "3", "--count", "30", "--seed", "7"]
+            if name == "gen" else
+            [*EDGE_COMMANDS[name], "--input", str(src), "--format", fmt])
+    monkeypatch.setattr(cli, "_CHUNK_VALUES", 20)
+    outputs = []
+    for forked in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if forked:
+                forks = count_forks(patch)
+            else:
+                patch.setattr(os, "fork", no_fork)
+            target = tmp_path / f"out-{forked}"
+            code, out, err = run(capsys, *argv, *(
+                ["--output", str(target)] if to_file else []))
+        assert (code, err) == (2 if name == "inject" else 0, "")
+        outputs.append(target.read_text() if to_file else out)
+        assert_no_child_left()
+    assert len(forks) == 1
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 20  # several chunks at every width
+    if to_file and name != "gen":
+        digest = hashlib.sha256(outputs[0].encode()).hexdigest()
+        assert digest == EDGE_DIGESTS[name, fmt]
+
+
+def fail_in_speller(monkeypatch, fault):
+    """Make every write to the spool call ``fault()`` first when it runs in
+    a child of this process."""
+    parent, temporary_file = os.getpid(), tempfile.TemporaryFile
+
+    def spool(*args, **kwargs):
+        opened = temporary_file(*args, **kwargs)
+        write = opened.write
+
+        def checked(text):
+            if os.getpid() != parent:
+                fault()
+            return write(text)
+        opened.write = checked
+        return opened
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+
+
+def raise_in_speller(exc):
+    def fault():
+        raise exc
+    return fault
+
+
+def kill_speller():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# 7 pairs print about 960 records, about 41 KB pickled, which the pipe
+# holds whole; 40 pairs print about 5480 records, about 236 KB pickled, so
+# the CLI is still sending when the speller fails and its write to the pipe
+# gets BrokenPipeError.
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("count", [7, 40])
+@pytest.mark.parametrize("fault, message", [
+    (raise_in_speller(OSError(errno.ENOSPC, "No space left on device")),
+     "error: cannot write a temporary file: [Errno 28] No space left on "
+     "device\n"),
+    (raise_in_speller(MemoryError), "error: out of memory\n"),
+    (kill_speller, "error: cannot write a temporary file: the process "
+                   "writing it was killed by signal 9\n")],
+    ids=["OSError", "MemoryError", "SIGKILL"])
+def test_speller_failure_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                           count, fault, message):
+    """A failure of the speller while it writes the spool reaches the user
+    as the same failure in-process would: one error line, exit 1 and no
+    output file, and the speller is reaped."""
+    pairs, target = tmp_path / "pairs.csv", tmp_path / "out.jsonl"
+    assert main(["gen", "--n", "2", "--count", str(count), "--output",
+                 str(pairs)]) == 0
+    fail_in_speller(monkeypatch, fault)
+    forks = count_forks(monkeypatch)
+    assert run(capsys, "verify", "--input", str(pairs), "--output",
+               str(target)) == (1, "", message)
+    assert not target.exists()
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def interrupt_second_pair(monkeypatch):
+    verify_all = cli.verify_all
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return verify_all(*args, **kwargs)
+    monkeypatch.setattr(cli, "verify_all", interrupted)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("doc, setup, result", [
+    (EDGE_JSON, None, (0, "")),
+    ('{"pairs":[{"id":"a","p":[0.5,0.5],"q":[0.25,0.75]},'
+     '{"id":"z","p":[1e-300,1.0],"q":[0.5,0.5]}]}', None,
+     (1, "error: pair z: numeric failure (ZeroDivisionError): float "
+         "division by zero\n")),
+    (EDGE_JSON, interrupt_second_pair, (130, "error: interrupted\n"))],
+    ids=["success", "pair error", "interrupt"])
+def test_no_child_left(tmp_path, capsys, monkeypatch, doc, setup, result):
+    """After a success, a pair's error and an interrupt, the one speller
+    forked is reaped."""
+    src, target = tmp_path / "pairs.json", tmp_path / "out.jsonl"
+    src.write_text(doc)
+    if setup is not None:
+        setup(monkeypatch)
+    forks = count_forks(monkeypatch)
+    code, _, err = run(capsys, "verify", "--input", str(src), "--output",
+                       str(target))
+    assert (code, err) == result
+    assert target.exists() == (code == 0)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def traced_peak_growth(tmp_path, *argv):
     """Bytes per pair by which verify's traced peak grows from 100 to 400
     pairs, and its exit code and number of lines printed for each count."""
@@ -1302,6 +1482,22 @@ def test_memory_does_not_grow_with_failures(tmp_path):
     growth, lines = traced_peak_growth(tmp_path, "--tolerance=0")
     assert [code for code, _ in lines.values()] == [2, 2]
     assert growth < 1536
+
+
+def test_gen_holds_one_wide_row_at_a_time(tmp_path):
+    """A gen row of 20002 values, wider than a chunk, is a chunk of its
+    own, so the traced peak for 4 pairs (8 rows of about 1.6 MB) is about
+    that for 1 pair; with the 8 rows in one chunk it grows by 13 MB."""
+    peaks = []
+    for count in (1, 4):
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--n", "20000", "--count", str(count),
+                         "--output", str(tmp_path / "wide.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20
 
 
 class TestLoadPairs:
@@ -1541,9 +1737,9 @@ class TestJsonlSpelling:
         (1.0, 1), (1, 1.0), (True, 1.0), (0.0, -0.0), (-0.0, 0.0),
         (0.5, "0.5"), (None, "null")])
     def test_repeats_across_the_chunk_boundary(self, first, second):
-        # records 1023 and 1024 are the last of one chunk and the first of
-        # the next
-        size = cli._CHUNK_RECORDS
+        # records size - 1 and size are the last of one chunk and the first
+        # of the next
+        size = cli._CHUNK_VALUES // len(self.COLUMNS)
         rows = [(f"r{i}", first if i < size else second, second, first)
                 for i in range(size - 3, size + 3)]
         rows = [("pad", 0.25, None, "x")] * (size - 3) + rows
@@ -1561,7 +1757,7 @@ class TestJsonlSpelling:
         """Rows drawn from a small pool, so values repeat within and across
         chunks, each line spelled as json.dumps spells the row's dict."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_CHUNK_RECORDS", chunk)
+            patch.setattr(cli, "_CHUNK_VALUES", 4 * chunk)
             assert_json_dumps_lines(rows, ("a", "b", "c", "d"))
 
     @pytest.mark.parametrize("c_encoder", ["as is", "pure Python"])
@@ -1581,7 +1777,7 @@ class TestJsonlSpelling:
         columns = tuple(f"c{i}" for i in range(width))
         expected = jsonl_lines(rows, columns)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_CHUNK_RECORDS", chunk)
+            patch.setattr(cli, "_CHUNK_VALUES", width * chunk)
             if c_encoder == "pure Python":
                 patch.setattr(json.encoder, "c_make_encoder", None)
             assert write_jsonl(rows, columns) == expected
